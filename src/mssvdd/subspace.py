@@ -417,12 +417,18 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
         return np.hstack([p.q @ x for p, x in zip(projs, inputs)])
 
     last_valid: Optional[tuple[list[ProjectionMatrix], DataDescription]] = None
+    # Each solve starts from the previous one's alphas: the pooled columns
+    # stay the same and the projections move only a little per iteration.
+    alpha0: Optional[np.ndarray] = None
     for _ in range(config.max_iter):
         try:
-            desc = svdd_solve(pooled(projections), config.c_penalty, config.kkt_tol)
+            desc = svdd_solve(
+                pooled(projections), config.c_penalty, config.kkt_tol, alpha0=alpha0
+            )
         except SolverError as exc:
             warning = f"stopped early: {exc}"
             break
+        alpha0 = desc.alphas
         last_valid = (projections, desc)
         stepped = list(projections)
         failed = None
@@ -456,7 +462,7 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     if warning is None:
         try:
             description = svdd_solve(
-                pooled(projections), config.c_penalty, config.kkt_tol
+                pooled(projections), config.c_penalty, config.kkt_tol, alpha0=alpha0
             )
         except SolverError as exc:
             warning = f"final solve failed, keeping last iterate: {exc}"

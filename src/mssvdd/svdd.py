@@ -12,12 +12,26 @@ constraint satisfied at every step. For the hypersphere, H = 2G and
 c = diag(G); for the hyperplane, H = G and c = 0, where G is the linear
 Gram matrix of the training columns. Kernelization, when wanted, happens
 upstream by embedding the data before calling these solvers.
+
+After each pair step that no bound clips, the solver also takes an exact
+step on the face of the free coordinates (those strictly inside the box):
+the Newton step to that face's optimum when it has one, or else a
+zero-curvature ascent direction followed to the nearest bound. This ends
+the zig-zag pair steps show when the Gram matrix has rank far below the
+number of free coordinates, as the pooled subspace problems do.
+
+A solve can be warm-started from a feasible dual vector (alpha0), such as
+the solution of the previous problem in an alternating training loop over
+the same columns ("alpha seeding"). Bound coordinates are kept exactly on
+their bound, so a warm start sees the same free set the previous solve
+ended with.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +40,11 @@ from .errors import SolverError
 ALPHA_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6
 MAX_SWEEPS = 10_000
+# A step that brings a coordinate this close to the bound it moves toward
+# puts it exactly on that bound (alpha sums to 1, so this is absolute).
+BOUND_SNAP = 1e-12
+# Relative least-squares residual above which the face system is inconsistent.
+FACE_CONSISTENCY_TOL = 1e-10
 
 
 def _gram(points: np.ndarray) -> np.ndarray:
@@ -34,24 +53,110 @@ def _gram(points: np.ndarray) -> np.ndarray:
     return upper + np.triu(g, 1).T
 
 
+def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
+    """Remove accumulated drift from sum(alpha) = 1 and the box.
+
+    Only the free coordinates are rescaled, so coordinates on a bound stay
+    exactly on it; the change is O(machine eps).
+    """
+    alpha = np.clip(alpha, 0.0, upper)
+    free = (alpha > 0.0) & (alpha < upper)
+    free_mass = alpha[free].sum()
+    if free_mass > 0.0:
+        alpha[free] = alpha[free] / free_mass * (1.0 - (alpha.sum() - free_mass))
+        np.clip(alpha, 0.0, upper, out=alpha)
+    return alpha
+
+
+def _face_step(
+    h: np.ndarray, grad: np.ndarray, alpha: np.ndarray, upper: float
+) -> None:
+    """Exact ascent step on the face of the free coordinates, in place.
+
+    With F = {0 < a < upper}, solves [[H_FF, 1], [1', 0]] [p; mu] = [g_F; 0]
+    by least squares. A consistent system gives p, the Newton step to the
+    face optimum, taken with length at most 1. An inconsistent one means
+    H_FF is singular and the face has no interior stationary point; the
+    residual's first k entries then span a zero-curvature direction with
+    g_F'r_F = |r|^2 > 0, followed until a coordinate reaches its bound.
+    The step is clipped at the first bound (ratio test), which it lands on
+    exactly, and is taken only if it increases the objective.
+    """
+    free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
+    k = free.size
+    if k < 2:
+        return
+    h_ff = h[np.ix_(free, free)]
+    g_f = grad[free]
+    system = np.ones((k + 1, k + 1))
+    system[:k, :k] = h_ff
+    system[k, k] = 0.0
+    rhs = np.append(g_f, 0.0)
+    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    resid = rhs - system @ sol
+    if resid @ resid > (FACE_CONSISTENCY_TOL**2) * (rhs @ rhs):
+        direction, length = resid[:k], np.inf
+    else:
+        direction, length = sol[:k], 1.0
+    # Keep the step on sum(a) = 1 despite least-squares rounding.
+    direction = direction - direction.mean()
+    a_f = alpha[free]
+    with np.errstate(divide="ignore"):
+        ratios = np.where(
+            direction > 0.0,
+            (upper - a_f) / direction,
+            np.where(direction < 0.0, a_f / -direction, np.inf),
+        )
+    block = int(np.argmin(ratios))
+    blocked = ratios[block] < length
+    if blocked:
+        length = ratios[block]
+    if not np.isfinite(length):
+        return
+    step = length * direction
+    if g_f @ step - 0.5 * (step @ h_ff @ step) <= 0.0:
+        return
+    new = a_f + step
+    if blocked:
+        new[block] = upper if direction[block] > 0.0 else 0.0
+    new[(step > 0.0) & (new > upper - BOUND_SNAP)] = upper
+    new[(step < 0.0) & (new < BOUND_SNAP)] = 0.0
+    alpha[free] = new
+    grad -= h[:, free] @ (new - a_f)
+
+
 def _solve_pairwise(
     h: np.ndarray,
     c: np.ndarray,
     upper: float,
     kkt_tol: float,
+    alpha0: Optional[np.ndarray] = None,
     max_sweeps: int = MAX_SWEEPS,
 ) -> np.ndarray:
     """Maximize c'a - 0.5 a'Ha over {sum(a)=1, 0<=a<=upper}.
 
-    Pair selection is second order: i is the steepest increasable
-    coordinate and j the decreasable one with the largest exact gain of
-    the pair subproblem, which avoids the zig-zagging a purely
-    steepest-pair rule suffers on rank-deficient Hessians.
+    Starts from alpha0 when given (a warm start, assumed feasible) and
+    from the uniform vector otherwise. Pair selection is second order: i
+    is the steepest increasable coordinate and j the decreasable one with
+    the largest exact gain of the pair subproblem, which avoids the
+    zig-zagging a purely steepest-pair rule suffers on rank-deficient
+    Hessians. A pair step that no bound clips is followed by an exact
+    step on the face of the free coordinates (_face_step); pair steps
+    alone can cycle among a few free coordinates when H is singular on
+    their face, which warm starts expose more often.
+
+    Stopping is decided on a freshly computed gradient: when the
+    incrementally updated one says converged, alpha is tidied (_tidy),
+    the gradient recomputed, and the pair loop resumes if the tolerance
+    is missed. An alpha0 that already meets kkt_tol is returned unchanged.
     """
     m = h.shape[0]
     diag = np.diag(h).copy()
-    alpha = np.full(m, 1.0 / m)
+    alpha = np.full(m, 1.0 / m) if alpha0 is None else np.array(alpha0, dtype=np.float64)
     grad = c - h @ alpha
+    # A converged check is final only when alpha is tidy and grad was
+    # computed from it; a warm start is taken to be tidy already.
+    settled = alpha0 is not None
     violation = np.inf
     for _ in range(max_sweeps):
         can_up = alpha < upper
@@ -59,7 +164,12 @@ def _solve_pairwise(
         i = int(np.argmax(np.where(can_up, grad, -np.inf)))
         violation = grad[i] - np.min(np.where(can_dn, grad, np.inf))
         if violation <= kkt_tol:
-            break
+            if settled:
+                break
+            alpha = _tidy(alpha, upper)
+            grad = c - h @ alpha
+            settled = True
+            continue
         h_i = h[:, i]
         diffs = grad[i] - grad
         denoms = np.maximum(diag[i] + diag - 2.0 * h_i, 1e-12)
@@ -74,27 +184,25 @@ def _solve_pairwise(
             t = t_max
         if t <= 0.0:
             break
-        if t == t_max and upper - alpha[i] <= alpha[j]:
-            alpha[j] -= upper - alpha[i]
-            alpha[i] = upper
-        elif t == t_max:
-            alpha[i] += alpha[j]
-            alpha[j] = 0.0
-        else:
-            alpha[i] += t
-            alpha[j] -= t
-        grad = grad - t * (h_i - h[:, j])
+        new_i = alpha[i] + t
+        if new_i > upper - BOUND_SNAP:
+            new_i = upper
+        new_j = alpha[j] - t
+        if new_j < BOUND_SNAP:
+            new_j = 0.0
+        grad -= (new_i - alpha[i]) * h_i + (new_j - alpha[j]) * h[:, j]
+        alpha[i], alpha[j] = new_i, new_j
+        settled = False
+        if 0.0 < new_j and new_i < upper:
+            _face_step(h, grad, alpha, upper)
     else:
         warnings.warn(
             f"dual solver hit the sweep limit with violation {violation:.3e}",
             RuntimeWarning,
             stacklevel=3,
         )
-    # Tidy accumulated drift; changes are O(machine eps) and KKT-neutral.
-    alpha = np.clip(alpha, 0.0, upper)
-    total = alpha.sum()
-    if total > 0.0:
-        alpha = np.clip(alpha / total, 0.0, upper)
+    if not settled:
+        alpha = _tidy(alpha, upper)
     return alpha
 
 
@@ -138,12 +246,18 @@ class DataDescription:
 
 
 def svdd_solve(
-    points: np.ndarray, c_penalty: float, kkt_tol: float = DEFAULT_KKT_TOL
+    points: np.ndarray,
+    c_penalty: float,
+    kkt_tol: float = DEFAULT_KKT_TOL,
+    alpha0: Optional[np.ndarray] = None,
 ) -> DataDescription:
     """Fit the minimal enclosing soft hypersphere of the columns of points.
 
     Maximizes sum_i a_i G_ii - a'Ga over the box-bounded simplex. Requires
-    c_penalty * M >= 1, otherwise the constraint set is empty.
+    c_penalty * M >= 1, otherwise the constraint set is empty. alpha0, when
+    given, is a feasible dual vector to start from, typically the solution
+    of a nearby problem over the same columns; a start that already meets
+    kkt_tol is returned unchanged.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -157,6 +271,16 @@ def svdd_solve(
         raise SolverError(
             f"infeasible penalty: C*M = {c_penalty * m:.4g} < 1 (C={c_penalty}, M={m})"
         )
+    if alpha0 is not None:
+        alpha0 = np.asarray(alpha0, dtype=np.float64)
+        if alpha0.shape != (m,):
+            raise SolverError(f"alpha0 must have shape ({m},), got {alpha0.shape}")
+        if not np.all(np.isfinite(alpha0)):
+            raise SolverError("alpha0 contains NaN or Inf")
+        if np.any(alpha0 < 0.0) or np.any(alpha0 > c_penalty):
+            raise SolverError(f"alpha0 entries must lie in [0, C={c_penalty}]")
+        if abs(alpha0.sum() - 1.0) > 1e-9:
+            raise SolverError(f"alpha0 must sum to 1, sums to {alpha0.sum():.12g}")
     if m == 1:
         return DataDescription(
             alphas=np.array([1.0]),
@@ -165,7 +289,7 @@ def svdd_solve(
             train_points=points,
         )
     g = _gram(points)
-    alphas = _solve_pairwise(2.0 * g, np.diag(g).copy(), c_penalty, kkt_tol)
+    alphas = _solve_pairwise(2.0 * g, np.diag(g).copy(), c_penalty, kkt_tol, alpha0)
     dist_sq = np.diag(g) - 2.0 * (g @ alphas) + float(alphas @ g @ alphas)
     boundary = (alphas > ALPHA_TOL) & (alphas < c_penalty - ALPHA_TOL)
     if np.any(boundary):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,15 @@ class TestTrain:
         np.testing.assert_array_equal(a.description.alphas, b.description.alphas)
         for qa, qb in zip(a.projections, b.projections):
             np.testing.assert_array_equal(qa.q, qb.q)
+
+    def test_warm_started_solves_converge_on_rank_deficient_pool(self):
+        # Pair steps alone cycle among four free coordinates here once each
+        # solve starts from the previous one's alphas.
+        data = synth_multimodal(10, 5, 2, [3, 3], 3.0, seed=10)
+        config = TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            train(data, config)
 
     def test_kernelized_training(self):
         data = synth_multimodal(12, 8, 2, [4, 3], 4.0, seed=18)

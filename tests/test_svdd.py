@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssvdd import (
     SolverError,
@@ -15,6 +17,7 @@ from oracles import (
     feasibility_violation,
     hyperplane_objective,
     kkt_violation,
+    random_box_simplex,
     simplex_grid_best,
     sphere_objective,
 )
@@ -100,6 +103,79 @@ class TestSvddSolve:
         assert np.all(desc.alphas >= 0.0)
         assert np.all(desc.alphas <= 0.5)
         assert desc.support_indices.size >= 1
+
+    def test_bound_coordinates_exactly_on_bound(self):
+        rng = np.random.default_rng(31)
+        for c in (0.05, 0.1, 0.2):
+            for _ in range(4):
+                alphas = svdd_solve(rng.standard_normal((3, 60)), c).alphas
+                assert np.any(alphas == c)
+                assert not np.any((alphas > c - 1e-12) & (alphas < c))
+                assert not np.any((alphas > 0.0) & (alphas < 1e-12))
+
+
+# Each example is one of three degenerate shapes the solver meets by design:
+# duplicated columns, rank d < M, and a box so tight that C*M is barely 1.
+@st.composite
+def warm_start_problems(draw):
+    shape = draw(st.sampled_from(["duplicates", "rank_deficient", "tight_box"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(d + 2, 16))
+    pts = rng.uniform(-5.0, 5.0, (d, m))
+    if shape == "duplicates":
+        src = rng.integers(0, m, size=draw(st.integers(1, m - 1)))
+        pts[:, rng.choice(m, src.size, replace=False)] = pts[:, src]
+    c = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    if shape == "tight_box":
+        c = (1.0 + draw(st.floats(1e-9, 1e-3))) / m
+    c = max(c, 1.0 / m)
+    alpha0 = np.minimum(random_box_simplex(rng, m, c), c)
+    return pts, c, alpha0
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestWarmStart:
+    @PROPERTY_SETTINGS
+    @given(warm_start_problems())
+    def test_matches_cold_start(self, problem):
+        pts, c, alpha0 = problem
+        g = pts.T @ pts
+        tol = 1e-8
+        warm = svdd_solve(pts, c, kkt_tol=tol, alpha0=alpha0)
+        cold = svdd_solve(pts, c, kkt_tol=tol)
+        assert feasibility_violation(warm.alphas, c) <= 1e-8
+        assert kkt_violation(g, np.diag(g).copy(), 1.0, warm.alphas, c) <= tol
+        scale = float(np.max(np.diag(g)))
+        gap = sphere_objective(g, warm.alphas) - sphere_objective(g, cold.alphas)
+        assert abs(gap) <= 1e-6 * scale
+
+    @PROPERTY_SETTINGS
+    @given(warm_start_problems())
+    def test_converged_start_returned_unchanged(self, problem):
+        pts, c, _ = problem
+        cold = svdd_solve(pts, c)
+        again = svdd_solve(pts, c, alpha0=cold.alphas)
+        np.testing.assert_array_equal(again.alphas, cold.alphas)
+
+    @pytest.mark.parametrize(
+        "alpha0, match",
+        [
+            (np.full(3, 0.25), "shape"),
+            (np.full((4, 1), 0.25), "shape"),
+            (np.array([0.25, 0.25, 0.5, np.nan]), "NaN"),
+            (np.array([0.25, 0.25, np.inf, 0.5]), "NaN"),
+            (np.array([-0.1, 0.35, 0.35, 0.4]), r"\[0, C"),
+            (np.array([0.1, 0.1, 0.1, 0.7]), r"\[0, C"),
+            (np.array([0.25, 0.25, 0.25, 0.2]), "sum to 1"),
+        ],
+    )
+    def test_rejects_invalid_alpha0(self, alpha0, match):
+        pts = np.random.default_rng(32).standard_normal((2, 4))
+        with pytest.raises(SolverError, match=match):
+            svdd_solve(pts, 0.6, alpha0=alpha0)
 
 
 class TestSvddDistance:
