@@ -95,10 +95,14 @@ _GRID_KEYS = {
 
 
 def _workers() -> int:
+    value = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = None
+    if workers is None or workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return workers
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:

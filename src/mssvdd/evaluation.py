@@ -34,8 +34,11 @@ from .subspace import (
     PredictionResult,
     SubspaceModel,
     TrainConfig,
+    fuse_labels,
     predict as subspace_predict,
     train as subspace_train,
+    training_key,
+    validate_train_config,
 )
 
 Model = Union[SubspaceModel, BaselineModel]
@@ -230,6 +233,56 @@ class EvalReport:
     selection: Optional[str] = None
 
 
+def _cv_plan(data: MultiModalDataset, k: int, seed: int) -> FoldPlan:
+    if data.labels is None:
+        raise DataError("cross-validation requires labels")
+    if not (np.any(data.labels == 1) and np.any(data.labels == 0)):
+        raise DataError("cross-validation requires both classes to be present")
+    return stratified_folds(data.labels, k, seed)
+
+
+def _fused_labels(
+    result: PredictionResult, fitted: TrainConfig, config: TrainConfig
+) -> np.ndarray:
+    """result's fused labels under config's decision strategy.
+
+    result.fused already holds the fitted config's fusion. Baselines
+    predict a single label row, and their grid cells all share the fitted
+    decision strategy, so they never fuse again.
+    """
+    if config.decision_strategy == fitted.decision_strategy:
+        return result.fused
+    return fuse_labels(result.per_modality, config.decision_strategy)
+
+
+def _cv_confusions(
+    data: MultiModalDataset,
+    plan: FoldPlan,
+    configs: Sequence[TrainConfig],
+    normalize: bool,
+) -> tuple[list[list[ConfusionMatrix]], Optional[float]]:
+    """Per-fold confusion matrices of every config, plus the max ortho error.
+
+    The configs must share one training_key: each fold fits configs[0] once
+    and predicts once, and every config fuses that one prediction with its
+    own decision strategy.
+    """
+    confusions: list[list[ConfusionMatrix]] = [[] for _ in configs]
+    ortho: list[float] = []
+    for fold in range(plan.k):
+        train_set = data.subset(plan.train_indices(fold))
+        test_set = data.subset(plan.test_indices(fold))
+        model = fit_model(train_set, configs[0], normalize=normalize)
+        result = predict_model(model, test_set)
+        for config, fold_confusions in zip(configs, confusions):
+            fused = _fused_labels(result, configs[0], config)
+            fold_confusions.append(confusion_from_labels(test_set.labels, fused))
+        err = _model_max_ortho(model)
+        if err is not None:
+            ortho.append(err)
+    return confusions, (max(ortho) if ortho else None)
+
+
 def run_cv(
     data: MultiModalDataset,
     config: TrainConfig,
@@ -242,25 +295,9 @@ def run_cv(
     Each fold trains on the target-class samples of its training split and
     predicts every test sample, both classes included.
     """
-    if data.labels is None:
-        raise DataError("cross-validation requires labels")
-    if not (np.any(data.labels == 1) and np.any(data.labels == 0)):
-        raise DataError("cross-validation requires both classes to be present")
-    plan = stratified_folds(data.labels, k, seed)
-    fold_metrics: list[MetricSet] = []
-    fold_confusions: list[ConfusionMatrix] = []
-    ortho: list[float] = []
-    for fold in range(k):
-        train_set = data.subset(plan.train_indices(fold))
-        test_set = data.subset(plan.test_indices(fold))
-        model = fit_model(train_set, config, normalize=normalize)
-        result = predict_model(model, test_set)
-        cm = confusion_from_labels(test_set.labels, result.fused)
-        fold_confusions.append(cm)
-        fold_metrics.append(compute_metrics(cm))
-        err = _model_max_ortho(model)
-        if err is not None:
-            ortho.append(err)
+    plan = _cv_plan(data, k, seed)
+    (fold_confusions,), max_ortho = _cv_confusions(data, plan, [config], normalize)
+    fold_metrics = [compute_metrics(cm) for cm in fold_confusions]
     pooled = fold_confusions[0]
     for cm in fold_confusions[1:]:
         pooled = pooled + cm
@@ -275,7 +312,7 @@ def run_cv(
         pooled_metrics=compute_metrics(pooled),
         fold_plan=plan,
         normalize=normalize,
-        max_ortho_error=max(ortho) if ortho else None,
+        max_ortho_error=max_ortho,
     )
 
 
@@ -429,22 +466,27 @@ def _nu_from_c(c: float) -> float:
     return min(max(c, 1e-4), 1.0)
 
 
-def _score_cell(
-    args: tuple[MultiModalDataset, TrainConfig, int, int, int, bool]
-) -> tuple[int, str, str, float, tuple[float, ...], Optional[float]]:
-    data, config, index, inner_k, seed, normalize = args
+_CellRow = tuple[str, str, float, tuple[float, ...], Optional[float]]
+
+
+def _failed_row(exc: ToolkitError) -> _CellRow:
+    return "failed", str(exc), float("-inf"), (), None
+
+
+def _score_group(
+    args: tuple[MultiModalDataset, FoldPlan, list[TrainConfig], bool]
+) -> list[_CellRow]:
+    """(status, message, mean gm, fold gms, max ortho error) of each config."""
+    data, plan, configs, normalize = args
     try:
-        report = run_cv(data, config, k=inner_k, seed=seed, normalize=normalize)
+        confusions, max_ortho = _cv_confusions(data, plan, configs, normalize)
     except ToolkitError as exc:
-        return index, "failed", str(exc), float("-inf"), (), None
-    return (
-        index,
-        "ok",
-        "",
-        report.mean_metrics.gm,
-        tuple(m.gm for m in report.fold_metrics),
-        report.max_ortho_error,
-    )
+        return [_failed_row(exc)] * len(configs)
+    rows = []
+    for fold_confusions in confusions:
+        fold_gms = tuple(compute_metrics(cm).gm for cm in fold_confusions)
+        rows.append(("ok", "", float(np.mean(fold_gms)), fold_gms, max_ortho))
+    return rows
 
 
 def _pmap(fn: Callable, tasks: list, workers: int) -> list:
@@ -465,15 +507,36 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive search maximizing mean inner-CV geometric mean.
 
-    Every cell is scored with the same stratified inner folds. Ties are
-    broken by smaller d, then smaller C, then smaller eta, then cell
-    order, so the result is deterministic.
+    Every cell is scored with the same stratified inner folds. Cells with
+    the same training_key share one fit and one prediction per fold, and
+    workers > 1 spreads those groups over processes. Ties are broken by
+    smaller d, then smaller C, then smaller eta, then cell order, so the
+    result is deterministic.
     """
     configs = expand_grid(grid, base)
-    tasks = [
-        (data, cfg, i, inner_k, seed, normalize) for i, cfg in enumerate(configs)
-    ]
-    rows = _pmap(_score_cell, tasks, workers)
+    rows: list[Optional[_CellRow]] = [None] * len(configs)
+    try:
+        plan = _cv_plan(data, inner_k, seed)
+    except DataError as exc:
+        rows = [_failed_row(exc)] * len(configs)
+    else:
+        groups: dict[TrainConfig, list[int]] = {}
+        for i, config in enumerate(configs):
+            try:
+                if config.model_kind == "subspace":
+                    validate_train_config(config, data.n_modalities)
+            except ConfigError as exc:
+                rows[i] = _failed_row(exc)
+                continue
+            groups.setdefault(training_key(config), []).append(i)
+        tasks = [
+            (data, plan, [configs[i] for i in members], normalize)
+            for members in groups.values()
+        ]
+        scored = _pmap(_score_group, tasks, workers)
+        for members, group_rows in zip(groups.values(), scored):
+            for i, row in zip(members, group_rows):
+                rows[i] = row
     cells = [
         GridCell(
             index=i,
@@ -484,7 +547,7 @@ def grid_search(
             fold_gms=fold_gms,
             max_ortho_error=ortho,
         )
-        for i, status, message, gm, fold_gms, ortho in rows
+        for i, (status, message, gm, fold_gms, ortho) in enumerate(rows)
     ]
     ok = [c for c in cells if c.status == "ok"]
     if not ok:

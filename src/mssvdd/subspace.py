@@ -38,6 +38,9 @@ MODEL_KINDS = ("subspace", "svdd", "ocsvm")
 ORTHO_TOL = 1e-10
 RANK_PIVOT_TOL = 1e-12
 
+# Regularizers with no penalty term, so training never reads beta.
+_UNPENALIZED_REGULARIZERS = ("w0", "psi0")
+
 ArrayLike = Union[FeatureMatrix, np.ndarray]
 
 
@@ -262,7 +265,7 @@ def _pooled_weights(
     c_penalty: Optional[float],
 ) -> Optional[np.ndarray]:
     """Sample weight vector lambda used by the regularizer, or None."""
-    if regularizer in ("w0", "psi0"):
+    if regularizer in _UNPENALIZED_REGULARIZERS:
         return None
     if regularizer in ("w1", "w4", "psi1"):
         return np.ones_like(alphas)
@@ -344,7 +347,7 @@ def lagrangian_gradient(
         center += q_n.q @ (_values(f_n) @ alphas[lo_n:hi_n])
     term2 = 2.0 * np.outer(center, f_v @ a_v)
     grad = term1 - term2
-    if beta != 0.0 and regularizer not in ("w0", "psi0"):
+    if beta != 0.0 and regularizer not in _UNPENALIZED_REGULARIZERS:
         grad = grad + beta * regularizer_gradient(
             v, projections, data, alphas, regularizer, modality_index_map, c_penalty
         )
@@ -355,15 +358,14 @@ def lagrangian_gradient(
 # Training and prediction
 # ---------------------------------------------------------------------------
 
-def _validate_train_config(config: TrainConfig, n_modalities: int) -> None:
+def validate_train_config(config: TrainConfig, n_modalities: int) -> None:
+    """Reject a subspace config that cannot be fit on n_modalities modalities.
+
+    The update strategy's modality count is checked by strategy_signs.
+    """
     if config.model_kind != "subspace":
         raise ConfigError(
             f"train() handles subspace models only, got {config.model_kind!r}"
-        )
-    if config.update_strategy in ("AD-+", "AD+-") and n_modalities != 2:
-        raise ConfigError(
-            f"{config.update_strategy} requires exactly 2 modalities, "
-            f"got {n_modalities}"
         )
     if config.decision_strategy == "ds4" and n_modalities < 2:
         raise ConfigError("ds4 needs a second modality")
@@ -379,6 +381,19 @@ def _validate_train_config(config: TrainConfig, n_modalities: int) -> None:
         )
 
 
+def training_key(config: TrainConfig) -> TrainConfig:
+    """config with the fields that fitting never reads set to fixed values.
+
+    Configs with equal keys fit identical models on the same data: the
+    decision strategy only fuses per-modality labels at prediction, and
+    beta weighs a penalty that w0 and psi0 do not have.
+    """
+    key = replace(config, decision_strategy=DECISION_STRATEGIES[0])
+    if key.regularizer in _UNPENALIZED_REGULARIZERS:
+        key = replace(key, beta=0.0)
+    return key
+
+
 def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     """Fit a subspace one-class model on the target-class samples of data.
 
@@ -386,7 +401,8 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     is assumed to be all-target. The kernelized variant first embeds every
     modality through its fitted kernel feature map.
     """
-    _validate_train_config(config, data.n_modalities)
+    validate_train_config(config, data.n_modalities)
+    signs = strategy_signs(config.update_strategy, data.n_modalities)
     train_data = data.target_subset() if data.labels is not None else data
     n = train_data.n_samples
     v_count = train_data.n_modalities
@@ -408,7 +424,6 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
 
     index_map = [(v * n, (v + 1) * n) for v in range(v_count)]
     projections = [pca_init(x, config.d) for x in inputs]
-    signs = strategy_signs(config.update_strategy, v_count)
 
     ortho_errors: list[float] = []
     warning: Optional[str] = None

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mssvdd import load_dataset, load_model, pca_init, predict_model, svdd_solve
 from mssvdd.cli import main
@@ -259,6 +260,25 @@ class TestGridsearchAndReport:
         assert best["config"]["c_penalty"] == 0.5
         cells = Path(prefix + "_cells.csv").read_text().strip().split("\n")
         assert cells[0].startswith("cell,fold")
+
+    @pytest.mark.parametrize("value", ["two", "0", ""])
+    def test_malformed_workers_env_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        paths, labels = _synth_files(tmp_path, n=30)
+        grid = {
+            "d": [2], "c": [0.5], "eta": [0.01], "beta": [0.0],
+            "update_strategies": ["SD-"], "regularizers": ["w0"],
+            "decision_strategies": ["ds1"],
+        }
+        cfg = _write_config(tmp_path, paths, labels, inner_folds=3, grid=grid)
+        monkeypatch.setenv("MSSVDD_WORKERS", value)
+        prefix = str(tmp_path / "gs")
+        capsys.readouterr()
+        assert main(["gridsearch", "--config", cfg, "--out-prefix", prefix]) == 1
+        err = capsys.readouterr().err
+        assert f"MSSVDD_WORKERS must be a positive integer, got {value!r}" in err
+        assert not Path(prefix + "_cells.csv").exists()
 
     def test_report_rerender_matches(self, tmp_path):
         paths, labels = _synth_files(tmp_path)

@@ -8,6 +8,7 @@ from mssvdd import (
     KernelParams,
     MultiModalDataset,
     SolverError,
+    ToolkitError,
     TrainConfig,
     compute_metrics,
     default_grid,
@@ -16,7 +17,10 @@ from mssvdd import (
     run_cv,
     synth_multimodal,
 )
+import mssvdd.evaluation
 from mssvdd.evaluation import (
+    GridCell,
+    GridSearchResult,
     confusion_from_labels,
     expand_grid,
     grid_table_to_csv,
@@ -24,6 +28,7 @@ from mssvdd.evaluation import (
     report_to_csv,
     report_to_text,
 )
+from mssvdd.subspace import training_key
 
 
 class TestComputeMetrics:
@@ -284,6 +289,112 @@ class TestGridSearch:
             GridSpec(sigma_grid=())
 
 
+def _per_cell_reference(data, grid, base, inner_k, seed, normalize):
+    """The search scored one cell at a time, with one run_cv per cell."""
+    cells = []
+    for i, config in enumerate(expand_grid(grid, base)):
+        try:
+            report = run_cv(data, config, k=inner_k, seed=seed, normalize=normalize)
+        except ToolkitError as exc:
+            row = ("failed", str(exc), float("-inf"), (), None)
+        else:
+            row = (
+                "ok",
+                "",
+                report.mean_metrics.gm,
+                tuple(m.gm for m in report.fold_metrics),
+                report.max_ortho_error,
+            )
+        cells.append(GridCell(i, config, *row))
+    best = min(
+        (c for c in cells if c.status == "ok"),
+        key=lambda c: (
+            -c.mean_gm, c.config.d, c.config.c_penalty, c.config.eta, c.index
+        ),
+    )
+    return GridSearchResult(best.config, best.index, cells, inner_k, seed)
+
+
+class TestGroupedGridSearch:
+    # Both grids hold whole groups that fail (C*M < 1) and groups of several
+    # cells (decision strategies; beta under w0/psi0). The uni-modal grid also
+    # holds cells that only their decision strategy makes invalid (ds4) and
+    # cells that fail at fit time for their update strategy (AD-+).
+    CASES = {
+        "multi-modal": (
+            dict(n_target=20, n_outlier=16, v=2, dims=[3, 3]),
+            GridSpec(
+                sigma_grid=(2.0,),
+                eta_grid=(0.01,),
+                beta_grid=(0.01, 1.0),
+                c_grid=(0.02, 0.5),
+                d_grid=(2,),
+                update_strategies=("AD-+",),
+                regularizers=("w0", "w4"),
+                decision_strategies=("ds1", "ds2", "ds3", "ds4"),
+            ),
+            TrainConfig(
+                max_iter=2, kernelized=True, kernel_params=KernelParams("composite")
+            ),
+        ),
+        "uni-modal": (
+            dict(n_target=20, n_outlier=16, v=1, dims=[4]),
+            GridSpec(
+                sigma_grid=(1.0,),
+                eta_grid=(0.01,),
+                beta_grid=(0.0, 0.5),
+                c_grid=(0.02, 0.5),
+                d_grid=(1,),
+                update_strategies=("SD-", "AD-+"),
+                regularizers=("psi0", "psi2"),
+                decision_strategies=("ds1", "ds4"),
+            ),
+            TrainConfig(max_iter=2),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_cell_search(self, case):
+        shape, grid, base = self.CASES[case]
+        data = synth_multimodal(separation=3.0, seed=60, **shape)
+        got = grid_search(data, grid, base, inner_k=4, seed=61, normalize=True)
+        want = _per_cell_reference(data, grid, base, 4, 61, True)
+        statuses = {c.status for c in got.cells}
+        assert statuses == {"ok", "failed"}
+        assert got.cells == want.cells
+        assert got.best_index == want.best_index
+        assert grid_table_to_csv(got) == grid_table_to_csv(want)
+
+    def test_fits_each_distinct_model_once_per_fold(self, monkeypatch):
+        # The benchmark's select grid: 32 cells, 12 distinct training keys.
+        calls = []
+        real_fit = mssvdd.evaluation.fit_model
+
+        def counting_fit(data, config, normalize=False):
+            calls.append(config)
+            return real_fit(data, config, normalize=normalize)
+
+        monkeypatch.setattr(mssvdd.evaluation, "fit_model", counting_fit)
+        data = synth_multimodal(20, 20, 2, [5, 5], 3.0, seed=62)
+        grid = GridSpec(
+            sigma_grid=(10.0,),
+            eta_grid=(1e-3,),
+            beta_grid=(1e-2, 1.0),
+            c_grid=(0.1, 0.3),
+            d_grid=(3,),
+            update_strategies=("SD-", "AD-+"),
+            regularizers=("w0", "w4"),
+            decision_strategies=("ds1", "ds2"),
+        )
+        base = TrainConfig(max_iter=1)
+        configs = expand_grid(grid, base)
+        keys = {training_key(c) for c in configs}
+        assert (len(configs), len(keys)) == (32, 12)
+        grid_search(data, grid, base, inner_k=5, seed=63)
+        assert len(calls) == len(keys) * 5 == 60
+        assert {training_key(c) for c in calls} == keys
+
+
 class TestNestedCv:
     def test_nested_runs_and_reports(self):
         data = synth_multimodal(18, 14, 2, [3, 3], 6.0, seed=25)
@@ -402,23 +513,24 @@ class TestReportRendering:
 
 class TestParallelism:
     def test_parallel_grid_search_matches_sequential(self):
+        # Groups of several cells: two decision strategies share every fit,
+        # and so do the two beta values under w0.
         data = synth_multimodal(16, 12, 2, [3, 3], 4.0, seed=50)
         grid = GridSpec(
             sigma_grid=(1.0,),
             eta_grid=(0.01, 0.1),
-            beta_grid=(0.0,),
+            beta_grid=(0.0, 0.1),
             c_grid=(0.5, 0.6),
             d_grid=(1, 2),
             update_strategies=("SD-",),
-            regularizers=("w0",),
-            decision_strategies=("ds1",),
+            regularizers=("w0", "w4"),
+            decision_strategies=("ds1", "ds2"),
         )
         base = TrainConfig(max_iter=2)
         seq = grid_search(data, grid, base, inner_k=3, seed=51, workers=1)
         par = grid_search(data, grid, base, inner_k=3, seed=51, workers=2)
         assert seq.best_index == par.best_index
-        assert [c.mean_gm for c in seq.cells] == [c.mean_gm for c in par.cells]
-        assert [c.config for c in seq.cells] == [c.config for c in par.cells]
+        assert seq.cells == par.cells
 
     def test_parallel_nested_cv_matches_sequential(self):
         data = synth_multimodal(15, 12, 2, [3, 3], 4.0, seed=52)

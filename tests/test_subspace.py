@@ -310,12 +310,19 @@ class TestTrain:
         result = predict(model, data)
         assert result.per_modality.shape == (2, 20)
 
-    def test_ad_strategy_requires_two_modalities(self):
+    def test_ad_strategy_requires_two_modalities(self, monkeypatch):
         data = synth_multimodal(8, 4, 1, [3], 2.0, seed=19)
         config = TrainConfig(
-            d=1, update_strategy="AD-+", regularizer="psi0", c_penalty=1.0
+            d=1, update_strategy="AD-+", regularizer="psi0", c_penalty=1.0,
+            kernelized=True,
         )
-        with pytest.raises(ConfigError):
+
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("npt_fit ran before the config was rejected")
+
+        monkeypatch.setattr("mssvdd.subspace.npt_fit", no_embedding)
+        message = r"AD-\+ requires exactly 2 modalities, got 1"
+        with pytest.raises(ConfigError, match=message):
             train(data, config)
 
     def test_regularizer_family_checked(self):
