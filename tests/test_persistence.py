@@ -111,6 +111,32 @@ class TestModelRoundTrip:
         save_model(m2, p2, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_over_existing_file(self, tmp_path):
+        data = synth_multimodal(10, 5, 2, [3, 3], 3.0, seed=11)
+        first = fit_model(data, TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2))
+        second = fit_model(data, TrainConfig(d=1, eta=0.01, c_penalty=0.5, max_iter=2))
+        fresh = tmp_path / "fresh.json"
+        save_model(second, fresh)
+
+        plain = tmp_path / "plain.json"
+        save_model(first, plain)
+        save_model(second, plain)
+        assert plain.read_bytes() == fresh.read_bytes()
+
+        # A symlink and a second hard link keep pointing at the new contents.
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        save_model(first, target)
+        link.symlink_to(target)
+        save_model(second, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+        shared, other_name = tmp_path / "shared.json", tmp_path / "other.json"
+        save_model(first, shared)
+        other_name.hardlink_to(shared)
+        save_model(second, shared)
+        assert other_name.read_bytes() == fresh.read_bytes()
+
 
 class TestConfigDict:
     def test_round_trip(self):
