@@ -111,21 +111,31 @@ def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 class NptState:
     """Fitted embedding state for one modality.
 
-    Holds everything needed to reproduce the training-point embedding and
-    to embed new points: the raw training kernel and its centering stats,
-    the kept eigenpairs of the centered kernel, the embedded training data
-    (rank x N), and the raw training features themselves.
+    Holds what embedding new points reads: the raw training features, the
+    row means of their raw kernel, and the kept eigenpairs of the centered
+    kernel. The training kernel and the embedded training data are derived
+    from these on demand.
     """
 
-    train_kernel: np.ndarray
     row_means: np.ndarray
-    grand_mean: float
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    rank: int
-    embedded: np.ndarray
     train_data: FeatureMatrix
     params: KernelParams
+
+    @property
+    def rank(self) -> int:
+        return int(self.eigvals.size)
+
+    @property
+    def embedded(self) -> np.ndarray:
+        """The embedded training data, rank x N."""
+        return np.sqrt(self.eigvals)[:, None] * self.eigvecs.T
+
+    @property
+    def train_kernel(self) -> np.ndarray:
+        """The raw N x N training kernel, recomputed."""
+        return kernel_matrix(self.train_data, self.params)
 
 
 def npt_fit(
@@ -143,7 +153,7 @@ def npt_fit(
     if f.n_samples < 2:
         raise KernelError("embedding requires at least 2 training samples")
     k = kernel_matrix(f, params)
-    centered, row_means, grand_mean = center_kernel(k)
+    centered, row_means, _ = center_kernel(k)
     w, u = np.linalg.eigh(centered)
     order = np.argsort(w)[::-1]
     w = w[order]
@@ -153,17 +163,10 @@ def npt_fit(
             "degenerate kernel: centered kernel has no positive eigenvalue"
         )
     keep = w > max(eig_rel_tol * w[0], 0.0)
-    w_kept = w[keep]
-    u_kept = u[:, keep]
-    embedded = np.sqrt(w_kept)[:, None] * u_kept.T
     return NptState(
-        train_kernel=k,
         row_means=row_means,
-        grand_mean=grand_mean,
-        eigvecs=u_kept,
-        eigvals=w_kept,
-        rank=int(w_kept.size),
-        embedded=embedded,
+        eigvecs=u[:, keep],
+        eigvals=w[keep],
         train_data=f,
         params=params,
     )

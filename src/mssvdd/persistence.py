@@ -2,8 +2,9 @@
 
 Arrays are serialized as little-endian 64-bit floats so a save/load round
 trip reproduces every matrix bit-for-bit, which in turn makes reloaded
-models predict identically to the originals. Files with a different
-format version are rejected outright.
+models predict identically to the originals. Model files store only what
+prediction reads. Files with an unknown format version are rejected
+outright.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import stat
 from dataclasses import asdict
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -26,7 +27,11 @@ from .kernels import KernelParams, NptState
 from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig
 from .svdd import DataDescription, HyperplaneDescription
 
-FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 1
+# Version 1 model files also hold the training kernels, embedded training
+# data and pooled column ranges, which prediction never reads; loading ignores them.
+_READABLE_MODEL_VERSIONS = (1, MODEL_FORMAT_VERSION)
 
 
 def _encode_array(a: np.ndarray) -> dict[str, Any]:
@@ -100,13 +105,9 @@ def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
 
 def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
     return {
-        "train_kernel": _encode_array(state.train_kernel),
         "row_means": _encode_array(state.row_means),
-        "grand_mean": state.grand_mean,
         "eigvecs": _encode_array(state.eigvecs),
         "eigvals": _encode_array(state.eigvals),
-        "rank": state.rank,
-        "embedded": _encode_array(state.embedded),
         "train_data": _encode_array(state.train_data.values),
         "params": _kernel_params_to_dict(state.params),
     }
@@ -114,13 +115,9 @@ def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
 
 def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     return NptState(
-        train_kernel=_decode_array(obj["train_kernel"]),
         row_means=_decode_array(obj["row_means"]),
-        grand_mean=float(obj["grand_mean"]),
         eigvecs=_decode_array(obj["eigvecs"]),
         eigvals=_decode_array(obj["eigvals"]),
-        rank=int(obj["rank"]),
-        embedded=_decode_array(obj["embedded"]),
         train_data=FeatureMatrix(_decode_array(obj["train_data"])),
         params=_kernel_params_from_dict(obj["params"]),
     )
@@ -186,7 +183,7 @@ def model_to_dict(
     provenance: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     common = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION,
         "tool_version": _tool_version(),
         "config": config_to_dict(model.config),
         "description": _description_to_dict(model.description),
@@ -199,7 +196,6 @@ def model_to_dict(
             {
                 "model_class": "subspace",
                 "projections": [_encode_array(p.q) for p in model.projections],
-                "modality_index_map": [list(t) for t in model.modality_index_map],
                 "npt_states": (
                     None
                     if model.npt_states is None
@@ -224,23 +220,27 @@ def model_to_dict(
     return common
 
 
-def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
+def _check_version(obj: dict[str, Any], kind: str, readable: tuple[int, ...]) -> None:
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in readable:
+        expected = " or ".join(str(v) for v in readable)
         raise PersistenceError(
-            f"unsupported model format version {version!r}; expected {FORMAT_VERSION}"
+            f"unsupported {kind} format version {version!r}; expected {expected}"
         )
+
+
+def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
+    _check_version(obj, "model", _READABLE_MODEL_VERSIONS)
     config = config_from_dict(obj["config"])
     description = _description_from_dict(obj["description"])
     scaler = _scaler_from_jsonable(obj.get("scaler"))
     if obj["model_class"] == "subspace":
-        model: Union[SubspaceModel, BaselineModel] = SubspaceModel(
+        return SubspaceModel(
             projections=[
                 ProjectionMatrix(_decode_array(p)) for p in obj["projections"]
             ],
             description=description,
             config=config,
-            modality_index_map=[tuple(t) for t in obj["modality_index_map"]],
             npt_states=(
                 None
                 if obj["npt_states"] is None
@@ -250,7 +250,6 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
             ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
             warning=obj.get("warning"),
         )
-        return model
     if obj["model_class"] == "baseline":
         return BaselineModel(
             kind=obj["baseline_kind"],
@@ -302,13 +301,22 @@ def save_model(
     _write_text(path, _dump_json(model_to_dict(model, provenance)))
 
 
-def load_model(path: str) -> Union[SubspaceModel, BaselineModel]:
+def _load(path: str, kind: str, from_dict: Callable[[Any], Any]) -> Any:
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(obj)
+        raise PersistenceError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        return from_dict(obj)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise PersistenceError(
+            f"malformed {kind} file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def load_model(path: str) -> Union[SubspaceModel, BaselineModel]:
+    return _load(path, "model", model_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,7 @@ def load_model(path: str) -> Union[SubspaceModel, BaselineModel]:
 
 def report_to_dict(report: EvalReport) -> dict[str, Any]:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": REPORT_FORMAT_VERSION,
         "tool_version": _tool_version(),
         "k": report.k,
         "seed": report.seed,
@@ -348,11 +356,7 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
 
 
 def report_from_dict(obj: dict[str, Any]) -> EvalReport:
-    version = obj.get("format_version")
-    if version != FORMAT_VERSION:
-        raise PersistenceError(
-            f"unsupported report format version {version!r}; expected {FORMAT_VERSION}"
-        )
+    _check_version(obj, "report", (REPORT_FORMAT_VERSION,))
     fold_confusions = [
         ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
         for c in obj["fold_confusions"]
@@ -389,12 +393,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def load_report(path: str) -> EvalReport:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"cannot read report file {path}: {exc}") from exc
-    return report_from_dict(obj)
+    return _load(path, "report", report_from_dict)
 
 
 def _tool_version() -> str:

@@ -128,15 +128,13 @@ class TrainConfig:
 class SubspaceModel:
     """Trained subspace one-class model.
 
-    modality_index_map holds the (start, stop) column ranges of each
-    modality inside the pooled training matrix; ortho_errors records the
-    largest row-orthonormality deviation observed after each update cycle.
+    ortho_errors records the largest row-orthonormality deviation observed
+    after each update cycle.
     """
 
     projections: list[ProjectionMatrix]
     description: DataDescription
     config: TrainConfig
-    modality_index_map: list[tuple[int, int]]
     npt_states: Optional[list[NptState]] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     ortho_errors: list[float] = field(default_factory=list)
@@ -493,7 +491,6 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
         projections=projections,
         description=description,
         config=config,
-        modality_index_map=index_map,
         npt_states=npt_states,
         ortho_errors=ortho_errors,
         warning=warning,

@@ -280,6 +280,19 @@ class TestGridsearchAndReport:
         assert f"MSSVDD_WORKERS must be a positive integer, got {value!r}" in err
         assert not Path(prefix + "_cells.csv").exists()
 
+    @pytest.mark.parametrize("command", ["report", "predict"])
+    def test_malformed_file_exits_nonzero(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        if command == "report":
+            argv = ["report", "--report", str(bad)]
+        else:
+            argv = ["predict", "--model", str(bad), "--data", str(bad),
+                    "--out", str(tmp_path / "pred.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed") and str(bad) in err
+
     def test_report_rerender_matches(self, tmp_path):
         paths, labels = _synth_files(tmp_path)
         cfg = _write_config(tmp_path, paths, labels)

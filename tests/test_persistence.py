@@ -17,7 +17,12 @@ from mssvdd import (
     save_report,
     synth_multimodal,
 )
-from mssvdd.persistence import config_from_dict, config_to_dict
+from mssvdd.persistence import (
+    _encode_array,
+    config_from_dict,
+    config_to_dict,
+    model_to_dict,
+)
 
 
 def _predictions_equal(a, b):
@@ -71,12 +76,15 @@ class TestModelRoundTrip:
 
     def test_baseline_round_trip(self, tmp_path):
         data = synth_multimodal(15, 10, 2, [3, 3], 5.0, seed=7)
-        for kind, kwargs in (
+        kernel = {"kernelized": True, "kernel_params": KernelParams(sigma=3.0)}
+        for i, (kind, kwargs) in enumerate((
             ("svdd", {"c_penalty": 0.6}),
             ("ocsvm", {"nu": 0.3}),
-        ):
+            ("svdd", {"c_penalty": 0.6, **kernel}),
+            ("ocsvm", {"nu": 0.3, **kernel}),
+        )):
             model = fit_model(data, TrainConfig(model_kind=kind, **kwargs))
-            path = tmp_path / f"{kind}.json"
+            path = tmp_path / f"{kind}{i}.json"
             save_model(model, path)
             back = load_model(path)
             probe = synth_multimodal(6, 6, 2, [3, 3], 5.0, seed=8)
@@ -94,6 +102,53 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(obj))
         with pytest.raises(PersistenceError, match="version"):
             load_model(path)
+
+    def test_format_versions(self, tmp_path):
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=3)
+        config = TrainConfig(
+            d=2, eta=0.001, c_penalty=0.5, max_iter=2, kernelized=True,
+            kernel_params=KernelParams(kind="composite", sigma=3.0),
+        )
+        model = fit_model(data, config)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        obj = json.loads(path.read_text())
+        assert obj["format_version"] == 2
+        for entry in obj["npt_states"]:
+            assert set(entry) == {
+                "row_means", "eigvecs", "eigvals", "train_data", "params"
+            }
+
+        # A version 1 file also holds arrays prediction never reads.
+        v1 = model_to_dict(model)
+        v1["format_version"] = 1
+        v1["modality_index_map"] = [[0, 12], [12, 24]]
+        for entry, state in zip(v1["npt_states"], model.npt_states):
+            entry["train_kernel"] = _encode_array(state.train_kernel)
+            entry["embedded"] = _encode_array(state.embedded)
+            entry["grand_mean"] = float(state.row_means.mean())
+            entry["rank"] = state.rank
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(v1))
+        probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
+        _predictions_equal(
+            predict_model(model, probe), predict_model(load_model(old), probe)
+        )
+
+        report = run_cv(
+            data, TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2), k=4, seed=1
+        )
+        report_path = tmp_path / "report.json"
+        save_report(report, report_path)
+        assert json.loads(report_path.read_text())["format_version"] == 1
+
+    @pytest.mark.parametrize("loader", [load_model, load_report])
+    @pytest.mark.parametrize("text", ['{"format_version": 1}', "[]"])
+    def test_malformed_file_rejected(self, tmp_path, loader, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(PersistenceError, match="malformed .*bad.json"):
+            loader(path)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -265,7 +265,13 @@ class TestTrain:
         config = TrainConfig(d=2, eta=0.001, c_penalty=0.6, max_iter=3)
         model = train(data, config)
         assert model.description.train_points.shape == (2, 18)
-        assert model.modality_index_map == [(0, 9), (9, 18)]
+        # Modality v fills pooled columns v*9 .. v*9+8.
+        targets = data.target_subset().modalities
+        for v, (proj, mod) in enumerate(zip(model.projections, targets)):
+            np.testing.assert_array_equal(
+                model.description.train_points[:, 9 * v : 9 * (v + 1)],
+                proj.q @ mod.values,
+            )
 
     def test_orthonormal_after_every_iteration(self):
         data = synth_multimodal(10, 5, 2, [4, 4], 2.0, seed=16)
