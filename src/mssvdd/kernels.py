@@ -81,12 +81,12 @@ def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarr
 def kernel_matrix(f: FeatureMatrix, params: KernelParams) -> np.ndarray:
     """N x N kernel matrix over the samples of f, exactly symmetric.
 
-    Each unordered pair is evaluated once and mirrored, so K == K.T holds
-    bit-for-bit regardless of BLAS summation order.
+    K == K.T holds bit for bit without mirroring: numpy evaluates
+    x.T @ x as one symmetric rank-k update and copies its triangle onto
+    the other, and the rest of kernel_cross is elementwise on symmetric
+    operands.
     """
-    k = kernel_cross(f.values, f.values, params)
-    upper = np.triu(k)
-    return upper + np.triu(k, 1).T
+    return kernel_cross(f.values, f.values, params)
 
 
 def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -157,7 +157,6 @@ def npt_fit(
     w, u = np.linalg.eigh(centered)
     order = np.argsort(w)[::-1]
     w = w[order]
-    u = u[:, order]
     if w[0] <= 0.0:
         raise KernelError(
             "degenerate kernel: centered kernel has no positive eigenvalue"
@@ -165,7 +164,7 @@ def npt_fit(
     keep = w > max(eig_rel_tol * w[0], 0.0)
     return NptState(
         row_means=row_means,
-        eigvecs=u[:, keep],
+        eigvecs=u[:, order[keep]],
         eigvals=w[keep],
         train_data=f,
         params=params,

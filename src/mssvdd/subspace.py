@@ -433,16 +433,24 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     # Each solve starts from the previous one's alphas: the pooled columns
     # stay the same and the projections move only a little per iteration.
     alpha0: Optional[np.ndarray] = None
-    for _ in range(config.max_iter):
+    # max_iter projection steps, each preceded by a solve, then a final
+    # solve on the last projections.
+    for it in range(config.max_iter + 1):
+        final = it == config.max_iter
         try:
             desc = svdd_solve(
                 pooled(projections), config.c_penalty, config.kkt_tol, alpha0=alpha0
             )
         except SolverError as exc:
-            warning = f"stopped early: {exc}"
+            if final:
+                warning = f"final solve failed, keeping last iterate: {exc}"
+            else:
+                warning = f"stopped early: {exc}"
             break
         alpha0 = desc.alphas
         last_valid = (projections, desc)
+        if final:
+            break
         stepped = list(projections)
         failed = None
         for v in range(v_count):
@@ -472,20 +480,9 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
         projections = stepped
         ortho_errors.append(max(p.ortho_error() for p in projections))
 
-    if warning is None:
-        try:
-            description = svdd_solve(
-                pooled(projections), config.c_penalty, config.kkt_tol, alpha0=alpha0
-            )
-        except SolverError as exc:
-            warning = f"final solve failed, keeping last iterate: {exc}"
-            if last_valid is None:
-                raise
-            projections, description = last_valid
-    else:
-        if last_valid is None:
-            raise SolverError(f"training never reached a valid state: {warning}")
-        projections, description = last_valid
+    if last_valid is None:
+        raise SolverError(f"training never reached a valid state: {warning}")
+    projections, description = last_valid
 
     return SubspaceModel(
         projections=projections,

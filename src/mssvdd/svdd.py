@@ -39,7 +39,9 @@ from .errors import SolverError
 
 ALPHA_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6
-MAX_SWEEPS = 10_000
+# Pair updates one solve may take before it stops with a "sweep limit"
+# warning; callers match that text to count solves that hit the cap.
+MAX_PAIR_UPDATES = 10_000
 # A step that brings a coordinate this close to the bound it moves toward
 # puts it exactly on that bound (alpha sums to 1, so this is absolute).
 BOUND_SNAP = 1e-12
@@ -47,10 +49,18 @@ BOUND_SNAP = 1e-12
 FACE_CONSISTENCY_TOL = 1e-10
 
 
-def _gram(points: np.ndarray) -> np.ndarray:
-    g = points.T @ points
-    upper = np.triu(g)
-    return upper + np.triu(g, 1).T
+def _solver_inputs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a d x M matrix of training columns; return it and its Gram.
+
+    numpy evaluates points.T @ points as one symmetric rank-k update and
+    copies its triangle onto the other, so the Gram is exactly symmetric.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise SolverError("points contain NaN or Inf")
+    return points, points.T @ points
 
 
 def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
@@ -131,7 +141,6 @@ def _solve_pairwise(
     upper: float,
     kkt_tol: float,
     alpha0: Optional[np.ndarray] = None,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> np.ndarray:
     """Maximize c'a - 0.5 a'Ha over {sum(a)=1, 0<=a<=upper}.
 
@@ -158,7 +167,7 @@ def _solve_pairwise(
     # computed from it; a warm start is taken to be tidy already.
     settled = alpha0 is not None
     violation = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(MAX_PAIR_UPDATES):
         can_up = alpha < upper
         can_dn = alpha > 0.0
         i = int(np.argmax(np.where(can_up, grad, -np.inf)))
@@ -259,11 +268,7 @@ def svdd_solve(
     of a nearby problem over the same columns; a start that already meets
     kkt_tol is returned unchanged.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] < 1:
-        raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise SolverError("points contain NaN or Inf")
+    points, g = _solver_inputs(points)
     if kkt_tol <= 0.0:
         raise SolverError("kkt_tol must be positive")
     m = points.shape[1]
@@ -281,14 +286,6 @@ def svdd_solve(
             raise SolverError(f"alpha0 entries must lie in [0, C={c_penalty}]")
         if abs(alpha0.sum() - 1.0) > 1e-9:
             raise SolverError(f"alpha0 must sum to 1, sums to {alpha0.sum():.12g}")
-    if m == 1:
-        return DataDescription(
-            alphas=np.array([1.0]),
-            c_penalty=c_penalty,
-            radius_sq=0.0,
-            train_points=points,
-        )
-    g = _gram(points)
     alphas = _solve_pairwise(2.0 * g, np.diag(g).copy(), c_penalty, kkt_tol, alpha0)
     dist_sq = np.diag(g) - 2.0 * (g @ alphas) + float(alphas @ g @ alphas)
     boundary = (alphas > ALPHA_TOL) & (alphas < c_penalty - ALPHA_TOL)
@@ -373,22 +370,14 @@ def ocsvm_solve(
     mean decision value over boundary support vectors (all support vectors
     when none sit strictly inside the box).
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] < 1:
-        raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise SolverError("points contain NaN or Inf")
+    points, g = _solver_inputs(points)
     if not 0.0 < nu <= 1.0:
         raise SolverError(f"nu must lie in (0, 1], got {nu}")
     m = points.shape[1]
     if nu * m < 1.0:
         raise SolverError(f"infeasible nu: nu*M = {nu * m:.4g} < 1")
     bound = 1.0 / (nu * m)
-    g = _gram(points)
-    if m == 1:
-        alphas = np.array([1.0])
-    else:
-        alphas = _solve_pairwise(g, np.zeros(m), bound, kkt_tol)
+    alphas = _solve_pairwise(g, np.zeros(m), bound, kkt_tol)
     decision = g @ alphas
     boundary = (alphas > ALPHA_TOL) & (alphas < bound - ALPHA_TOL)
     if not np.any(boundary):

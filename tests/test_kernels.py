@@ -10,6 +10,7 @@ from mssvdd import (
     npt_embed_test,
     npt_fit,
 )
+from mssvdd.kernels import KERNEL_KINDS, kernel_cross
 
 
 def _random_features(rng, d, n):
@@ -70,12 +71,20 @@ class TestKernelMatrix:
         sym = np.triu(expected) + np.triu(expected, 1).T
         np.testing.assert_array_equal(comp, sym)
 
-    def test_exactly_symmetric(self):
+    # kernel_matrix does not mirror its result, so this fails if numpy
+    # ever stops returning x.T @ x exactly symmetric.
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("n", [2, 9, 257, 700])
+    @pytest.mark.parametrize("d", [1, 5, 40])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exactly_symmetric(self, order, d, n, kind):
         rng = np.random.default_rng(2)
-        for kind in ("linear", "gaussian", "composite"):
-            f = _random_features(rng, 5, 9)
-            k = kernel_matrix(f, KernelParams(kind=kind, sigma=1.3, kappa=0.4))
-            assert np.array_equal(k, k.T)
+        x = np.asarray(rng.standard_normal((d, n)), order=order)
+        params = KernelParams(kind=kind, sigma=1.3, kappa=0.4)
+        cross = kernel_cross(x, x, params)
+        assert np.array_equal(cross, cross.T)
+        k = kernel_matrix(FeatureMatrix(x), params)
+        assert np.array_equal(k, k.T)
 
     def test_linear_is_gram(self):
         rng = np.random.default_rng(3)

@@ -339,6 +339,61 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(multi, TrainConfig(d=1, regularizer="psi1", c_penalty=1.0))
 
+    def test_infeasible_first_solve_raises(self):
+        data = synth_multimodal(10, 5, 2, [3, 3], 2.0, seed=22)
+        config = TrainConfig(d=2, eta=0.01, c_penalty=0.01, max_iter=3)
+        with pytest.raises(
+            SolverError, match="training never reached a valid state: stopped early"
+        ):
+            train(data, config)
+
+    def test_non_finite_step_keeps_last_valid_iterate(self):
+        data = synth_multimodal(10, 5, 2, [3, 3], 2.0, seed=23)
+        config = TrainConfig(d=2, eta=1e308, c_penalty=0.5, max_iter=3)
+        with np.errstate(over="ignore"):
+            model = train(data, config)
+        assert model.warning.startswith("stopped early: cannot orthonormalize")
+        assert model.ortho_errors == []
+        targets = data.target_subset().modalities
+        initial = [pca_init(mod, 2) for mod in targets]
+        pooled = np.hstack([p.q @ mod.values for p, mod in zip(initial, targets)])
+        first = svdd_solve(pooled, 0.5, config.kkt_tol)
+        for got, want in zip(model.projections, initial):
+            np.testing.assert_array_equal(got.q, want.q)
+        np.testing.assert_array_equal(model.description.alphas, first.alphas)
+        np.testing.assert_array_equal(model.description.train_points, pooled)
+        assert model.description.radius_sq == first.radius_sq
+
+    def test_failed_final_solve_keeps_last_iterate(self, monkeypatch):
+        data = synth_multimodal(10, 5, 2, [3, 3], 2.0, seed=24)
+        config = TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=3)
+        solves = []
+
+        def failing_last(points, *args, **kwargs):
+            if len(solves) == config.max_iter:
+                raise SolverError("forced failure")
+            solves.append(svdd_solve(points, *args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr("mssvdd.subspace.svdd_solve", failing_last)
+        model = train(data, config)
+        assert model.warning == (
+            "final solve failed, keeping last iterate: forced failure"
+        )
+        assert len(solves) == config.max_iter
+        assert len(model.ortho_errors) == config.max_iter
+        last = solves[-1]
+        np.testing.assert_array_equal(model.description.alphas, last.alphas)
+        np.testing.assert_array_equal(
+            model.description.train_points, last.train_points
+        )
+        assert model.description.radius_sq == last.radius_sq
+        targets = data.target_subset().modalities
+        pooled = np.hstack(
+            [p.q @ mod.values for p, mod in zip(model.projections, targets)]
+        )
+        np.testing.assert_array_equal(pooled, last.train_points)
+
     def test_separable_data_accuracy(self):
         data = synth_multimodal(30, 30, 2, [4, 4], 6.0, seed=21)
         config = TrainConfig(d=2, eta=0.01, c_penalty=0.6, max_iter=10)

@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mssvdd import (
+    FeatureMatrix,
+    KernelParams,
     SolverError,
+    npt_fit,
     ocsvm_decision,
     ocsvm_solve,
     svdd_distance_sq,
     svdd_distances_sq,
     svdd_solve,
 )
-from mssvdd.svdd import ALPHA_TOL, ocsvm_classify, svdd_classify
+from mssvdd.svdd import ALPHA_TOL, _solver_inputs, ocsvm_classify, svdd_classify
 
 from oracles import (
     feasibility_violation,
@@ -24,8 +27,12 @@ from oracles import (
 
 
 class TestSvddSolve:
-    def test_single_point(self):
-        desc = svdd_solve(np.array([[3.0], [4.0]]), c_penalty=1.0)
+    # One column leaves the pair loop nothing to move, with the box bound
+    # active (C = 1) or not, cold or warm started.
+    @pytest.mark.parametrize("alpha0", [None, [1.0]], ids=["cold", "warm"])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_single_point(self, c, alpha0):
+        desc = svdd_solve(np.array([[3.0], [4.0]]), c_penalty=c, alpha0=alpha0)
         np.testing.assert_array_equal(desc.alphas, [1.0])
         assert desc.radius_sq == 0.0
         assert svdd_distance_sq(desc, np.array([3.0, 4.0])) == pytest.approx(0.0)
@@ -135,6 +142,26 @@ def warm_start_problems(draw):
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestGram:
+    # The solvers do not mirror the Gram, so this fails if numpy ever stops
+    # returning x.T @ x exactly symmetric.
+    @pytest.mark.parametrize("m", [2, 9, 257, 800])
+    def test_exactly_symmetric(self, m):
+        rng = np.random.default_rng(m)
+        # Pooled projected columns, C-ordered as subspace.train builds them.
+        half = m // 2
+        pooled = np.hstack(
+            [rng.standard_normal((3, half)), rng.standard_normal((3, m - half))]
+        )
+        embedded = npt_fit(
+            FeatureMatrix(rng.standard_normal((5, m))),
+            KernelParams(kind="gaussian", sigma=2.0),
+        ).embedded
+        for points in (pooled, embedded, np.asfortranarray(embedded)):
+            _, g = _solver_inputs(points)
+            assert np.array_equal(g, g.T)
 
 
 class TestWarmStart:
