@@ -31,6 +31,7 @@ from .subspace import (
     MULTI_REGULARIZERS,
     UNI_REGULARIZERS,
     UPDATE_STRATEGIES,
+    FoldMemo,
     PredictionResult,
     SubspaceModel,
     TrainConfig,
@@ -172,30 +173,39 @@ def _apply_scaler(
 
 
 def fit_model(
-    data: MultiModalDataset, config: TrainConfig, normalize: bool = False
+    data: MultiModalDataset,
+    config: TrainConfig,
+    normalize: bool = False,
+    *,
+    memo: Optional[FoldMemo] = None,
 ) -> Model:
     """Fit whichever model kind the config names, with optional z-scoring.
 
     The scaler, when enabled, is fit on the target-class training samples
-    and stored on the model so prediction applies it consistently.
+    and stored on the model so prediction applies it consistently. memo,
+    made for data, shares training stages between subspace fits (see
+    subspace.train); it cannot be combined with normalize.
     """
     scaler = None
     if normalize:
         scaler = _fit_scaler(data)
         data = _apply_scaler(data, scaler)
     if config.model_kind == "subspace":
-        model: Model = subspace_train(data, config)
+        model: Model = subspace_train(data, config, memo=memo)
     else:
         model = fit_baseline(data, config)
     model.scaler = scaler
     return model
 
 
-def predict_model(model: Model, data: MultiModalDataset) -> PredictionResult:
+def predict_model(
+    model: Model, data: MultiModalDataset, *, memo: Optional[FoldMemo] = None
+) -> PredictionResult:
+    """Predict data with a fitted model; memo as in subspace.predict."""
     if model.scaler is not None:
         data = _apply_scaler(data, model.scaler)
     if isinstance(model, SubspaceModel):
-        return subspace_predict(model, data)
+        return subspace_predict(model, data, memo=memo)
     return predict_baseline(model, data)
 
 
@@ -255,32 +265,83 @@ def _fused_labels(
     return fuse_labels(result.per_modality, config.decision_strategy)
 
 
+def _pmap(fn: Callable, tasks: list, workers: int) -> list:
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+# Confusion matrices of a group's configs and the model's max ortho error,
+# on one fold (_FoldScores) or per config over every fold (_GroupScores).
+_FoldScores = tuple[list[ConfusionMatrix], Optional[float]]
+_GroupScores = tuple[list[list[ConfusionMatrix]], Optional[float]]
+
+
+def _fold_outcomes(
+    args: tuple[MultiModalDataset, FoldPlan, int, list[list[TrainConfig]], bool]
+) -> list[Union[_FoldScores, ToolkitError]]:
+    """Each group's confusion matrices and max ortho error on one fold.
+
+    The fold subsets the data, and z-scores it when normalize is set, once
+    for every group. Each group fits its configs[0] once and predicts once,
+    and every config fuses that one prediction with its own decision
+    strategy. All fits share one FoldMemo, so a stage that several groups
+    need (embedding, start projections, cold first solve, test embedding)
+    runs once per fold. A group whose fit or prediction fails gets the error.
+    """
+    data, plan, fold, groups, normalize = args
+    train_set = data.subset(plan.train_indices(fold))
+    test_set = data.subset(plan.test_indices(fold))
+    if normalize:
+        scaler = _fit_scaler(train_set)
+        train_set = _apply_scaler(train_set, scaler)
+        test_set = _apply_scaler(test_set, scaler)
+    memo = FoldMemo(train_set, test_set)
+    outcomes: list[Union[_FoldScores, ToolkitError]] = []
+    for configs in groups:
+        try:
+            model = fit_model(train_set, configs[0], memo=memo)
+            result = predict_model(model, test_set, memo=memo)
+        except ToolkitError as exc:
+            outcomes.append(exc)
+            continue
+        confusions = [
+            confusion_from_labels(
+                test_set.labels, _fused_labels(result, configs[0], config)
+            )
+            for config in configs
+        ]
+        outcomes.append((confusions, _model_max_ortho(model)))
+    return outcomes
+
+
 def _cv_confusions(
     data: MultiModalDataset,
     plan: FoldPlan,
-    configs: Sequence[TrainConfig],
+    groups: list[list[TrainConfig]],
     normalize: bool,
-) -> tuple[list[list[ConfusionMatrix]], Optional[float]]:
-    """Per-fold confusion matrices of every config, plus the max ortho error.
+    workers: int = 1,
+) -> list[Union[_GroupScores, ToolkitError]]:
+    """Per group: each config's per-fold confusion matrices and the max
+    ortho error, or the error of the group's first failing fold.
 
-    The configs must share one training_key: each fold fits configs[0] once
-    and predicts once, and every config fuses that one prediction with its
-    own decision strategy.
+    The configs of a group must share one training_key. The folds are the
+    units of work (_fold_outcomes); workers > 1 runs them in parallel.
     """
-    confusions: list[list[ConfusionMatrix]] = [[] for _ in configs]
-    ortho: list[float] = []
-    for fold in range(plan.k):
-        train_set = data.subset(plan.train_indices(fold))
-        test_set = data.subset(plan.test_indices(fold))
-        model = fit_model(train_set, configs[0], normalize=normalize)
-        result = predict_model(model, test_set)
-        for config, fold_confusions in zip(configs, confusions):
-            fused = _fused_labels(result, configs[0], config)
-            fold_confusions.append(confusion_from_labels(test_set.labels, fused))
-        err = _model_max_ortho(model)
-        if err is not None:
-            ortho.append(err)
-    return confusions, (max(ortho) if ortho else None)
+    tasks = [(data, plan, fold, groups, normalize) for fold in range(plan.k)]
+    by_fold = _pmap(_fold_outcomes, tasks, workers)
+    results: list[Union[_GroupScores, ToolkitError]] = []
+    for g, configs in enumerate(groups):
+        outcomes = [fold_outcomes[g] for fold_outcomes in by_fold]
+        failed = [o for o in outcomes if isinstance(o, ToolkitError)]
+        if failed:
+            results.append(failed[0])
+            continue
+        confusions = [[o[0][i] for o in outcomes] for i in range(len(configs))]
+        orthos = [o[1] for o in outcomes if o[1] is not None]
+        results.append((confusions, max(orthos) if orthos else None))
+    return results
 
 
 def run_cv(
@@ -296,7 +357,10 @@ def run_cv(
     predicts every test sample, both classes included.
     """
     plan = _cv_plan(data, k, seed)
-    (fold_confusions,), max_ortho = _cv_confusions(data, plan, [config], normalize)
+    (outcome,) = _cv_confusions(data, plan, [[config]], normalize)
+    if isinstance(outcome, ToolkitError):
+        raise outcome
+    (fold_confusions,), max_ortho = outcome
     fold_metrics = [compute_metrics(cm) for cm in fold_confusions]
     pooled = fold_confusions[0]
     for cm in fold_confusions[1:]:
@@ -473,27 +537,18 @@ def _failed_row(exc: ToolkitError) -> _CellRow:
     return "failed", str(exc), float("-inf"), (), None
 
 
-def _score_group(
-    args: tuple[MultiModalDataset, FoldPlan, list[TrainConfig], bool]
+def _group_rows(
+    outcome: Union[_GroupScores, ToolkitError], size: int
 ) -> list[_CellRow]:
     """(status, message, mean gm, fold gms, max ortho error) of each config."""
-    data, plan, configs, normalize = args
-    try:
-        confusions, max_ortho = _cv_confusions(data, plan, configs, normalize)
-    except ToolkitError as exc:
-        return [_failed_row(exc)] * len(configs)
+    if isinstance(outcome, ToolkitError):
+        return [_failed_row(outcome)] * size
+    confusions, max_ortho = outcome
     rows = []
     for fold_confusions in confusions:
         fold_gms = tuple(compute_metrics(cm).gm for cm in fold_confusions)
         rows.append(("ok", "", float(np.mean(fold_gms)), fold_gms, max_ortho))
     return rows
-
-
-def _pmap(fn: Callable, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def grid_search(
@@ -508,10 +563,13 @@ def grid_search(
     """Exhaustive search maximizing mean inner-CV geometric mean.
 
     Every cell is scored with the same stratified inner folds. Cells with
-    the same training_key share one fit and one prediction per fold, and
-    workers > 1 spreads those groups over processes. Ties are broken by
-    smaller d, then smaller C, then smaller eta, then cell order, so the
-    result is deterministic.
+    the same training_key share one fit and one prediction per fold. Each
+    fold subsets and z-scores the data once, and within a fold the fits
+    share what their configs agree on: one kernel embedding and one test
+    embedding per kernel (sigma, d), one start per d and one cold first
+    solve per (d, C). workers > 1 runs the folds in parallel processes.
+    Ties are broken by smaller d, then smaller C, then smaller eta, then
+    cell order, so the result is deterministic.
     """
     configs = expand_grid(grid, base)
     rows: list[Optional[_CellRow]] = [None] * len(configs)
@@ -529,13 +587,15 @@ def grid_search(
                 rows[i] = _failed_row(exc)
                 continue
             groups.setdefault(training_key(config), []).append(i)
-        tasks = [
-            (data, plan, [configs[i] for i in members], normalize)
-            for members in groups.values()
-        ]
-        scored = _pmap(_score_group, tasks, workers)
-        for members, group_rows in zip(groups.values(), scored):
-            for i, row in zip(members, group_rows):
+        outcomes = _cv_confusions(
+            data,
+            plan,
+            [[configs[i] for i in members] for members in groups.values()],
+            normalize,
+            workers,
+        )
+        for members, outcome in zip(groups.values(), outcomes):
+            for i, row in zip(members, _group_rows(outcome, len(members))):
                 rows[i] = row
     cells = [
         GridCell(

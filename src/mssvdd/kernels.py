@@ -53,10 +53,11 @@ class KernelParams:
             raise KernelError(f"sigma must be positive, got {self.sigma}")
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of a and b, given inner = a.T @ b."""
     sq_a = np.sum(a * a, axis=0)
     sq_b = np.sum(b * b, axis=0)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.T @ b)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * inner
     return np.maximum(d2, 0.0)
 
 
@@ -69,7 +70,7 @@ def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarr
     inner = a.T @ b
     if params.kind == "linear":
         return inner
-    gauss = np.exp(-_sq_dists(a, b) / (2.0 * params.sigma**2))
+    gauss = np.exp(-_sq_dists(a, b, inner) / (2.0 * params.sigma**2))
     if params.kind == "gaussian":
         return gauss
     if params.kappa is None:
@@ -114,7 +115,8 @@ class NptState:
     Holds what embedding new points reads: the raw training features, the
     row means of their raw kernel, and the kept eigenpairs of the centered
     kernel. The training kernel and the embedded training data are derived
-    from these on demand.
+    from these on demand. The arrays are read-only, so models may share a
+    state.
     """
 
     row_means: np.ndarray
@@ -122,6 +124,12 @@ class NptState:
     eigvals: np.ndarray
     train_data: FeatureMatrix
     params: KernelParams
+
+    def __post_init__(self):
+        for name in ("row_means", "eigvecs", "eigvals"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def rank(self) -> int:

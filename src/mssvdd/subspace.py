@@ -13,12 +13,12 @@ fuses the per-modality labels with one of four decision strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, ToolkitError
 from .kernels import KernelParams, NptState, npt_embed_test, npt_fit
 from .svdd import (
     ALPHA_TOL,
@@ -392,26 +392,105 @@ def training_key(config: TrainConfig) -> TrainConfig:
     return key
 
 
-def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
+class FoldMemo:
+    """Stage outputs shared by the fits and predictions on one train/test split.
+
+    train() keeps its embedding, its start projections and its cold first
+    solve here under each stage's key (see _stage_keys), and predict() the
+    test embedding of each fitted kernel state. A stage that raised a
+    ToolkitError is kept as that error and raised again for every later
+    caller, so all of them fail with the same message. Every kept output is
+    immutable. A memo serves the one training set and the one test set it
+    was made for, compared by identity, so no key names the data; it lives
+    as long as its owner keeps it, one fold of a cross-validation.
+    """
+
+    def __init__(
+        self, train_data: MultiModalDataset, test_data: MultiModalDataset
+    ) -> None:
+        self.train_data = train_data
+        self.test_data = test_data
+        self._outputs: dict[Hashable, Any] = {}
+
+    def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """compute()'s result under key; compute runs on the first call only."""
+        if key not in self._outputs:
+            try:
+                self._outputs[key] = compute()
+            except ToolkitError as exc:
+                self._outputs[key] = exc
+        out = self._outputs[key]
+        if isinstance(out, ToolkitError):
+            raise out.with_traceback(None)
+        return out
+
+
+def _stage(memo: Optional[FoldMemo], key: Hashable, compute: Callable[[], Any]) -> Any:
+    return compute() if memo is None else memo.get(key, compute)
+
+
+def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple, tuple]:
+    """Keys of train()'s embedding, start projections and cold first solve.
+
+    Each key holds the config fields its stage reads, and the fields of the
+    stages before it: the embedding reads the resolved kernel params when
+    kernelized, the start adds d, and the first solve adds C and kkt_tol.
+    The update strategy, eta, beta and the regularizer enter only after
+    the first solve; the iterations after it read the whole training_key.
+    """
+    embed = ("embed", config.resolved_kernel_params() if config.kernelized else None)
+    start = ("start",) + embed[1:] + (config.d,)
+    first_solve = ("first_solve",) + start[1:] + (config.c_penalty, config.kkt_tol)
+    return embed, start, first_solve
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class _Embedding:
+    """Per-modality training inputs: the target samples, embedded when
+    kernelized, with the kernel states that embedded them."""
+
+    inputs: tuple[np.ndarray, ...]
+    npt_states: Optional[tuple[NptState, ...]]
+
+
+def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
+    train_data = data.target_subset() if data.labels is not None else data
+    if not config.kernelized:
+        return _Embedding(tuple(mod.values for mod in train_data.modalities), None)
+    kp = config.resolved_kernel_params()
+    states = tuple(npt_fit(mod, kp) for mod in train_data.modalities)
+    return _Embedding(tuple(_read_only(s.embedded) for s in states), states)
+
+
+def train(
+    data: MultiModalDataset,
+    config: TrainConfig,
+    *,
+    memo: Optional[FoldMemo] = None,
+) -> SubspaceModel:
     """Fit a subspace one-class model on the target-class samples of data.
 
     When labels are present only target samples are used; unlabelled data
     is assumed to be all-target. The kernelized variant first embeds every
-    modality through its fitted kernel feature map.
+    modality through its fitted kernel feature map. memo, made for data,
+    shares the embedding, start projections and first solve with the other
+    fits on data that use the same memo; the model is the same with or
+    without it.
     """
     validate_train_config(config, data.n_modalities)
     signs = strategy_signs(config.update_strategy, data.n_modalities)
-    train_data = data.target_subset() if data.labels is not None else data
-    n = train_data.n_samples
-    v_count = train_data.n_modalities
-
-    npt_states: Optional[list[NptState]] = None
-    if config.kernelized:
-        kp = config.resolved_kernel_params()
-        npt_states = [npt_fit(mod, kp) for mod in train_data.modalities]
-        inputs: list[np.ndarray] = [s.embedded for s in npt_states]
-    else:
-        inputs = [mod.values for mod in train_data.modalities]
+    if memo is not None and data is not memo.train_data:
+        raise ConfigError("memo was made for another training set")
+    embed_key, start_key, first_solve_key = _stage_keys(config)
+    embedding = _stage(memo, embed_key, lambda: _embed(data, config))
+    inputs = embedding.inputs
+    n = inputs[0].shape[1]
+    v_count = len(inputs)
 
     for v, x in enumerate(inputs):
         if config.d > min(x.shape[0], n):
@@ -421,15 +500,20 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
             )
 
     index_map = [(v * n, (v + 1) * n) for v in range(v_count)]
-    projections = [pca_init(x, config.d) for x in inputs]
+    projections = _stage(
+        memo, start_key, lambda: tuple(pca_init(x, config.d) for x in inputs)
+    )
 
     ortho_errors: list[float] = []
     warning: Optional[str] = None
 
-    def pooled(projs: list[ProjectionMatrix]) -> np.ndarray:
-        return np.hstack([p.q @ x for p, x in zip(projs, inputs)])
+    def solve(
+        projs: Sequence[ProjectionMatrix], alpha0: Optional[np.ndarray]
+    ) -> DataDescription:
+        pooled = np.hstack([p.q @ x for p, x in zip(projs, inputs)])
+        return svdd_solve(pooled, config.c_penalty, config.kkt_tol, alpha0=alpha0)
 
-    last_valid: Optional[tuple[list[ProjectionMatrix], DataDescription]] = None
+    last_valid: Optional[tuple[Sequence[ProjectionMatrix], DataDescription]] = None
     # Each solve starts from the previous one's alphas: the pooled columns
     # stay the same and the projections move only a little per iteration.
     alpha0: Optional[np.ndarray] = None
@@ -438,9 +522,12 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     for it in range(config.max_iter + 1):
         final = it == config.max_iter
         try:
-            desc = svdd_solve(
-                pooled(projections), config.c_penalty, config.kkt_tol, alpha0=alpha0
-            )
+            if it == 0:
+                desc = _stage(
+                    memo, first_solve_key, lambda: solve(projections, None)
+                )
+            else:
+                desc = solve(projections, alpha0)
         except SolverError as exc:
             if final:
                 warning = f"final solve failed, keeping last iterate: {exc}"
@@ -485,10 +572,12 @@ def train(data: MultiModalDataset, config: TrainConfig) -> SubspaceModel:
     projections, description = last_valid
 
     return SubspaceModel(
-        projections=projections,
+        projections=list(projections),
         description=description,
         config=config,
-        npt_states=npt_states,
+        npt_states=(
+            None if embedding.npt_states is None else list(embedding.npt_states)
+        ),
         ortho_errors=ortho_errors,
         warning=warning,
     )
@@ -516,13 +605,24 @@ def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:
     raise ConfigError(f"unknown decision strategy {decision_strategy!r}")
 
 
-def predict(model: SubspaceModel, data: MultiModalDataset) -> PredictionResult:
-    """Classify every sample of data with a trained subspace model."""
+def predict(
+    model: SubspaceModel,
+    data: MultiModalDataset,
+    *,
+    memo: Optional[FoldMemo] = None,
+) -> PredictionResult:
+    """Classify every sample of data with a trained subspace model.
+
+    memo, made for data as its test set, shares the test embedding of each
+    kernel state with the other models that hold that state.
+    """
     if data.n_modalities != model.n_modalities:
         raise ConfigError(
             f"model has {model.n_modalities} modalities, data has "
             f"{data.n_modalities}"
         )
+    if memo is not None and data is not memo.test_data:
+        raise ConfigError("memo was made for another test set")
     n = data.n_samples
     v_count = model.n_modalities
     per_modality = np.zeros((v_count, n), dtype=np.int64)
@@ -531,7 +631,13 @@ def predict(model: SubspaceModel, data: MultiModalDataset) -> PredictionResult:
     for v in range(v_count):
         feats = data.modalities[v]
         if model.npt_states is not None:
-            x = npt_embed_test(model.npt_states[v], feats, model.npt_states[v].params)
+            state = model.npt_states[v]
+            # The entry holds the state, so no other object can take its id.
+            _, x = _stage(
+                memo,
+                ("test_embedding", id(state)),
+                lambda: (state, _read_only(npt_embed_test(state, feats, state.params))),
+            )
         else:
             if feats.dim != model.projections[v].input_dim:
                 raise ConfigError(

@@ -222,7 +222,8 @@ class DataDescription:
     alphas are the dual weights over the training columns, c_penalty the
     box bound, radius_sq the squared decision radius. train_points is the
     d x M matrix the description was fit on, retained so distances to new
-    points can be evaluated. center and center_sq are derived caches.
+    points can be evaluated. center and center_sq are derived caches. The
+    arrays are read-only, so models may share a description.
     """
 
     alphas: np.ndarray
@@ -246,6 +247,8 @@ class DataDescription:
             (alphas > ALPHA_TOL) & (alphas < self.c_penalty - ALPHA_TOL)
         )
         center = pts @ alphas
+        for a in (support, boundary, center):
+            a.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "train_points", pts)
         object.__setattr__(self, "support_indices", support)

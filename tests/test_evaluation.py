@@ -18,11 +18,13 @@ from mssvdd import (
     synth_multimodal,
 )
 import mssvdd.evaluation
+from mssvdd.datamodel import stratified_folds
 from mssvdd.evaluation import (
     GridCell,
     GridSearchResult,
     confusion_from_labels,
     expand_grid,
+    fit_model,
     grid_table_to_csv,
     mean_metrics,
     report_to_csv,
@@ -316,10 +318,32 @@ def _per_cell_reference(data, grid, base, inner_k, seed, normalize):
 
 
 class TestGroupedGridSearch:
-    # Both grids hold whole groups that fail (C*M < 1) and groups of several
-    # cells (decision strategies; beta under w0/psi0). The uni-modal grid also
-    # holds cells that only their decision strategy makes invalid (ds4) and
-    # cells that fail at fit time for their update strategy (AD-+).
+    # Every grid holds groups of several cells (decision strategies; beta
+    # under w0/psi0) and whole groups that fail (C*M < 1). The uni-modal grid
+    # also holds cells that only their decision strategy makes invalid (ds4)
+    # and cells that fail at fit time for their update strategy (AD-+). The
+    # stage-sharing grids span two sigma (when kernelized), two d and two C,
+    # so groups share embeddings, starts and first solves. Their C=0.037 is
+    # feasible on the first two folds (M=28) and not on the last two (M=26),
+    # so the cold solve's memoized failure is shared by every group with
+    # that (sigma, d).
+    STAGE_SHARING = (
+        dict(n_target=18, n_outlier=10, v=2, dims=[3, 3]),
+        GridSpec(
+            sigma_grid=(1.0, 4.0),
+            eta_grid=(0.01,),
+            beta_grid=(0.1,),
+            c_grid=(0.037, 0.5),
+            d_grid=(1, 2),
+            update_strategies=("AD-+",),
+            regularizers=("w0", "w4"),
+            decision_strategies=("ds1", "ds2"),
+        ),
+        TrainConfig(
+            max_iter=2, kernelized=True, kernel_params=KernelParams("composite")
+        ),
+    )
+    # case -> (data shape, grid, base config, normalize)
     CASES = {
         "multi-modal": (
             dict(n_target=20, n_outlier=16, v=2, dims=[3, 3]),
@@ -336,6 +360,7 @@ class TestGroupedGridSearch:
             TrainConfig(
                 max_iter=2, kernelized=True, kernel_params=KernelParams("composite")
             ),
+            True,
         ),
         "uni-modal": (
             dict(n_target=20, n_outlier=16, v=1, dims=[4]),
@@ -350,15 +375,22 @@ class TestGroupedGridSearch:
                 decision_strategies=("ds1", "ds4"),
             ),
             TrainConfig(max_iter=2),
+            True,
+        ),
+        "stage-sharing": STAGE_SHARING + (True,),
+        "stage-sharing-raw": STAGE_SHARING + (False,),
+        # Without a kernel, no kappa = 1/d tells two d values apart.
+        "stage-sharing-linear": (
+            STAGE_SHARING[0], STAGE_SHARING[1], TrainConfig(max_iter=2), False
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_cell_search(self, case):
-        shape, grid, base = self.CASES[case]
+        shape, grid, base, normalize = self.CASES[case]
         data = synth_multimodal(separation=3.0, seed=60, **shape)
-        got = grid_search(data, grid, base, inner_k=4, seed=61, normalize=True)
-        want = _per_cell_reference(data, grid, base, 4, 61, True)
+        got = grid_search(data, grid, base, inner_k=4, seed=61, normalize=normalize)
+        want = _per_cell_reference(data, grid, base, 4, 61, normalize)
         statuses = {c.status for c in got.cells}
         assert statuses == {"ok", "failed"}
         assert got.cells == want.cells
@@ -366,15 +398,33 @@ class TestGroupedGridSearch:
         assert grid_table_to_csv(got) == grid_table_to_csv(want)
 
     def test_fits_each_distinct_model_once_per_fold(self, monkeypatch):
-        # The benchmark's select grid: 32 cells, 12 distinct training keys.
+        # The benchmark's select grid: 32 cells, 12 distinct training keys,
+        # one kernel, one d and two C values.
         calls = []
         real_fit = mssvdd.evaluation.fit_model
 
-        def counting_fit(data, config, normalize=False):
+        def counting_fit(data, config, normalize=False, **kwargs):
             calls.append(config)
-            return real_fit(data, config, normalize=normalize)
+            return real_fit(data, config, normalize=normalize, **kwargs)
 
         monkeypatch.setattr(mssvdd.evaluation, "fit_model", counting_fit)
+        stage_calls = {"npt_fit": 0, "pca_init": 0, "npt_embed_test": 0}
+        for name in stage_calls:
+            real = getattr(mssvdd.subspace, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                stage_calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mssvdd.subspace, name, counting)
+        solves = []
+        real_solve = mssvdd.subspace.svdd_solve
+
+        def counting_solve(points, c_penalty, kkt_tol, alpha0=None):
+            solves.append(alpha0 is None)
+            return real_solve(points, c_penalty, kkt_tol, alpha0=alpha0)
+
+        monkeypatch.setattr(mssvdd.subspace, "svdd_solve", counting_solve)
         data = synth_multimodal(20, 20, 2, [5, 5], 3.0, seed=62)
         grid = GridSpec(
             sigma_grid=(10.0,),
@@ -386,13 +436,57 @@ class TestGroupedGridSearch:
             regularizers=("w0", "w4"),
             decision_strategies=("ds1", "ds2"),
         )
-        base = TrainConfig(max_iter=1)
+        base = TrainConfig(
+            max_iter=1, kernelized=True, kernel_params=KernelParams(sigma=10.0)
+        )
         configs = expand_grid(grid, base)
         keys = {training_key(c) for c in configs}
         assert (len(configs), len(keys)) == (32, 12)
         grid_search(data, grid, base, inner_k=5, seed=63)
         assert len(calls) == len(keys) * 5 == 60
         assert {training_key(c) for c in calls} == keys
+        # One embedding, start and test embedding per fold and modality;
+        # one cold first solve per fold and C, one warm solve per fit.
+        assert stage_calls == {"npt_fit": 10, "pca_init": 10, "npt_embed_test": 10}
+        assert (len(solves), sum(solves)) == (70, 10)
+
+    def test_first_failing_fold_message_wins(self, monkeypatch):
+        # Folds 0 and 1 train on 28 pooled columns, folds 2 and 3 on 26. The
+        # cold solves with C=0.3 fail on folds 2 and 3, each fold with its
+        # own message; the C=0.3 group must carry fold 2's.
+        real_solve = mssvdd.subspace.svdd_solve
+
+        def failing_solve(points, c_penalty, kkt_tol, alpha0=None):
+            if points.shape[1] == 26 and c_penalty == 0.3 and alpha0 is None:
+                raise SolverError(f"forced failure, column sum {points.sum()!r}")
+            return real_solve(points, c_penalty, kkt_tol, alpha0=alpha0)
+
+        monkeypatch.setattr(mssvdd.subspace, "svdd_solve", failing_solve)
+        data = synth_multimodal(18, 10, 2, [3, 3], 3.0, seed=60)
+        grid = GridSpec(
+            sigma_grid=(1.0,),
+            eta_grid=(0.01,),
+            beta_grid=(0.0,),
+            c_grid=(0.3, 0.5),
+            d_grid=(1,),
+            update_strategies=("SD-",),
+            regularizers=("w0",),
+            decision_strategies=("ds1", "ds2"),
+        )
+        base = TrainConfig(max_iter=2)
+        failing = expand_grid(grid, base)[0]
+        plan = stratified_folds(data.labels, 4, 61)
+        messages = []
+        for fold in (2, 3):
+            with pytest.raises(SolverError) as info:
+                fit_model(data.subset(plan.train_indices(fold)), failing)
+            messages.append(str(info.value))
+        assert messages[0] != messages[1]
+        result = grid_search(data, grid, base, inner_k=4, seed=61)
+        assert [(c.config.c_penalty, c.status) for c in result.cells] == [
+            (0.3, "failed"), (0.3, "failed"), (0.5, "ok"), (0.5, "ok")
+        ]
+        assert {c.message for c in result.cells[:2]} == {messages[0]}
 
 
 class TestNestedCv:
@@ -529,6 +623,29 @@ class TestParallelism:
         base = TrainConfig(max_iter=2)
         seq = grid_search(data, grid, base, inner_k=3, seed=51, workers=1)
         par = grid_search(data, grid, base, inner_k=3, seed=51, workers=2)
+        assert seq.best_index == par.best_index
+        assert seq.cells == par.cells
+
+    def test_parallel_folds_share_stages_as_sequential(self):
+        # Five folds over two workers; groups span two sigma and two d, so
+        # each fold's task shares embeddings and starts between its groups.
+        data = synth_multimodal(20, 15, 2, [3, 3], 3.0, seed=54)
+        grid = GridSpec(
+            sigma_grid=(1.0, 4.0),
+            eta_grid=(0.01,),
+            beta_grid=(0.1,),
+            c_grid=(0.5,),
+            d_grid=(1, 2),
+            update_strategies=("SD-", "AD-+"),
+            regularizers=("w4",),
+            decision_strategies=("ds1", "ds2"),
+        )
+        base = TrainConfig(
+            max_iter=2, kernelized=True, kernel_params=KernelParams("composite")
+        )
+        seq = grid_search(data, grid, base, inner_k=5, seed=55, workers=1)
+        par = grid_search(data, grid, base, inner_k=5, seed=55, workers=2)
+        assert {c.status for c in seq.cells} == {"ok"}
         assert seq.best_index == par.best_index
         assert seq.cells == par.cells
 

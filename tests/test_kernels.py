@@ -86,6 +86,31 @@ class TestKernelMatrix:
         k = kernel_matrix(FeatureMatrix(x), params)
         assert np.array_equal(k, k.T)
 
+    # kernel_cross computes a.T @ b once and reuses it for the distances;
+    # pin it bit for bit against the formula that computes it twice.
+    @pytest.mark.parametrize("kind", ["composite", "gaussian"])
+    @pytest.mark.parametrize("square", [False, True])
+    @pytest.mark.parametrize(
+        "d,n,m",
+        [(20, 200, 1000), (20, 1500, 1500), (5, 64, 16), (1, 9, 9), (40, 257, 700)],
+    )
+    def test_matches_two_gemm_formula(self, d, n, m, square, kind):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((d, n))
+        b = a if square else rng.standard_normal((d, m))
+        params = KernelParams(kind=kind, gamma=0.5, sigma=3.0, kappa=0.2, theta=0.1)
+        sq = (
+            np.sum(a * a, axis=0)[:, None]
+            + np.sum(b * b, axis=0)[None, :]
+            - 2.0 * (a.T @ b)
+        )
+        want = np.exp(-np.maximum(sq, 0.0) / (2.0 * params.sigma**2))
+        if kind == "composite":
+            sigm = np.tanh(params.kappa * (a.T @ b) + params.theta)
+            want = params.gamma * want + (1.0 - params.gamma) * sigm
+        got = kernel_cross(a, b, params)
+        assert got.tobytes() == want.tobytes()
+
     def test_linear_is_gram(self):
         rng = np.random.default_rng(3)
         f = _random_features(rng, 3, 5)

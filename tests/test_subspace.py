@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mssvdd import (
     train,
     update_projection,
 )
-from mssvdd.subspace import ProjectionMatrix, strategy_signs
+from mssvdd.subspace import FoldMemo, ProjectionMatrix, strategy_signs
 
 from oracles import fd_gradient, random_box_simplex
 
@@ -315,6 +316,48 @@ class TestTrain:
         assert model.npt_states[0].params.kappa == pytest.approx(0.5)
         result = predict(model, data)
         assert result.per_modality.shape == (2, 20)
+
+    def test_fold_memo_shares_stages_without_changing_models(self):
+        data = synth_multimodal(12, 8, 2, [4, 3], 3.0, seed=20)
+        test_set = synth_multimodal(6, 6, 2, [4, 3], 3.0, seed=21)
+        base = TrainConfig(
+            d=2,
+            eta=0.01,
+            c_penalty=0.3,
+            max_iter=3,
+            kernelized=True,
+            kernel_params=KernelParams(sigma=3.0),
+        )
+        # The second config shares every memoized stage with the first, the
+        # third only the embedding and the start.
+        configs = [
+            base,
+            replace(base, update_strategy="AD-+"),
+            replace(base, c_penalty=0.5),
+        ]
+        memo = FoldMemo(data, test_set)
+        models = []
+        for config in configs:
+            shared = train(data, config, memo=memo)
+            plain = train(data, config)
+            np.testing.assert_array_equal(
+                shared.description.alphas, plain.description.alphas
+            )
+            for qs, qp in zip(shared.projections, plain.projections):
+                np.testing.assert_array_equal(qs.q, qp.q)
+            assert shared.ortho_errors == plain.ortho_errors
+            np.testing.assert_array_equal(
+                predict(shared, test_set, memo=memo).distances,
+                predict(plain, test_set).distances,
+            )
+            models.append(shared)
+        for a, b in zip(models[0].npt_states, models[2].npt_states):
+            assert a is b
+            assert not (a.eigvecs.flags.writeable or a.row_means.flags.writeable)
+        with pytest.raises(ConfigError, match="another training set"):
+            train(test_set, base, memo=memo)
+        with pytest.raises(ConfigError, match="another test set"):
+            predict(models[0], data, memo=memo)
 
     def test_ad_strategy_requires_two_modalities(self, monkeypatch):
         data = synth_multimodal(8, 4, 1, [3], 2.0, seed=19)
