@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
 from .datamodel import (
     FeatureMatrix,
     MultiModalDataset,
@@ -25,7 +23,7 @@ from .datamodel import (
     save_dataset,
     save_fold_plan,
     synth_multimodal,
-    _load_matrix_csv,
+    _load_matrices,
 )
 from .errors import ConfigError, DataError, ToolkitError
 from .evaluation import (
@@ -236,26 +234,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_predict_matrices(paths: list[str]) -> Optional[list[np.ndarray]]:
-    """Load modality CSVs for prediction; None when the files hold no rows."""
-    matrices = []
-    for p in paths:
-        try:
-            matrices.append(_load_matrix_csv(p))
-        except DataError as exc:
-            if "empty file" in str(exc) or "no data rows" in str(exc):
-                return None
-            raise
-    n = matrices[0].shape[0]
-    for p, m in zip(paths, matrices):
-        if m.shape[0] != n:
-            raise DataError(
-                f"row-count mismatch: {paths[0]} has {n} rows but {p} has "
-                f"{m.shape[0]}"
-            )
-    return matrices
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     n_mod = model.n_modalities
@@ -270,24 +248,26 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         + [f"m{v + 1}_distance_sq" for v in range(n_mod)]
         + ["radius_sq"]
     )
-    matrices = _load_predict_matrices(list(args.data))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if matrices is None:
-            print(args.out)
-            return 0
-        dataset = MultiModalDataset(
-            tuple(FeatureMatrix(m.T) for m in matrices)
+    matrices = _load_matrices(args.data)
+    rows = []
+    # Every file has the same row count, so zero here means all are empty.
+    if matrices[0].shape[0] > 0:
+        result = predict_model(
+            model, MultiModalDataset(tuple(FeatureMatrix(m.T) for m in matrices))
         )
-        result = predict_model(model, dataset)
         v_rows = result.per_modality.shape[0]
-        for i in range(dataset.n_samples):
+        for i in range(result.fused.shape[0]):
             row = [i, int(result.fused[i])]
             row += [int(result.per_modality[v, i]) for v in range(v_rows)]
             row += [f"{result.distances[v, i]:.6f}" for v in range(v_rows)]
             row.append(f"{result.radius_sq:.6f}")
-            writer.writerow(row)
+            rows.append(row)
+    # The file is opened only after prediction succeeded, so a failed
+    # prediction neither creates nor truncates it.
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     print(args.out)
     return 0
 

@@ -243,11 +243,9 @@ def _parse_cell(text: str, path: str, row: int, col: int) -> float:
 
 
 def _read_rows(path: str) -> list[list[str]]:
+    """The non-blank rows of a CSV file, possibly none."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return rows
+        return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
 
 
 def _is_numeric_row(row: list[str]) -> bool:
@@ -259,13 +257,22 @@ def _is_numeric_row(row: list[str]) -> bool:
     return True
 
 
-def _load_matrix_csv(path: str) -> np.ndarray:
-    """Read one modality CSV (row per sample); header row auto-detected."""
+def _data_rows(path: str) -> list[list[str]]:
+    """The rows of a CSV file after an auto-detected header row, possibly none."""
     rows = _read_rows(path)
-    if not _is_numeric_row(rows[0]):
+    if rows and not _is_numeric_row(rows[0]):
         rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows after header")
+    return rows
+
+
+def _load_matrix_csv(path: str) -> np.ndarray:
+    """Read one modality CSV (row per sample); header row auto-detected.
+
+    A file without data rows, empty or header only, gives a 0 x 0 matrix.
+    """
+    rows = _data_rows(path)
+    if not rows:
+        return np.empty((0, 0))
     width = len(rows[0])
     data = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -279,11 +286,9 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 
 
 def _load_labels_csv(path: str) -> np.ndarray:
-    rows = _read_rows(path)
-    if not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows after header")
+    rows = _data_rows(path)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     labels = np.empty(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != 1:
@@ -297,6 +302,19 @@ def _load_labels_csv(path: str) -> np.ndarray:
     return labels
 
 
+def _load_matrices(paths: Sequence[str]) -> list[np.ndarray]:
+    """One row-per-sample matrix per modality CSV, all with the same row
+    count, which may be zero."""
+    matrices = [_load_matrix_csv(str(p)) for p in paths]
+    n = matrices[0].shape[0]
+    for p, m in zip(paths, matrices):
+        if m.shape[0] != n:
+            raise DataError(
+                f"row-count mismatch: {paths[0]} has {n} rows but {p} has {m.shape[0]}"
+            )
+    return matrices
+
+
 def load_dataset(
     paths: Sequence[str], label_path: Optional[str] = None
 ) -> MultiModalDataset:
@@ -307,13 +325,10 @@ def load_dataset(
     """
     if not paths:
         raise DataError("at least one modality file is required")
-    matrices = [_load_matrix_csv(str(p)) for p in paths]
+    matrices = _load_matrices(paths)
     n = matrices[0].shape[0]
-    for p, m in zip(paths, matrices):
-        if m.shape[0] != n:
-            raise DataError(
-                f"row-count mismatch: {paths[0]} has {n} rows but {p} has {m.shape[0]}"
-            )
+    if n == 0:
+        raise DataError(f"{', '.join(map(str, paths))}: no data rows")
     labels = None
     if label_path is not None:
         labels = _load_labels_csv(str(label_path))

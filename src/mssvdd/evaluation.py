@@ -686,8 +686,7 @@ def nested_cv(
     """
     if selection not in ("nested", "global"):
         raise ConfigError(f"selection must be 'nested' or 'global', got {selection!r}")
-    if data.labels is None:
-        raise DataError("cross-validation requires labels")
+    plan = _cv_plan(data, outer_k, seed)
     if selection == "global":
         search = grid_search(
             data, grid, base, inner_k=inner_k, seed=seed,
@@ -704,7 +703,6 @@ def nested_cv(
         report.fold_configs = [search.best_config] * outer_k
         report.selection = "global"
         return report
-    plan = stratified_folds(data.labels, outer_k, seed)
     tasks = [
         (data, plan, fold, grid, base, inner_k, seed, normalize)
         for fold in range(outer_k)

@@ -58,16 +58,6 @@ def dataset_digest(data: MultiModalDataset) -> str:
     return h.hexdigest()
 
 
-def _kernel_params_to_dict(kp: KernelParams) -> dict[str, Any]:
-    return {
-        "kind": kp.kind,
-        "gamma": kp.gamma,
-        "sigma": kp.sigma,
-        "kappa": kp.kappa,
-        "theta": kp.theta,
-    }
-
-
 def _kernel_params_from_dict(obj: dict[str, Any]) -> KernelParams:
     return KernelParams(
         kind=obj["kind"],
@@ -79,9 +69,7 @@ def _kernel_params_from_dict(obj: dict[str, Any]) -> KernelParams:
 
 
 def config_to_dict(config: TrainConfig) -> dict[str, Any]:
-    out = asdict(config)
-    out["kernel_params"] = _kernel_params_to_dict(config.kernel_params)
-    return out
+    return asdict(config)
 
 
 def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
@@ -109,7 +97,7 @@ def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
         "eigvecs": _encode_array(state.eigvecs),
         "eigvals": _encode_array(state.eigvals),
         "train_data": _encode_array(state.train_data.values),
-        "params": _kernel_params_to_dict(state.params),
+        "params": asdict(state.params),
     }
 
 

@@ -281,37 +281,6 @@ def _pooled_weights(
     raise ConfigError(f"unknown regularizer {regularizer!r}")
 
 
-def regularizer_gradient(
-    v: int,
-    projections: Sequence[ProjectionMatrix],
-    data: Sequence[ArrayLike],
-    alphas: np.ndarray,
-    regularizer: str,
-    modality_index_map: Sequence[tuple[int, int]],
-    c_penalty: Optional[float] = None,
-) -> np.ndarray:
-    """Gradient of the regularization term with respect to Q_v."""
-    q_v = projections[v]
-    f_v = _values(data[v])
-    lam = _pooled_weights(regularizer, alphas, c_penalty)
-    if lam is None:
-        return np.zeros_like(q_v.q)
-    lo, hi = modality_index_map[v]
-    lam_v = lam[lo:hi]
-    if regularizer in ("w1", "w2", "w3"):
-        weighted = f_v * (lam_v**2)[None, :]
-        return 2.0 * q_v.q @ (weighted @ f_v.T)
-    if regularizer in ("w4", "w5", "w6"):
-        total = np.zeros((q_v.d, f_v.shape[1]))
-        for n, (q_n, f_n) in enumerate(zip(projections, data)):
-            lo_n, hi_n = modality_index_map[n]
-            total += q_n.q @ (_values(f_n) * lam[lo_n:hi_n][None, :])
-        return 2.0 * total @ (f_v * lam_v[None, :]).T
-    # psi family: rank-one weighting through the lambda outer product.
-    z = f_v @ lam_v
-    return 2.0 * np.outer(q_v.q @ z, z)
-
-
 def lagrangian_gradient(
     v: int,
     projections: Sequence[ProjectionMatrix],
@@ -326,7 +295,16 @@ def lagrangian_gradient(
 
     alphas is the pooled dual weight vector from the most recent
     hypersphere solve on the projected, pooled samples; its layout must
-    match modality_index_map.
+    match modality_index_map. With Y_n = Q_n F_n, a_n and lambda_n the
+    slices of alphas and of the regularizer's sample weights for modality
+    n, and c = sum_n Q_n (F_n a_n) the sphere center, the gradient is
+    2 R F_v^T for the d x N matrix
+
+        R = (Y_v - c 1^T) diag(a_v) + beta S_v,
+
+    where S_v is Y_v diag(lambda_v^2) for w1-w3,
+    (sum_n Y_n diag(lambda_n)) diag(lambda_v) for w4-w6,
+    (Y_v lambda_v) lambda_v^T for psi1-psi3, and 0 for w0 and psi0.
     """
     expected = modality_index_map[-1][1]
     alphas = np.asarray(alphas, dtype=np.float64)
@@ -334,22 +312,26 @@ def lagrangian_gradient(
         raise ConfigError(
             f"alphas must have length {expected}, got {alphas.shape}"
         )
-    q_v = projections[v]
-    f_v = _values(data[v])
-    lo, hi = modality_index_map[v]
-    a_v = alphas[lo:hi]
-    term1 = 2.0 * q_v.q @ ((f_v * a_v[None, :]) @ f_v.T)
-    center = np.zeros(q_v.d)
-    for n, (q_n, f_n) in enumerate(zip(projections, data)):
-        lo_n, hi_n = modality_index_map[n]
-        center += q_n.q @ (_values(f_n) @ alphas[lo_n:hi_n])
-    term2 = 2.0 * np.outer(center, f_v @ a_v)
-    grad = term1 - term2
-    if beta != 0.0 and regularizer not in _UNPENALIZED_REGULARIZERS:
-        grad = grad + beta * regularizer_gradient(
-            v, projections, data, alphas, regularizer, modality_index_map, c_penalty
-        )
-    return grad
+    feats = [_values(f) for f in data]
+    slices = [slice(lo, hi) for lo, hi in modality_index_map]
+    y_v = projections[v].q @ feats[v]
+    center = sum(
+        q.q @ (f @ alphas[s]) for q, f, s in zip(projections, feats, slices)
+    )
+    r = (y_v - center[:, None]) * alphas[slices[v]]
+    lam = None if beta == 0.0 else _pooled_weights(regularizer, alphas, c_penalty)
+    if lam is not None:
+        lam_v = lam[slices[v]]
+        if regularizer in ("w1", "w2", "w3"):
+            s_v = y_v * lam_v**2
+        elif regularizer in ("w4", "w5", "w6"):
+            s_v = sum(
+                (q.q @ f) * lam[s] for q, f, s in zip(projections, feats, slices)
+            ) * lam_v
+        else:
+            s_v = np.outer(y_v @ lam_v, lam_v)
+        r = r + beta * s_v
+    return 2.0 * r @ feats[v].T
 
 
 # ---------------------------------------------------------------------------

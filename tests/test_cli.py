@@ -162,6 +162,45 @@ class TestTrainPredict:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("index,fused")
 
+    @pytest.mark.parametrize("first", ["", "1,2,x\n"])
+    def test_predict_rejects_one_empty_modality(self, tmp_path, capsys, first):
+        # The second file has rows, so the input is not empty as a whole.
+        paths, labels = _synth_files(tmp_path)
+        cfg = _write_config(tmp_path, paths, labels)
+        model_path = tmp_path / "model.json"
+        main(["train", "--config", cfg, "--out", str(model_path)])
+        empty = tmp_path / "e1.csv"
+        empty.write_text(first)
+        out = tmp_path / "pred.csv"
+        rc = main(
+            ["predict", "--model", str(model_path)]
+            + ["--data", str(empty), "--data", paths[1]]
+            + ["--out", str(out)]
+        )
+        assert rc == 1
+        assert "row-count mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_predict_leaves_out_file_alone(self, tmp_path, capsys):
+        paths, labels = _synth_files(tmp_path)
+        cfg = _write_config(tmp_path, paths, labels)
+        model_path = tmp_path / "model.json"
+        main(["train", "--config", cfg, "--out", str(model_path)])
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("".join(f"{i},{i + 1}\n" for i in range(80)))
+        out = tmp_path / "pred.csv"
+        argv = (
+            ["predict", "--model", str(model_path)]
+            + ["--data", str(narrow), "--data", paths[1]]
+            + ["--out", str(out)]
+        )
+        assert main(argv) == 1
+        assert "dims" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("earlier predictions\n")
+        assert main(argv) == 1
+        assert out.read_text() == "earlier predictions\n"
+
     def test_train_round_trip_predictions_identical(self, tmp_path):
         paths, labels = _synth_files(tmp_path)
         cfg = _write_config(

@@ -106,6 +106,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row-count mismatch"):
             load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"])
 
+    def test_files_without_data_rows(self, tmp_path):
+        (tmp_path / "a.csv").write_text("")
+        (tmp_path / "b.csv").write_text("x1,x2\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"])
+
     def test_non_numeric_cell(self, tmp_path):
         with open(tmp_path / "a.csv", "w") as fh:
             fh.write("1.0,2.0\n1.0,oops\n")

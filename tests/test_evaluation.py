@@ -546,6 +546,30 @@ class TestNestedCv:
         assert a.fold_metrics == b.fold_metrics
         assert a.fold_configs == b.fold_configs
 
+    @pytest.mark.parametrize("protocol", ["fixed", "nested", "global"])
+    def test_one_class_data_rejected(self, protocol):
+        # Every protocol checks its outer folds the same way, before any fit.
+        data = synth_multimodal(15, 12, 2, [3, 3], 4.0, seed=31).target_subset()
+        grid = GridSpec(
+            sigma_grid=(1.0,),
+            eta_grid=(0.01,),
+            beta_grid=(0.0,),
+            c_grid=(0.5,),
+            d_grid=(2,),
+            update_strategies=("SD-",),
+            regularizers=("w0",),
+            decision_strategies=("ds1",),
+        )
+        base = TrainConfig(max_iter=2)
+        with pytest.raises(DataError, match="both classes"):
+            if protocol == "fixed":
+                run_cv(data, base, k=3, seed=32)
+            else:
+                nested_cv(
+                    data, grid, base, outer_k=3, inner_k=3, seed=32,
+                    selection=protocol,
+                )
+
 
 class TestDefaultGrid:
     def test_reference_grids(self):

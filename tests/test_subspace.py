@@ -292,6 +292,35 @@ class TestTrain:
         for qa, qb in zip(a.projections, b.projections):
             np.testing.assert_array_equal(qa.q, qb.q)
 
+    def test_modalities_step_in_order(self):
+        # Modality 1's gradient reads modality 0's already stepped projection.
+        data = synth_multimodal(12, 8, 2, [4, 3], 3.0, seed=18)
+        config = TrainConfig(
+            d=2, eta=0.5, beta=0.5, c_penalty=0.5, max_iter=1,
+            update_strategy="AD-+", regularizer="w4",
+        )
+        model = train(data, config)
+        assert model.warning is None
+        inputs = [mod.values for mod in data.target_subset().modalities]
+        index_map = [(0, 12), (12, 24)]
+        start = [pca_init(x, 2) for x in inputs]
+        alphas = svdd_solve(
+            np.hstack([q.q @ x for q, x in zip(start, inputs)]), 0.5, config.kkt_tol
+        ).alphas
+
+        def step(v, projections):
+            grad = lagrangian_gradient(
+                v, projections, inputs, alphas, 0.5, "w4", index_map, 0.5
+            )
+            return update_projection(start[v], grad, 0.5, (-1, 1)[v])
+
+        stepped_0 = step(0, start)
+        sequential = step(1, [stepped_0, start[1]])
+        simultaneous = step(1, start)
+        np.testing.assert_array_equal(model.projections[0].q, stepped_0.q)
+        np.testing.assert_array_equal(model.projections[1].q, sequential.q)
+        assert np.max(np.abs(sequential.q - simultaneous.q)) > 1e-6
+
     def test_warm_started_solves_converge_on_rank_deficient_pool(self):
         # Pair steps alone cycle among four free coordinates here once each
         # solve starts from the previous one's alphas.
