@@ -248,19 +248,25 @@ def _read_rows(path: str) -> list[list[str]]:
         return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
 
 
-def _is_numeric_row(row: list[str]) -> bool:
+def _is_header_row(row: list[str]) -> bool:
+    """True when no cell of row parses as a number."""
     for cell in row:
         try:
             float(cell)
         except ValueError:
-            return False
+            continue
+        return False
     return True
 
 
 def _data_rows(path: str) -> list[list[str]]:
-    """The rows of a CSV file after an auto-detected header row, possibly none."""
+    """The rows of a CSV file after an auto-detected header row, possibly none.
+
+    The first row is a header only when none of its cells is a number; a
+    first row with a bad cell among numbers is data, and parsing it fails.
+    """
     rows = _read_rows(path)
-    if rows and not _is_numeric_row(rows[0]):
+    if rows and _is_header_row(rows[0]):
         rows = rows[1:]
     return rows
 

@@ -20,6 +20,17 @@ zero-curvature ascent direction followed to the nearest bound. This ends
 the zig-zag pair steps show when the Gram matrix has rank far below the
 number of free coordinates, as the pooled subspace problems do.
 
+The solvers read H through one small interface: its diagonal, a column,
+the block of the free coordinates, H[:, F] @ x and H @ a, plus the Gram
+reads of the epilogue. It has two forms, chosen once per solve from the
+shape of the d x M points P (_solver_inputs). A problem is low-rank when
+d * LOW_RANK_RATIO <= M, as the pooled subspace problems are (d <= 5, M
+in the hundreds); its factor form never forms an M x M array and reads
+columns and products through P in O(dM) time and memory. Every other
+problem, such as a kernelized baseline with d close to M, uses the dense
+form, which builds the Gram once with one syrk: there the pair loop's
+many column reads cost more through P than the one Gram does.
+
 A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
 the same columns ("alpha seeding"). Bound coordinates are kept exactly on
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -47,20 +58,109 @@ MAX_PAIR_UPDATES = 10_000
 BOUND_SNAP = 1e-12
 # Relative least-squares residual above which the face system is inconsistent.
 FACE_CONSISTENCY_TOL = 1e-10
+# Classification accepts a point this far outside the boundary, relative to
+# the magnitudes of the terms of its distance or decision value. Free
+# support vectors lie on the boundary by construction, up to the rounding
+# of the solve's last face step. Measured outside it by at most 21 ulp of
+# those magnitudes on W1 and select-shaped problems, 68 on kernel-embedded
+# baselines and 421 on linear ones (d = 40); kkt_tol is 1e-6 or more.
+BOUNDARY_RTOL = 1024 * np.finfo(np.float64).eps
 
 
-def _solver_inputs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check a d x M matrix of training columns; return it and its Gram.
+# A d x M problem is low-rank, and read through its factor, when
+# d * LOW_RANK_RATIO <= M. On whole subspace fits (d in {1, 3, 5}) the
+# factor form took 1.00-1.02x the dense form's time up to M = 64, 0.94-0.96x
+# at M = 128 and 0.58-0.70x from M = 256. On cold solves at M = 1,500 it
+# took 0.96x at d = 40, 1.06x at d = 50, 2.3x at d = 200 and 7.9x on the
+# kernel-embedded baseline (d = 1,499). See BENCH_8.json.
+LOW_RANK_RATIO = 40
 
-    numpy evaluates points.T @ points as one symmetric rank-k update and
-    copies its triangle onto the other, so the Gram is exactly symmetric.
+
+class _DenseHessian:
+    """H = scale * G from the M x M Gram G = P'P of the d x M points P.
+
+    numpy evaluates P.T @ P as one symmetric rank-k update and copies its
+    triangle onto the other, so the Gram is exactly symmetric. Columns are
+    views of H.
+    """
+
+    def __init__(self, points: np.ndarray, scale: float):
+        self.gram = points.T @ points
+        self.h = self.gram if scale == 1.0 else scale * self.gram
+        self.diag = np.diag(self.h)
+        self.gram_diag = np.diag(self.gram)
+
+    def column(self, i: int) -> np.ndarray:
+        return self.h[:, i]
+
+    def block(self, free: np.ndarray) -> np.ndarray:
+        return self.h[np.ix_(free, free)]
+
+    def cols_times(self, free: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.h[:, free] @ x
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        return self.h @ a
+
+    def gram_times(self, a: np.ndarray) -> np.ndarray:
+        return self.gram @ a
+
+    def gram_quad(self, a: np.ndarray) -> float:
+        return float(a @ self.gram @ a)
+
+
+class _FactorHessian:
+    """H = scale * P'P read through the d x M points P; no M x M array.
+
+    scale is 1 or 2, so scaling P by it, and the diagonal, is exact.
+    """
+
+    def __init__(self, points: np.ndarray, scale: float):
+        self.p = points
+        self.ps = points if scale == 1.0 else scale * points
+        self.gram_diag = np.einsum("ij,ij->j", points, points)
+        self.diag = scale * self.gram_diag
+
+    def column(self, i: int) -> np.ndarray:
+        return self.p.T @ self.ps[:, i]
+
+    def block(self, free: np.ndarray) -> np.ndarray:
+        return self.p[:, free].T @ self.ps[:, free]
+
+    def cols_times(self, free: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.p.T @ (self.ps[:, free] @ x)
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        return self.p.T @ (self.ps @ a)
+
+    def gram_times(self, a: np.ndarray) -> np.ndarray:
+        return self.p.T @ (self.p @ a)
+
+    def gram_quad(self, a: np.ndarray) -> float:
+        center = self.p @ a
+        return float(center @ center)
+
+
+_Hessian = Union[_DenseHessian, _FactorHessian]
+
+
+def _solver_inputs(
+    points: np.ndarray, scale: float
+) -> tuple[np.ndarray, _Hessian]:
+    """Check a d x M matrix of training columns; return it and H = scale * G.
+
+    G = P'P is the Gram of the columns. A low-rank problem
+    (d * LOW_RANK_RATIO <= M) gets the factor form, which reads H through
+    P in O(dM) memory; any other gets the dense form, which builds G.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
         raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise SolverError("points contain NaN or Inf")
-    return points, points.T @ points
+    d, m = points.shape
+    form = _FactorHessian if d * LOW_RANK_RATIO <= m else _DenseHessian
+    return points, form(points, scale)
 
 
 def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
@@ -79,7 +179,7 @@ def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
 
 
 def _face_step(
-    h: np.ndarray, grad: np.ndarray, alpha: np.ndarray, upper: float
+    h: _Hessian, grad: np.ndarray, alpha: np.ndarray, upper: float
 ) -> None:
     """Exact ascent step on the face of the free coordinates, in place.
 
@@ -96,7 +196,7 @@ def _face_step(
     k = free.size
     if k < 2:
         return
-    h_ff = h[np.ix_(free, free)]
+    h_ff = h.block(free)
     g_f = grad[free]
     system = np.ones((k + 1, k + 1))
     system[:k, :k] = h_ff
@@ -132,11 +232,11 @@ def _face_step(
     new[(step > 0.0) & (new > upper - BOUND_SNAP)] = upper
     new[(step < 0.0) & (new < BOUND_SNAP)] = 0.0
     alpha[free] = new
-    grad -= h[:, free] @ (new - a_f)
+    grad -= h.cols_times(free, new - a_f)
 
 
 def _solve_pairwise(
-    h: np.ndarray,
+    h: _Hessian,
     c: np.ndarray,
     upper: float,
     kkt_tol: float,
@@ -159,10 +259,10 @@ def _solve_pairwise(
     the gradient recomputed, and the pair loop resumes if the tolerance
     is missed. An alpha0 that already meets kkt_tol is returned unchanged.
     """
-    m = h.shape[0]
-    diag = np.diag(h).copy()
+    m = c.size
+    diag = h.diag
     alpha = np.full(m, 1.0 / m) if alpha0 is None else np.array(alpha0, dtype=np.float64)
-    grad = c - h @ alpha
+    grad = c - h.times(alpha)
     # A converged check is final only when alpha is tidy and grad was
     # computed from it; a warm start is taken to be tidy already.
     settled = alpha0 is not None
@@ -176,10 +276,10 @@ def _solve_pairwise(
             if settled:
                 break
             alpha = _tidy(alpha, upper)
-            grad = c - h @ alpha
+            grad = c - h.times(alpha)
             settled = True
             continue
-        h_i = h[:, i]
+        h_i = h.column(i)
         diffs = grad[i] - grad
         denoms = np.maximum(diag[i] + diag - 2.0 * h_i, 1e-12)
         gains = np.where(can_dn & (diffs > 0.0), diffs**2 / denoms, -np.inf)
@@ -199,7 +299,7 @@ def _solve_pairwise(
         new_j = alpha[j] - t
         if new_j < BOUND_SNAP:
             new_j = 0.0
-        grad -= (new_i - alpha[i]) * h_i + (new_j - alpha[j]) * h[:, j]
+        grad -= (new_i - alpha[i]) * h_i + (new_j - alpha[j]) * h.column(j)
         alpha[i], alpha[j] = new_i, new_j
         settled = False
         if 0.0 < new_j and new_i < upper:
@@ -271,7 +371,7 @@ def svdd_solve(
     of a nearby problem over the same columns; a start that already meets
     kkt_tol is returned unchanged.
     """
-    points, g = _solver_inputs(points)
+    points, h = _solver_inputs(points, 2.0)
     if kkt_tol <= 0.0:
         raise SolverError("kkt_tol must be positive")
     m = points.shape[1]
@@ -289,8 +389,8 @@ def svdd_solve(
             raise SolverError(f"alpha0 entries must lie in [0, C={c_penalty}]")
         if abs(alpha0.sum() - 1.0) > 1e-9:
             raise SolverError(f"alpha0 must sum to 1, sums to {alpha0.sum():.12g}")
-    alphas = _solve_pairwise(2.0 * g, np.diag(g).copy(), c_penalty, kkt_tol, alpha0)
-    dist_sq = np.diag(g) - 2.0 * (g @ alphas) + float(alphas @ g @ alphas)
+    alphas = _solve_pairwise(h, h.gram_diag, c_penalty, kkt_tol, alpha0)
+    dist_sq = h.gram_diag - 2.0 * h.gram_times(alphas) + h.gram_quad(alphas)
     boundary = (alphas > ALPHA_TOL) & (alphas < c_penalty - ALPHA_TOL)
     if np.any(boundary):
         radius_sq = float(np.mean(dist_sq[boundary]))
@@ -326,8 +426,16 @@ def svdd_distance_sq(desc: DataDescription, y: np.ndarray) -> float:
 
 
 def svdd_classify(desc: DataDescription, y: np.ndarray) -> np.ndarray:
-    """1 for columns inside or on the sphere, 0 outside (boundary counts in)."""
-    return (svdd_distances_sq(desc, y) <= desc.radius_sq).astype(np.int64)
+    """1 for columns inside or on the sphere, 0 outside (boundary counts in).
+
+    A column counts as on the sphere when its distance exceeds the radius
+    by at most BOUNDARY_RTOL * (|y| + |center|)^2, a bound on the terms of
+    |y|^2 - 2 center'y + |center|^2.
+    """
+    dist_sq = svdd_distances_sq(desc, y)
+    y = np.asarray(y, dtype=np.float64)
+    scale = (np.sqrt(np.sum(y * y, axis=0)) + np.sqrt(desc.center_sq)) ** 2
+    return (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -373,15 +481,15 @@ def ocsvm_solve(
     mean decision value over boundary support vectors (all support vectors
     when none sit strictly inside the box).
     """
-    points, g = _solver_inputs(points)
+    points, h = _solver_inputs(points, 1.0)
     if not 0.0 < nu <= 1.0:
         raise SolverError(f"nu must lie in (0, 1], got {nu}")
     m = points.shape[1]
     if nu * m < 1.0:
         raise SolverError(f"infeasible nu: nu*M = {nu * m:.4g} < 1")
     bound = 1.0 / (nu * m)
-    alphas = _solve_pairwise(g, np.zeros(m), bound, kkt_tol)
-    decision = g @ alphas
+    alphas = _solve_pairwise(h, np.zeros(m), bound, kkt_tol)
+    decision = h.gram_times(alphas)
     boundary = (alphas > ALPHA_TOL) & (alphas < bound - ALPHA_TOL)
     if not np.any(boundary):
         boundary = alphas > ALPHA_TOL
@@ -401,4 +509,13 @@ def ocsvm_decision(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
 
 
 def ocsvm_classify(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
-    return (ocsvm_decision(desc, y) >= 0.0).astype(np.int64)
+    """1 for columns on the target side of the hyperplane or on it, 0 otherwise.
+
+    A column counts as on the hyperplane when its decision value is at
+    least -BOUNDARY_RTOL * (|weight| |y| + |rho|), a bound on the terms of
+    weight'y - rho.
+    """
+    decision = ocsvm_decision(desc, y)
+    y = np.asarray(y, dtype=np.float64)
+    scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
+    return (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)

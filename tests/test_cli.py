@@ -164,7 +164,12 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("first", ["", "1,2,x\n"])
     def test_predict_rejects_one_empty_modality(self, tmp_path, capsys, first):
-        # The second file has rows, so the input is not empty as a whole.
+        # The second file has rows, so the input is not empty as a whole. A
+        # first row with a number in it is data, so its bad cell is reported.
+        error = {
+            "": "row-count mismatch",
+            "1,2,x\n": "e1.csv: non-numeric cell at row 1, column 3: 'x'",
+        }[first]
         paths, labels = _synth_files(tmp_path)
         cfg = _write_config(tmp_path, paths, labels)
         model_path = tmp_path / "model.json"
@@ -178,7 +183,7 @@ class TestTrainPredict:
             + ["--out", str(out)]
         )
         assert rc == 1
-        assert "row-count mismatch" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_predict_leaves_out_file_alone(self, tmp_path, capsys):

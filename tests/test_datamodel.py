@@ -118,6 +118,11 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-numeric"):
             load_dataset([tmp_path / "a.csv"])
 
+    def test_first_row_with_a_number_is_data(self, tmp_path):
+        (tmp_path / "a.csv").write_text("1,2,x\n3,4,5\n")
+        with pytest.raises(DataError, match=r"a.csv: non-numeric cell at row 1, column 3: 'x'"):
+            load_dataset([tmp_path / "a.csv"])
+
     def test_nan_cell_rejected(self, tmp_path):
         with open(tmp_path / "a.csv", "w") as fh:
             fh.write("1.0,2.0\n1.0,nan\n")

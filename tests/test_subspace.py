@@ -499,4 +499,9 @@ class TestPredict:
         assert res.distances.shape == (2, 12)
         assert res.radius_sq == model.description.radius_sq
         inside = res.distances[0] <= res.radius_sq
+        # Free support vectors lie on the sphere and count as inside whichever
+        # way their distances round. Modality 0's pooled columns are the 8
+        # targets, which come first in data.
+        free = model.description.boundary_indices
+        inside[free[free < 8]] = True
         np.testing.assert_array_equal(inside.astype(int), res.per_modality[0])

@@ -1,20 +1,36 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mssvdd import (
     FeatureMatrix,
     KernelParams,
     SolverError,
+    TrainConfig,
     npt_fit,
     ocsvm_decision,
     ocsvm_solve,
     svdd_distance_sq,
     svdd_distances_sq,
     svdd_solve,
+    synth_multimodal,
+    train,
 )
-from mssvdd.svdd import ALPHA_TOL, _solver_inputs, ocsvm_classify, svdd_classify
+from mssvdd import svdd
+from mssvdd.svdd import (
+    ALPHA_TOL,
+    LOW_RANK_RATIO,
+    _DenseHessian,
+    _FactorHessian,
+    _solve_pairwise,
+    _solver_inputs,
+    ocsvm_classify,
+    svdd_classify,
+)
 
 from oracles import (
     feasibility_violation,
@@ -145,8 +161,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 class TestGram:
-    # The solvers do not mirror the Gram, so this fails if numpy ever stops
-    # returning x.T @ x exactly symmetric.
+    # The dense Hessian form does not mirror its Gram, so this fails if numpy
+    # ever stops returning x.T @ x exactly symmetric.
     @pytest.mark.parametrize("m", [2, 9, 257, 800])
     def test_exactly_symmetric(self, m):
         rng = np.random.default_rng(m)
@@ -160,8 +176,79 @@ class TestGram:
             KernelParams(kind="gaussian", sigma=2.0),
         ).embedded
         for points in (pooled, embedded, np.asfortranarray(embedded)):
-            _, g = _solver_inputs(points)
+            g = _DenseHessian(points, 1.0).gram
             assert np.array_equal(g, g.T)
+
+
+# Hypersphere (H = 2G) and hyperplane (H = G) problems with d * ratio <= M,
+# cold or warm started.
+@st.composite
+def low_rank_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(LOW_RANK_RATIO * d, LOW_RANK_RATIO * d + 80))
+    pts = rng.uniform(-5.0, 5.0, (d, m)) + rng.uniform(-3.0, 3.0, (d, 1))
+    sphere = draw(st.booleans())
+    c = max(draw(st.sampled_from([0.05, 0.1, 0.3, 1.0])), 1.5 / m)
+    alpha0 = np.minimum(random_box_simplex(rng, m, c), c) if draw(st.booleans()) else None
+    return pts, sphere, c, alpha0
+
+
+# Forces every solve into one Hessian form.
+FORM_RATIOS = pytest.mark.parametrize("ratio", [1, 10**9], ids=["factor", "dense"])
+
+
+class TestHessianForms:
+    @pytest.mark.parametrize(
+        "shape, form",
+        [
+            ((3, 400), _FactorHessian),  # W1: pooled over 2 x 200 targets
+            ((3, 64), _DenseHessian),  # select: pooled over 2 x 32 targets
+            ((1499, 1500), _DenseHessian),  # kernelized baseline
+            ((40, 1500), _DenseHessian),  # linear baseline
+        ]
+        # Acceptance criterion 2's oracle problems.
+        + [((d, m), _DenseHessian) for d in (1, 2, 3) for m in range(2, 7)],
+    )
+    def test_rule_picks_form(self, shape, form):
+        _, h = _solver_inputs(np.zeros(shape), 2.0)
+        assert type(h) is form
+
+    @PROPERTY_SETTINGS
+    @given(low_rank_problems())
+    def test_forms_agree(self, problem):
+        pts, sphere, c, alpha0 = problem
+        g = pts.T @ pts
+        scale, lin = (2.0, np.diag(g).copy()) if sphere else (1.0, np.zeros(pts.shape[1]))
+        objective = sphere_objective if sphere else hyperplane_objective
+        tol = 1e-8
+        values = []
+        with mock.patch.object(svdd, "_face_step", wraps=svdd._face_step) as face_step:
+            for form in (_DenseHessian, _FactorHessian):
+                alpha = _solve_pairwise(form(pts, scale), lin, c, tol, alpha0)
+                assert feasibility_violation(alpha, c) <= 1e-8
+                assert kkt_violation(g, lin, scale / 2.0, alpha, c) <= tol
+                values.append(objective(g, alpha))
+        # The hyperplane optimum can be 0, so its gap is taken relative to G.
+        size = abs(values[0]) if sphere else float(np.max(np.diag(g)))
+        assert abs(values[0] - values[1]) <= 1e-12 * size
+        # Count only examples that reached the face step.
+        assume(face_step.call_count > 0)
+
+    def test_low_rank_solve_forms_no_gram(self):
+        # A warm solve as in training: the previous alphas, slightly moved columns.
+        rng = np.random.default_rng(40)
+        pts = rng.standard_normal((3, 4000))
+        alpha0 = svdd_solve(pts, 0.01).alphas
+        moved = pts + 1e-3 * rng.standard_normal(pts.shape)
+        tracemalloc.start()
+        try:
+            svdd_solve(moved, 0.01, alpha0=alpha0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 4000 x 4000 float64 array is 128 MB.
+        assert peak < 8 * 2**20
 
 
 class TestWarmStart:
@@ -226,6 +313,38 @@ class TestSvddDistance:
         dists = svdd_distances_sq(desc, pts[:, desc.boundary_indices])
         np.testing.assert_allclose(dists, desc.radius_sq, atol=1e-6)
 
+    @FORM_RATIOS
+    def test_free_support_vectors_classify_inside(self, monkeypatch, ratio):
+        monkeypatch.setattr(svdd, "LOW_RANK_RATIO", ratio)
+        # W1: seeds 1, 2 and 7 each put a free support vector a few ulp
+        # outside the sphere without the rounding allowance.
+        config = TrainConfig(
+            d=3,
+            eta=1e-3,
+            beta=1e-2,
+            c_penalty=0.1,
+            max_iter=20,
+            update_strategy="AD-+",
+            regularizer="w4",
+            kernelized=True,
+            kernel_params=KernelParams(kind="composite", gamma=0.5, sigma=10.0),
+        )
+        descs = [
+            train(synth_multimodal(200, 100, 2, [20, 20], 3.0, seed), config).description
+            for seed in (1, 2, 7)
+        ]
+        # The linear baseline's fused features, and their first three rows.
+        # Seed 3's full solve ends with free support vectors up to 421 ulp out.
+        for seed in (3, 5):
+            fused = np.vstack(
+                [m.values for m in synth_multimodal(400, 1, 2, [20, 20], 3.0, seed).modalities]
+            )[:, :400]
+            descs += [svdd_solve(fused, 0.01), svdd_solve(fused[:3], 0.01)]
+        for desc in descs:
+            assert desc.boundary_indices.size > 0
+            sv = desc.train_points[:, desc.boundary_indices]
+            np.testing.assert_array_equal(svdd_classify(desc, sv), 1)
+
     def test_boundary_inclusive_classification(self):
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
         labels = svdd_classify(desc, np.array([[1.0, -1.0, 0.0, 1.1]]))
@@ -272,6 +391,19 @@ class TestOcsvm:
             bound = 1.0 / (nu * m)
             assert feasibility_violation(desc.alphas, bound) <= 1e-8
             assert kkt_violation(g, np.zeros(m), 0.5, desc.alphas, bound) <= 1e-6
+
+    @FORM_RATIOS
+    def test_boundary_support_vectors_classify_target(self, monkeypatch, ratio):
+        monkeypatch.setattr(svdd, "LOW_RANK_RATIO", ratio)
+        # Each of these puts a free support vector on the negative side of
+        # the hyperplane, by rounding alone, in one form or both.
+        cases = [(2, 25, 0.3, 0), (3, 200, 0.1, 1), (4, 160, 0.3, 1), (5, 300, 0.2, 2), (5, 400, 0.1, 2)]
+        for d, m, nu, seed in cases:
+            pts = np.random.default_rng(seed).standard_normal((d, m)) + 5.0
+            desc = ocsvm_solve(pts, nu)
+            assert desc.boundary_indices.size > 0
+            sv = pts[:, desc.boundary_indices]
+            np.testing.assert_array_equal(ocsvm_classify(desc, sv), 1)
 
     def test_infeasible_nu(self):
         with pytest.raises(SolverError):
