@@ -33,13 +33,17 @@ from .svdd import (
 class BaselineModel:
     """Trained hypersphere or hyperplane baseline over fused features."""
 
-    kind: str
     description: Union[DataDescription, HyperplaneDescription]
     config: TrainConfig
     npt_state: Optional[NptState] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     n_modalities: int = 1
     warning: Optional[str] = None
+
+    @property
+    def kind(self) -> str:
+        """The config's model kind, "svdd" or "ocsvm"."""
+        return self.config.model_kind
 
 
 def fuse_features(data: MultiModalDataset) -> np.ndarray:
@@ -75,7 +79,6 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     else:
         description = ocsvm_solve(points, config.nu, config.kkt_tol)
     return BaselineModel(
-        kind=config.model_kind,
         description=description,
         config=config,
         npt_state=npt_state,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -209,10 +209,13 @@ def predict_model(
     return predict_baseline(model, data)
 
 
+def _max_known(values: Iterable[Optional[float]]) -> Optional[float]:
+    """The largest of values that is not None; None when there is none."""
+    return max((v for v in values if v is not None), default=None)
+
+
 def _model_max_ortho(model: Model) -> Optional[float]:
-    if isinstance(model, SubspaceModel) and model.ortho_errors:
-        return max(model.ortho_errors)
-    return None
+    return _max_known(model.ortho_errors) if isinstance(model, SubspaceModel) else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +226,43 @@ def _model_max_ortho(model: Model) -> Optional[float]:
 class EvalReport:
     """Per-fold and aggregate evaluation of one configuration.
 
-    mean_metrics averages the per-fold metrics (the headline convention);
-    pooled_metrics recomputes them from the pooled confusion matrix. The
-    two need not agree and both are kept.
+    Stores the fold confusion matrices and plan; every metric derives from
+    them. mean_metrics averages the per-fold metrics (the headline
+    convention); pooled_metrics recomputes them from the pooled confusion
+    matrix. The two need not agree and both are reported.
     """
 
-    k: int
-    seed: int
     config: TrainConfig
-    fold_metrics: list[MetricSet]
     fold_confusions: list[ConfusionMatrix]
-    mean_metrics: MetricSet
-    pooled_confusion: ConfusionMatrix
-    pooled_metrics: MetricSet
     fold_plan: FoldPlan
     normalize: bool = False
     max_ortho_error: Optional[float] = None
     fold_configs: Optional[list[TrainConfig]] = None
     selection: Optional[str] = None
+
+    @property
+    def k(self) -> int:
+        return self.fold_plan.k
+
+    @property
+    def seed(self) -> int:
+        return self.fold_plan.seed
+
+    @property
+    def fold_metrics(self) -> list[MetricSet]:
+        return [compute_metrics(cm) for cm in self.fold_confusions]
+
+    @property
+    def mean_metrics(self) -> MetricSet:
+        return mean_metrics(self.fold_metrics)
+
+    @property
+    def pooled_confusion(self) -> ConfusionMatrix:
+        return sum(self.fold_confusions[1:], self.fold_confusions[0])
+
+    @property
+    def pooled_metrics(self) -> MetricSet:
+        return compute_metrics(self.pooled_confusion)
 
 
 def _cv_plan(data: MultiModalDataset, k: int, seed: int) -> FoldPlan:
@@ -339,8 +361,7 @@ def _cv_confusions(
             results.append(failed[0])
             continue
         confusions = [[o[0][i] for o in outcomes] for i in range(len(configs))]
-        orthos = [o[1] for o in outcomes if o[1] is not None]
-        results.append((confusions, max(orthos) if orthos else None))
+        results.append((confusions, _max_known(o[1] for o in outcomes)))
     return results
 
 
@@ -361,19 +382,9 @@ def run_cv(
     if isinstance(outcome, ToolkitError):
         raise outcome
     (fold_confusions,), max_ortho = outcome
-    fold_metrics = [compute_metrics(cm) for cm in fold_confusions]
-    pooled = fold_confusions[0]
-    for cm in fold_confusions[1:]:
-        pooled = pooled + cm
     return EvalReport(
-        k=k,
-        seed=seed,
         config=config,
-        fold_metrics=fold_metrics,
         fold_confusions=fold_confusions,
-        mean_metrics=mean_metrics(fold_metrics),
-        pooled_confusion=pooled,
-        pooled_metrics=compute_metrics(pooled),
         fold_plan=plan,
         normalize=normalize,
         max_ortho_error=max_ortho,
@@ -648,23 +659,20 @@ def _cell_label(config: TrainConfig) -> str:
 
 def _nested_fold_task(
     args: tuple[MultiModalDataset, FoldPlan, int, GridSpec, TrainConfig, int, int, bool]
-) -> tuple[int, TrainConfig, ConfusionMatrix, Optional[float], list[GridCell]]:
+) -> tuple[TrainConfig, ConfusionMatrix, Optional[float]]:
+    """One outer fold: the inner search's winner, its confusion matrix on
+    the fold's test split and the max ortho error of every fit made."""
     data, plan, fold, grid, base, inner_k, seed, normalize = args
-    train_set = data.subset(plan.train_indices(fold))
-    test_set = data.subset(plan.test_indices(fold))
     search = grid_search(
-        train_set, grid, base, inner_k=inner_k, seed=seed, normalize=normalize
+        data.subset(plan.train_indices(fold)), grid, base,
+        inner_k=inner_k, seed=seed, normalize=normalize,
     )
-    model = fit_model(train_set, search.best_config, normalize=normalize)
-    result = predict_model(model, test_set)
-    cm = confusion_from_labels(test_set.labels, result.fused)
-    orthos = [
-        c.max_ortho_error for c in search.cells if c.max_ortho_error is not None
-    ]
-    fit_ortho = _model_max_ortho(model)
-    if fit_ortho is not None:
-        orthos.append(fit_ortho)
-    return fold, search.best_config, cm, (max(orthos) if orthos else None), search.cells
+    (outcome,) = _fold_outcomes((data, plan, fold, [[search.best_config]], normalize))
+    if isinstance(outcome, ToolkitError):
+        raise outcome
+    (cm,), fit_ortho = outcome
+    orthos = [c.max_ortho_error for c in search.cells] + [fit_ortho]
+    return search.best_config, cm, _max_known(orthos)
 
 
 def nested_cv(
@@ -694,41 +702,25 @@ def nested_cv(
         )
         report = run_cv(data, search.best_config, k=outer_k, seed=seed,
                         normalize=normalize)
-        orthos = [
-            c.max_ortho_error for c in search.cells if c.max_ortho_error is not None
-        ]
-        if report.max_ortho_error is not None:
-            orthos.append(report.max_ortho_error)
-        report.max_ortho_error = max(orthos) if orthos else None
-        report.fold_configs = [search.best_config] * outer_k
-        report.selection = "global"
-        return report
+        orthos = [c.max_ortho_error for c in search.cells] + [report.max_ortho_error]
+        return replace(
+            report,
+            max_ortho_error=_max_known(orthos),
+            fold_configs=[search.best_config] * outer_k,
+            selection="global",
+        )
     tasks = [
         (data, plan, fold, grid, base, inner_k, seed, normalize)
         for fold in range(outer_k)
     ]
     rows = _pmap(_nested_fold_task, tasks, workers)
-    rows.sort(key=lambda r: r[0])
-    fold_configs = [r[1] for r in rows]
-    fold_confusions = [r[2] for r in rows]
-    fold_metrics = [compute_metrics(cm) for cm in fold_confusions]
-    orthos = [r[3] for r in rows if r[3] is not None]
-    pooled = fold_confusions[0]
-    for cm in fold_confusions[1:]:
-        pooled = pooled + cm
     return EvalReport(
-        k=outer_k,
-        seed=seed,
         config=base,
-        fold_metrics=fold_metrics,
-        fold_confusions=fold_confusions,
-        mean_metrics=mean_metrics(fold_metrics),
-        pooled_confusion=pooled,
-        pooled_metrics=compute_metrics(pooled),
+        fold_confusions=[r[1] for r in rows],
         fold_plan=plan,
         normalize=normalize,
-        max_ortho_error=max(orthos) if orthos else None,
-        fold_configs=fold_configs,
+        max_ortho_error=_max_known(r[2] for r in rows),
+        fold_configs=[r[0] for r in rows],
         selection="nested",
     )
 

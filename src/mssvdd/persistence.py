@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import BaselineModel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset
 from .errors import PersistenceError
-from .evaluation import ConfusionMatrix, EvalReport, MetricSet
+from .evaluation import ConfusionMatrix, EvalReport
 from .kernels import KernelParams, NptState
 from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig
 from .svdd import DataDescription, HyperplaneDescription
@@ -111,44 +111,41 @@ def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     )
 
 
+# A model's kind is config.model_kind. Its file also states the
+# model_class and description kind that kind implies (and a baseline's
+# baseline_kind); loading checks each against it.
+_KIND_TAGS = {
+    "subspace": ("subspace", "sphere"),
+    "svdd": ("baseline", "sphere"),
+    "ocsvm": ("baseline", "hyperplane"),
+}
+# Description kind -> class and the scalars stored beside its arrays.
+_DESCRIPTIONS = {
+    "sphere": (DataDescription, ("c_penalty", "radius_sq")),
+    "hyperplane": (HyperplaneDescription, ("rho", "nu")),
+}
+
+
 def _description_to_dict(
-    desc: Union[DataDescription, HyperplaneDescription]
+    desc: Union[DataDescription, HyperplaneDescription], kind: str
 ) -> dict[str, Any]:
-    if isinstance(desc, DataDescription):
-        return {
-            "kind": "sphere",
-            "alphas": _encode_array(desc.alphas),
-            "c_penalty": desc.c_penalty,
-            "radius_sq": desc.radius_sq,
-            "train_points": _encode_array(desc.train_points),
-        }
     return {
-        "kind": "hyperplane",
+        "kind": kind,
         "alphas": _encode_array(desc.alphas),
-        "rho": desc.rho,
-        "nu": desc.nu,
         "train_points": _encode_array(desc.train_points),
+        **{name: getattr(desc, name) for name in _DESCRIPTIONS[kind][1]},
     }
 
 
 def _description_from_dict(
-    obj: dict[str, Any]
+    obj: dict[str, Any], kind: str
 ) -> Union[DataDescription, HyperplaneDescription]:
-    if obj["kind"] == "sphere":
-        return DataDescription(
-            alphas=_decode_array(obj["alphas"]),
-            c_penalty=float(obj["c_penalty"]),
-            radius_sq=float(obj["radius_sq"]),
-            train_points=_decode_array(obj["train_points"]),
-        )
-    if obj["kind"] == "hyperplane":
-        return HyperplaneDescription(
-            alphas=_decode_array(obj["alphas"]),
-            rho=float(obj["rho"]),
-            nu=float(obj["nu"]),
-            train_points=_decode_array(obj["train_points"]),
-        )
-    raise PersistenceError(f"unknown description kind {obj['kind']!r}")
+    cls, scalars = _DESCRIPTIONS[kind]
+    return cls(
+        alphas=_decode_array(obj["alphas"]),
+        train_points=_decode_array(obj["train_points"]),
+        **{name: float(obj[name]) for name in scalars},
+    )
 
 
 def _scaler_to_jsonable(scaler) -> Optional[list]:
@@ -170,11 +167,13 @@ def model_to_dict(
     model: Union[SubspaceModel, BaselineModel],
     provenance: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
+    model_class, description_kind = _KIND_TAGS[model.config.model_kind]
     common = {
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": _tool_version(),
+        "model_class": model_class,
         "config": config_to_dict(model.config),
-        "description": _description_to_dict(model.description),
+        "description": _description_to_dict(model.description, description_kind),
         "scaler": _scaler_to_jsonable(model.scaler),
         "provenance": provenance or {},
         "warning": model.warning,
@@ -182,7 +181,6 @@ def model_to_dict(
     if isinstance(model, SubspaceModel):
         common.update(
             {
-                "model_class": "subspace",
                 "projections": [_encode_array(p.q) for p in model.projections],
                 "npt_states": (
                     None
@@ -195,7 +193,6 @@ def model_to_dict(
     else:
         common.update(
             {
-                "model_class": "baseline",
                 "baseline_kind": model.kind,
                 "n_modalities": model.n_modalities,
                 "npt_state": (
@@ -220,9 +217,21 @@ def _check_version(obj: dict[str, Any], kind: str, readable: tuple[int, ...]) ->
 def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
     _check_version(obj, "model", _READABLE_MODEL_VERSIONS)
     config = config_from_dict(obj["config"])
-    description = _description_from_dict(obj["description"])
+    kind = config.model_kind
+    model_class, description_kind = _KIND_TAGS[kind]
+    for tag, stated, implied in (
+        ("model_class", obj["model_class"], model_class),
+        ("baseline_kind", obj.get("baseline_kind"), None if kind == "subspace" else kind),
+        ("description kind", obj["description"]["kind"], description_kind),
+    ):
+        if stated != implied:
+            raise PersistenceError(
+                f"model file states {tag} {stated!r}, but its config's "
+                f"model_kind {kind!r} implies {implied!r}"
+            )
+    description = _description_from_dict(obj["description"], description_kind)
     scaler = _scaler_from_jsonable(obj.get("scaler"))
-    if obj["model_class"] == "subspace":
+    if model_class == "subspace":
         return SubspaceModel(
             projections=[
                 ProjectionMatrix(_decode_array(p)) for p in obj["projections"]
@@ -238,21 +247,18 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
             ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
             warning=obj.get("warning"),
         )
-    if obj["model_class"] == "baseline":
-        return BaselineModel(
-            kind=obj["baseline_kind"],
-            description=description,
-            config=config,
-            npt_state=(
-                None
-                if obj["npt_state"] is None
-                else _npt_state_from_dict(obj["npt_state"])
-            ),
-            scaler=scaler,
-            n_modalities=int(obj["n_modalities"]),
-            warning=obj.get("warning"),
-        )
-    raise PersistenceError(f"unknown model class {obj['model_class']!r}")
+    return BaselineModel(
+        description=description,
+        config=config,
+        npt_state=(
+            None
+            if obj["npt_state"] is None
+            else _npt_state_from_dict(obj["npt_state"])
+        ),
+        scaler=scaler,
+        n_modalities=int(obj["n_modalities"]),
+        warning=obj.get("warning"),
+    )
 
 
 def _dump_json(obj: dict[str, Any]) -> str:
@@ -345,21 +351,12 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
 
 def report_from_dict(obj: dict[str, Any]) -> EvalReport:
     _check_version(obj, "report", (REPORT_FORMAT_VERSION,))
-    fold_confusions = [
-        ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
-        for c in obj["fold_confusions"]
-    ]
-    fold_metrics = [MetricSet(**m) for m in obj["fold_metrics"]]
-    pooled = ConfusionMatrix(**obj["pooled_confusion"])
     return EvalReport(
-        k=int(obj["k"]),
-        seed=int(obj["seed"]),
         config=config_from_dict(obj["config"]),
-        fold_metrics=fold_metrics,
-        fold_confusions=fold_confusions,
-        mean_metrics=MetricSet(**obj["mean_metrics"]),
-        pooled_confusion=pooled,
-        pooled_metrics=MetricSet(**obj["pooled_metrics"]),
+        fold_confusions=[
+            ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
+            for c in obj["fold_confusions"]
+        ],
         fold_plan=FoldPlan(
             k=int(obj["k"]),
             assignment=np.array(obj["fold_assignment"], dtype=np.int64),

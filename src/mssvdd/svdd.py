@@ -59,11 +59,12 @@ BOUND_SNAP = 1e-12
 # Relative least-squares residual above which the face system is inconsistent.
 FACE_CONSISTENCY_TOL = 1e-10
 # Classification accepts a point this far outside the boundary, relative to
-# the magnitudes of the terms of its distance or decision value. Free
-# support vectors lie on the boundary by construction, up to the rounding
-# of the solve's last face step. Measured outside it by at most 21 ulp of
-# those magnitudes on W1 and select-shaped problems, 68 on kernel-embedded
-# baselines and 421 on linear ones (d = 40); kkt_tol is 1e-6 or more.
+# the magnitudes of the terms of its distance or decision value. The
+# allowance absorbs rounding only. A free support vector lies on the
+# boundary only to within the solve's kkt_tol, so it may classify as an
+# outlier: a kernel-embedded ocsvm (600 targets, composite sigma = 3,
+# nu = 0.1) put 297 of its 600 free SVs outside, and a full-rank svdd
+# (200 x 300 Gaussian points, C = 0.01) 8 of its 24.
 BOUNDARY_RTOL = 1024 * np.finfo(np.float64).eps
 
 
@@ -315,6 +316,36 @@ def _solve_pairwise(
     return alpha
 
 
+def _freeze(desc, upper: float) -> np.ndarray:
+    """Set a description's read-only alphas, train_points, support and
+    boundary indices (0 < alpha < upper, up to ALPHA_TOL); return
+    train_points @ alphas, read-only."""
+    alphas = np.asarray(desc.alphas, dtype=np.float64).copy()
+    pts = np.ascontiguousarray(desc.train_points, dtype=np.float64)
+    if alphas.shape != (pts.shape[1],):
+        raise SolverError("alphas length must match the training columns")
+    support = np.flatnonzero(alphas > ALPHA_TOL)
+    boundary = np.flatnonzero((alphas > ALPHA_TOL) & (alphas < upper - ALPHA_TOL))
+    product = pts @ alphas
+    for name, a in (("alphas", alphas), ("train_points", pts),
+                    ("support_indices", support), ("boundary_indices", boundary)):
+        a.setflags(write=False)
+        object.__setattr__(desc, name, a)
+    product.setflags(write=False)
+    return product
+
+
+def _query(desc, y: np.ndarray) -> np.ndarray:
+    """y as a float d x M matrix, d the description's dimension."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != desc.train_points.shape[0]:
+        raise SolverError(
+            f"dimension mismatch: description is {desc.train_points.shape[0]}-d, "
+            f"query shape {y.shape}"
+        )
+    return y
+
+
 @dataclass(frozen=True)
 class DataDescription:
     """Solved hypersphere description of a point cloud.
@@ -336,23 +367,7 @@ class DataDescription:
     center_sq: float = field(init=False)
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64).copy()
-        pts = np.ascontiguousarray(self.train_points, dtype=np.float64)
-        if alphas.shape != (pts.shape[1],):
-            raise SolverError("alphas length must match the training columns")
-        alphas.setflags(write=False)
-        pts.setflags(write=False)
-        support = np.flatnonzero(alphas > ALPHA_TOL)
-        boundary = np.flatnonzero(
-            (alphas > ALPHA_TOL) & (alphas < self.c_penalty - ALPHA_TOL)
-        )
-        center = pts @ alphas
-        for a in (support, boundary, center):
-            a.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "train_points", pts)
-        object.__setattr__(self, "support_indices", support)
-        object.__setattr__(self, "boundary_indices", boundary)
+        center = _freeze(self, self.c_penalty)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "center_sq", float(center @ center))
 
@@ -407,12 +422,7 @@ def svdd_solve(
 
 def svdd_distances_sq(desc: DataDescription, y: np.ndarray) -> np.ndarray:
     """Squared distances of the columns of y (d x M) to the sphere center."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != desc.train_points.shape[0]:
-        raise SolverError(
-            f"dimension mismatch: description is {desc.train_points.shape[0]}-d, "
-            f"query shape {y.shape}"
-        )
+    y = _query(desc, y)
     y_sq = np.sum(y * y, axis=0)
     return y_sq - 2.0 * (desc.center @ y) + desc.center_sq
 
@@ -454,22 +464,8 @@ class HyperplaneDescription:
     weight: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64).copy()
-        pts = np.ascontiguousarray(self.train_points, dtype=np.float64)
-        if alphas.shape != (pts.shape[1],):
-            raise SolverError("alphas length must match the training columns")
-        alphas.setflags(write=False)
-        pts.setflags(write=False)
-        bound = 1.0 / (self.nu * pts.shape[1])
-        support = np.flatnonzero(alphas > ALPHA_TOL)
-        boundary = np.flatnonzero(
-            (alphas > ALPHA_TOL) & (alphas < bound - ALPHA_TOL)
-        )
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "train_points", pts)
-        object.__setattr__(self, "support_indices", support)
-        object.__setattr__(self, "boundary_indices", boundary)
-        object.__setattr__(self, "weight", pts @ alphas)
+        bound = 1.0 / (self.nu * np.shape(self.train_points)[1])
+        object.__setattr__(self, "weight", _freeze(self, bound))
 
 
 def ocsvm_solve(
@@ -499,12 +495,7 @@ def ocsvm_solve(
 
 def ocsvm_decision(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
     """Decision values for the columns of y; >= 0 means target."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != desc.train_points.shape[0]:
-        raise SolverError(
-            f"dimension mismatch: description is {desc.train_points.shape[0]}-d, "
-            f"query shape {y.shape}"
-        )
+    y = _query(desc, y)
     return desc.weight @ y - desc.rho
 
 

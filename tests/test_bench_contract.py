@@ -1,0 +1,69 @@
+"""The names the benchmark (bench/) reaches into the library by.
+
+bench/tracing.py rebinds module attributes by name, rebuilds solved
+descriptions by keyword and reads their fields; the workloads read
+BaselineModel.kind. A rename in the library breaks the benchmark without
+breaking anything else, so these tests pin each of those names. The
+benchmark's files are only read here.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mssvdd import TrainConfig, fit_model, synth_multimodal
+from mssvdd.svdd import DEFAULT_KKT_TOL, ocsvm_solve, svdd_solve
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    yield module
+    del sys.modules[spec.name]
+
+
+def test_every_traced_binding_resolves(tracing):
+    assert tracing.BINDINGS
+    for module_name, attr, _, _ in tracing.BINDINGS:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(fn), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+def test_solves_pass_kkt_check_and_rebuild(tracing, kind):
+    points = np.random.default_rng(0).standard_normal((3, 60))
+    if kind == "svdd":
+        desc = svdd_solve(points, 0.1)
+        scalars = {"c_penalty": desc.c_penalty, "radius_sq": desc.radius_sq}
+    else:
+        desc = ocsvm_solve(points, 0.2)
+        scalars = {"rho": desc.rho, "nu": desc.nu}
+    violation = tracing.kkt_violation(kind, desc)
+    assert violation <= DEFAULT_KKT_TOL * (1.0 + tracing.KKT_SLACK)
+    assert tracing.kkt_problems([(kind, desc, DEFAULT_KKT_TOL)], 0) == (violation, [])
+
+    # The selfcheck's keyword rebuild, with unsolved (uniform) alphas.
+    uniform = np.full(desc.alphas.size, 1.0 / desc.alphas.size)
+    worse = type(desc)(alphas=uniform, train_points=desc.train_points, **scalars)
+    assert tracing.kkt_violation(kind, worse) > 1e-3
+
+
+@pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+def test_baseline_kind_is_model_kind(kind):
+    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=1)
+    model = fit_model(data, TrainConfig(model_kind=kind, c_penalty=0.5, nu=0.3))
+    assert model.kind == kind == model.config.model_kind

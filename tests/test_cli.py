@@ -6,6 +6,7 @@ import pytest
 
 from mssvdd import load_dataset, load_model, pca_init, predict_model, svdd_solve
 from mssvdd.cli import main
+from test_persistence import RETAGGINGS, write_retagged
 
 
 def _read(path):
@@ -205,6 +206,23 @@ class TestTrainPredict:
         out.write_text("earlier predictions\n")
         assert main(argv) == 1
         assert out.read_text() == "earlier predictions\n"
+
+    @pytest.mark.parametrize("case", sorted(RETAGGINGS))
+    def test_predict_rejects_retagged_model(self, tmp_path, capsys, case):
+        model_path = write_retagged(tmp_path, case)
+        rng = np.random.default_rng(0)
+        csvs = []
+        for v in range(2):
+            csv = tmp_path / f"m{v}.csv"
+            np.savetxt(csv, rng.standard_normal((5, 3)), delimiter=",")
+            csvs += ["--data", str(csv)]
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model_path)] + csvs + ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert RETAGGINGS[case][3] in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_train_round_trip_predictions_identical(self, tmp_path):
         paths, labels = _synth_files(tmp_path)

@@ -27,6 +27,7 @@ from mssvdd.evaluation import (
     fit_model,
     grid_table_to_csv,
     mean_metrics,
+    predict_model,
     report_to_csv,
     report_to_text,
 )
@@ -545,6 +546,57 @@ class TestNestedCv:
         b = nested_cv(data, grid, base, outer_k=3, inner_k=3, seed=30)
         assert a.fold_metrics == b.fold_metrics
         assert a.fold_configs == b.fold_configs
+
+    @pytest.mark.parametrize("kernelized", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_outer_folds_match_separate_fits(self, normalize, kernelized):
+        # Oracle: search each outer training split, refit its winner on the
+        # whole split, predict the test split.
+        data = synth_multimodal(16, 14, 2, [3, 3], 3.0, seed=33)
+        grid = GridSpec(
+            sigma_grid=(1.0, 5.0),
+            eta_grid=(0.01,),
+            beta_grid=(0.1,),
+            c_grid=(0.3, 0.6),
+            d_grid=(1, 2),
+            update_strategies=("SD-",),
+            regularizers=("w4",),
+            decision_strategies=("ds1", "ds2"),
+        )
+        base = TrainConfig(
+            max_iter=2, kernelized=kernelized, kernel_params=KernelParams("composite")
+        )
+        report = nested_cv(
+            data, grid, base, outer_k=3, inner_k=3, seed=34, normalize=normalize
+        )
+        plan = stratified_folds(data.labels, 3, 34)
+        confusions, configs, orthos = [], [], []
+        for fold in range(3):
+            train = data.subset(plan.train_indices(fold))
+            test = data.subset(plan.test_indices(fold))
+            search = grid_search(
+                train, grid, base, inner_k=3, seed=34, normalize=normalize
+            )
+            model = fit_model(train, search.best_config, normalize=normalize)
+            result = predict_model(model, test)
+            confusions.append(confusion_from_labels(test.labels, result.fused))
+            configs.append(search.best_config)
+            orthos += [c.max_ortho_error for c in search.cells]
+            orthos += model.ortho_errors
+        assert report.fold_confusions == confusions
+        assert report.fold_configs == configs
+        assert report.max_ortho_error == max(o for o in orthos if o is not None)
+
+        glob = nested_cv(
+            data, grid, base, outer_k=3, inner_k=3, seed=34, normalize=normalize,
+            selection="global",
+        )
+        best = grid_search(
+            data, grid, base, inner_k=3, seed=34, normalize=normalize
+        ).best_config
+        fixed = run_cv(data, best, k=3, seed=34, normalize=normalize)
+        assert glob.fold_confusions == fixed.fold_confusions
+        assert glob.fold_configs == [best] * 3
 
     @pytest.mark.parametrize("protocol", ["fixed", "nested", "global"])
     def test_one_class_data_rejected(self, protocol):

@@ -25,6 +25,35 @@ from mssvdd.persistence import (
 )
 
 
+# Retaggings of a saved model file: case -> (model kind, key, new value,
+# the tag the error names). A None value takes a saved ocsvm model's
+# hyperplane description.
+RETAGGINGS = {
+    "ocsvm-tagged-svdd": ("ocsvm", "baseline_kind", "svdd", "baseline_kind"),
+    "svdd-tagged-ocsvm": ("svdd", "baseline_kind", "ocsvm", "baseline_kind"),
+    "subspace-with-hyperplane": ("subspace", "description", None, "description kind"),
+    "ocsvm-tagged-bogus": ("ocsvm", "baseline_kind", "bogus", "baseline_kind"),
+    "svdd-tagged-subspace": ("svdd", "model_class", "subspace", "model_class"),
+}
+
+
+def write_retagged(tmp_path, case):
+    """Path of a saved two-modality (3 + 3 features) model, retagged per case."""
+    kind, key, value, _ = RETAGGINGS[case]
+    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=11)
+    path = tmp_path / f"{case}.json"
+
+    def saved(kind):
+        config = TrainConfig(model_kind=kind, d=2, c_penalty=0.5, max_iter=2, nu=0.3)
+        save_model(fit_model(data, config), path)
+        return json.loads(path.read_text())
+
+    obj = saved(kind)
+    obj[key] = saved("ocsvm")["description"] if value is None else value
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def _predictions_equal(a, b):
     np.testing.assert_array_equal(a.fused, b.fused)
     np.testing.assert_array_equal(a.per_modality, b.per_modality)
@@ -150,6 +179,13 @@ class TestModelRoundTrip:
         with pytest.raises(PersistenceError, match="malformed .*bad.json"):
             loader(path)
 
+    @pytest.mark.parametrize("case", sorted(RETAGGINGS))
+    def test_retagged_kind_rejected(self, tmp_path, case):
+        # config.model_kind states the kind; every other tag must agree.
+        path = write_retagged(tmp_path, case)
+        with pytest.raises(PersistenceError, match=f"states {RETAGGINGS[case][3]} "):
+            load_model(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")
@@ -225,6 +261,28 @@ class TestReportRoundTrip:
         np.testing.assert_array_equal(
             back.fold_plan.assignment, report.fold_plan.assignment
         )
+
+    def test_metrics_derive_from_confusions(self, tmp_path):
+        data = synth_multimodal(15, 10, 2, [3, 3], 4.0, seed=11)
+        report = run_cv(
+            data, TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2), k=5, seed=12
+        )
+        path, again = tmp_path / "report.json", tmp_path / "again.json"
+        save_report(report, path)
+        save_report(load_report(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+        # The stored metric blocks are output only; loading recomputes them.
+        obj = json.loads(path.read_text())
+        obj["mean_metrics"]["gm"] = obj["pooled_metrics"]["gm"] = 2.0
+        obj["fold_metrics"][0]["sen"] = -1.0
+        obj["pooled_confusion"]["tp"] = 0
+        path.write_text(json.dumps(obj))
+        back = load_report(path)
+        assert back.mean_metrics == report.mean_metrics
+        assert back.fold_metrics == report.fold_metrics
+        assert back.pooled_confusion == report.pooled_confusion
+        assert back.pooled_metrics == report.pooled_metrics
 
     def test_dataset_digest_sensitivity(self):
         a = synth_multimodal(10, 5, 1, [3], 3.0, seed=13)
