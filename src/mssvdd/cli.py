@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -25,7 +26,7 @@ from .datamodel import (
     synth_multimodal,
     _load_matrices,
 )
-from .errors import ConfigError, DataError, ToolkitError
+from .errors import ConfigError, DataError, ToolkitError, typed
 from .evaluation import (
     GridSpec,
     default_grid,
@@ -51,44 +52,33 @@ from .subspace import TrainConfig
 
 WORKERS_ENV = "MSSVDD_WORKERS"
 
-_CONFIG_KEYS = {
-    "modality_csvs",
-    "label_csv",
-    "target_label",
-    "model",
-    "kernelized",
-    "kernel",
-    "gamma",
-    "sigma",
-    "kappa",
-    "theta",
-    "d",
-    "eta",
-    "beta",
-    "c",
-    "nu",
-    "max_iter",
-    "update_strategy",
-    "regularizer",
-    "decision_strategy",
-    "kkt_tol",
-    "normalize",
-    "outer_folds",
-    "inner_folds",
-    "seed",
-    "selection",
-    "grid",
+# Flat config key -> the TrainConfig field it sets; "kernel_params.x" is a
+# KernelParams field. A key left out takes the dataclass default.
+_MODEL_KEYS = {
+    "model": "model_kind",
+    "c": "c_penalty",
+    "kernel": "kernel_params.kind",
+    **{key: f"kernel_params.{key}" for key in ("gamma", "sigma", "kappa", "theta")},
+    **{key: key for key in (
+        "kernelized", "d", "eta", "beta", "nu", "max_iter", "update_strategy",
+        "regularizer", "decision_strategy", "kkt_tol",
+    )},
 }
 
+# Experiment keys and their JSON types; TrainConfig types the model keys.
+_EXPERIMENT_KEYS = {
+    "modality_csvs": list, "label_csv": str, "target_label": int, "normalize": bool,
+    "outer_folds": int, "inner_folds": int, "seed": int, "selection": str, "grid": dict,
+}
+
+_CONFIG_KEYS = _MODEL_KEYS.keys() | _EXPERIMENT_KEYS.keys()
+
+# Grid config key -> GridSpec axis.
 _GRID_KEYS = {
-    "sigma",
-    "eta",
-    "beta",
-    "c",
-    "d",
-    "update_strategies",
-    "regularizers",
-    "decision_strategies",
+    **{key: f"{key}_grid" for key in ("sigma", "eta", "beta", "c", "d")},
+    **{key: key for key in (
+        "update_strategies", "regularizers", "decision_strategies"
+    )},
 }
 
 
@@ -116,6 +106,17 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in _EXPERIMENT_KEYS.keys() & cfg.keys():
+        typed(key, cfg[key], (_EXPERIMENT_KEYS[key],), ConfigError)
+    for csv_path in cfg.get("modality_csvs", []):
+        typed("modality_csvs entry", csv_path, (str,), ConfigError)
+    grid = cfg.get("grid", {})
+    unknown = set(grid) - _GRID_KEYS.keys()
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid {key} must be a non-empty list, got {values!r}")
     return cfg
 
 
@@ -135,49 +136,18 @@ def _merge_overrides(cfg: dict[str, Any], args: argparse.Namespace) -> dict[str,
 
 
 def _train_config(cfg: dict[str, Any]) -> TrainConfig:
-    kp = KernelParams(
-        kind=cfg.get("kernel", "composite"),
-        gamma=float(cfg.get("gamma", 0.5)),
-        sigma=float(cfg.get("sigma", 1.0)),
-        kappa=(None if cfg.get("kappa") is None else float(cfg["kappa"])),
-        theta=float(cfg.get("theta", 0.0)),
-    )
-    return TrainConfig(
-        d=int(cfg.get("d", 2)),
-        eta=float(cfg.get("eta", 0.1)),
-        beta=float(cfg.get("beta", 0.0)),
-        c_penalty=float(cfg.get("c", 0.3)),
-        max_iter=int(cfg.get("max_iter", 20)),
-        update_strategy=cfg.get("update_strategy", "SD-"),
-        regularizer=cfg.get("regularizer", "w0"),
-        kernelized=bool(cfg.get("kernelized", False)),
-        kernel_params=kp,
-        decision_strategy=cfg.get("decision_strategy", "ds1"),
-        model_kind=cfg.get("model", "subspace"),
-        nu=float(cfg.get("nu", 0.5)),
-        kkt_tol=float(cfg.get("kkt_tol", 1e-6)),
-    )
+    top: dict[str, Any] = {}
+    kernel: dict[str, Any] = {}
+    for key in _MODEL_KEYS.keys() & cfg.keys():
+        owner, _, name = _MODEL_KEYS[key].rpartition(".")
+        (kernel if owner else top)[name] = cfg[key]
+    return TrainConfig(**top, kernel_params=KernelParams(**kernel))
 
 
 def _grid_spec(cfg: dict[str, Any], data: MultiModalDataset, base: TrainConfig) -> GridSpec:
-    grid_cfg = cfg.get("grid") or {}
-    unknown = set(grid_cfg) - _GRID_KEYS
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     defaults = default_grid(data.n_modalities, base.kernelized, base.model_kind)
-    return GridSpec(
-        sigma_grid=tuple(grid_cfg.get("sigma", defaults.sigma_grid)),
-        eta_grid=tuple(grid_cfg.get("eta", defaults.eta_grid)),
-        beta_grid=tuple(grid_cfg.get("beta", defaults.beta_grid)),
-        c_grid=tuple(grid_cfg.get("c", defaults.c_grid)),
-        d_grid=tuple(grid_cfg.get("d", defaults.d_grid)),
-        update_strategies=tuple(
-            grid_cfg.get("update_strategies", defaults.update_strategies)
-        ),
-        regularizers=tuple(grid_cfg.get("regularizers", defaults.regularizers)),
-        decision_strategies=tuple(
-            grid_cfg.get("decision_strategies", defaults.decision_strategies)
-        ),
+    return replace(
+        defaults, **{_GRID_KEYS[key]: v for key, v in cfg.get("grid", {}).items()}
     )
 
 
@@ -186,7 +156,7 @@ def _load_experiment_data(cfg: dict[str, Any]) -> MultiModalDataset:
     if not paths:
         raise ConfigError("config needs modality_csvs (or --data flags)")
     data = load_dataset(paths, cfg.get("label_csv"))
-    target = int(cfg.get("target_label", 1))
+    target = cfg.get("target_label", 1)
     if target not in (0, 1):
         raise ConfigError(f"target_label must be 0 or 1, got {target}")
     if target == 0 and data.labels is not None:
@@ -224,9 +194,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_overrides(_load_config_file(args.config), args)
     data = _load_experiment_data(cfg)
     config = _train_config(cfg)
-    model = fit_model(data, config, normalize=bool(cfg.get("normalize", False)))
+    model = fit_model(data, config, normalize=cfg.get("normalize", False))
     provenance = {
-        "seed": int(cfg.get("seed", 0)),
+        "seed": cfg.get("seed", 0),
         "dataset_digest": dataset_digest(data),
     }
     save_model(model, args.out, provenance)
@@ -276,17 +246,17 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     cfg = _merge_overrides(_load_config_file(args.config), args)
     data = _load_experiment_data(cfg)
     base = _train_config(cfg)
-    seed = int(cfg.get("seed", 0))
-    outer_k = int(cfg.get("outer_folds", 5))
-    normalize = bool(cfg.get("normalize", False))
-    if cfg.get("grid") is not None:
+    seed = cfg.get("seed", 0)
+    outer_k = cfg.get("outer_folds", 5)
+    normalize = cfg.get("normalize", False)
+    if "grid" in cfg:
         grid = _grid_spec(cfg, data, base)
         report = nested_cv(
             data,
             grid,
             base,
             outer_k=outer_k,
-            inner_k=int(cfg.get("inner_folds", 10)),
+            inner_k=cfg.get("inner_folds", 10),
             seed=seed,
             normalize=normalize,
             selection=cfg.get("selection", "nested"),
@@ -313,9 +283,9 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
         data,
         grid,
         base,
-        inner_k=int(cfg.get("inner_folds", 10)),
-        seed=int(cfg.get("seed", 0)),
-        normalize=bool(cfg.get("normalize", False)),
+        inner_k=cfg.get("inner_folds", 10),
+        seed=cfg.get("seed", 0),
+        normalize=cfg.get("normalize", False),
         workers=_workers(),
     )
     prefix = args.out_prefix

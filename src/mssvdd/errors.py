@@ -1,4 +1,7 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and the type check configs share."""
+
+import numbers
+from typing import Any, get_args, get_type_hints
 
 
 class ToolkitError(Exception):
@@ -23,3 +26,43 @@ class ConfigError(ToolkitError):
 
 class PersistenceError(ToolkitError):
     """Model or report file cannot be read or written."""
+
+
+# A float (int) field takes any real (integral) number but a bool.
+_NUMBERS = {float: numbers.Real, int: numbers.Integral}
+
+
+def field_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each field of cls and the types it accepts; Optional[X] accepts X and None."""
+    hints = get_type_hints(cls)
+    return {name: get_args(hint) or (hint,) for name, hint in hints.items()}
+
+
+def typed(name: str, value: Any, types: tuple[type, ...], error: type) -> Any:
+    """value as the first of types that accepts it; else error naming name and value.
+
+    float and int accept any non-bool real and integral number and cast
+    to it, so 2 becomes 2.0 and 2.9 is no int; every other type accepts
+    only its own instances.
+    """
+    for t in types:
+        number = _NUMBERS.get(t)
+        if number is None:
+            if isinstance(value, t):
+                return value
+        elif isinstance(value, number) and not isinstance(value, bool):
+            return t(value)
+    names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+    raise error(f"{name} must be {names}, got {value!r}")
+
+
+def coerce_fields(obj: Any, types: dict[str, tuple[type, ...]], error: type) -> None:
+    """Replace each field of the frozen dataclass obj by its typed value.
+
+    A value whose type is the field's first type is kept as it is, which
+    is the common case and the one the check must not slow down.
+    """
+    for name, accepted in types.items():
+        value = getattr(obj, name)
+        if type(value) is not accepted[0]:
+            object.__setattr__(obj, name, typed(name, value, accepted, error))

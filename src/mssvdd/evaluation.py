@@ -11,6 +11,7 @@ dataset, then cross-validate the winner) is available behind a flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,7 +26,9 @@ from .datamodel import (
     MultiModalDataset,
     stratified_folds,
 )
-from .errors import ConfigError, DataError, SolverError, ToolkitError
+from .errors import (
+    ConfigError, DataError, SolverError, ToolkitError, field_types, typed
+)
 from .subspace import (
     DECISION_STRATEGIES,
     MULTI_REGULARIZERS,
@@ -409,20 +412,16 @@ class GridSpec:
     decision_strategies: tuple[str, ...] = DECISION_STRATEGIES
 
     def __post_init__(self):
-        for name in (
-            "sigma_grid",
-            "eta_grid",
-            "beta_grid",
-            "c_grid",
-            "d_grid",
-            "update_strategies",
-            "regularizers",
-            "decision_strategies",
-        ):
-            values = tuple(getattr(self, name))
+        for name, types in _GRID_VALUE_TYPES.items():
+            values = getattr(self, name)
+            values = tuple(typed(name, v, types, ConfigError) for v in values)
             if not values:
                 raise ConfigError(f"grid axis {name} must be non-empty")
             object.__setattr__(self, name, values)
+
+
+# Each grid axis and the type its values take: X of tuple[X, ...].
+_GRID_VALUE_TYPES = {name: types[:1] for name, types in field_types(GridSpec).items()}
 
 
 def default_grid(
@@ -480,59 +479,30 @@ def expand_grid(grid: GridSpec, base: TrainConfig) -> list[TrainConfig]:
     baselines) are collapsed to a single placeholder value. The sigmoid
     slope kappa is derived as 1/d per cell, never searched.
     """
-    kernel_kind = base.kernel_params.kind
-    sigma_axis = (
-        tuple(grid.sigma_grid)
-        if (base.kernelized and kernel_kind != "linear")
-        else (base.kernel_params.sigma,)
-    )
-    if base.model_kind != "subspace":
-        d_axis: tuple = (base.d,)
-        eta_axis: tuple = (base.eta,)
-        beta_axis: tuple = (base.beta,)
-        update_axis: tuple = (base.update_strategy,)
-        reg_axis: tuple = (base.regularizer,)
-        ds_axis: tuple = (base.decision_strategy,)
-    else:
-        d_axis = tuple(grid.d_grid)
-        eta_axis = tuple(grid.eta_grid)
-        beta_axis = tuple(grid.beta_grid)
-        update_axis = tuple(grid.update_strategies)
-        reg_axis = tuple(grid.regularizers)
-        ds_axis = tuple(grid.decision_strategies)
     subspace = base.model_kind == "subspace"
+
+    def axis(values: tuple, fixed: object) -> tuple:
+        return values if subspace else (fixed,)
+
+    searched_sigma = base.kernelized and base.kernel_params.kind != "linear"
+    axes = itertools.product(
+        axis(grid.d_grid, base.d),
+        grid.c_grid,
+        axis(grid.eta_grid, base.eta),
+        axis(grid.beta_grid, base.beta),
+        grid.sigma_grid if searched_sigma else (base.kernel_params.sigma,),
+        axis(grid.update_strategies, base.update_strategy),
+        axis(grid.regularizers, base.regularizer),
+        axis(grid.decision_strategies, base.decision_strategy),
+    )
     configs = []
-    for d in d_axis:
-        for c in grid.c_grid:
-            for eta in eta_axis:
-                for beta in beta_axis:
-                    for sigma in sigma_axis:
-                        for upd in update_axis:
-                            for reg in reg_axis:
-                                for ds in ds_axis:
-                                    kp = replace(
-                                        base.kernel_params,
-                                        sigma=float(sigma),
-                                        kappa=(
-                                            1.0 / int(d)
-                                            if subspace
-                                            else base.kernel_params.kappa
-                                        ),
-                                    )
-                                    configs.append(
-                                        replace(
-                                            base,
-                                            d=int(d),
-                                            c_penalty=float(c),
-                                            eta=float(eta),
-                                            beta=float(beta),
-                                            update_strategy=upd,
-                                            regularizer=reg,
-                                            decision_strategy=ds,
-                                            kernel_params=kp,
-                                            nu=_nu_from_c(float(c)),
-                                        )
-                                    )
+    for d, c, eta, beta, sigma, upd, reg, ds in axes:
+        kappa = 1.0 / d if subspace else base.kernel_params.kappa
+        kp = replace(base.kernel_params, sigma=sigma, kappa=kappa)
+        configs.append(replace(
+            base, d=d, c_penalty=c, eta=eta, beta=beta, update_strategy=upd,
+            regularizer=reg, decision_strategy=ds, kernel_params=kp, nu=_nu_from_c(c),
+        ))
     return configs
 
 
@@ -755,12 +725,21 @@ def report_to_csv(report: EvalReport) -> str:
 
 
 def report_to_text(report: EvalReport) -> str:
-    """Human-readable table with the conventional column layout."""
+    """Human-readable table with the conventional column layout.
+
+    The row is labelled by the configs the folds used: a searched field
+    shows its value when every fold chose the same one, "*" otherwise.
+    """
     cfg = report.config
+
+    def chosen(field: str) -> str:
+        values = {getattr(c, field) for c in report.fold_configs or [cfg]}
+        return values.pop() if len(values) == 1 else "*"
+
     if cfg.model_kind == "subspace":
-        os_sym = _STRATEGY_SYMBOLS.get(cfg.update_strategy, cfg.update_strategy)
-        reg = cfg.regularizer
-        name = f"subspace[{cfg.decision_strategy}]"
+        os_sym = _STRATEGY_SYMBOLS.get(chosen("update_strategy"), "*")
+        reg = chosen("regularizer")
+        name = f"subspace[{chosen('decision_strategy')}]"
         if cfg.kernelized:
             name += f"+{cfg.kernel_params.kind}"
     else:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .datamodel import FeatureMatrix
-from .errors import KernelError
+from .errors import KernelError, coerce_fields, field_types
 
 KERNEL_KINDS = ("linear", "gaussian", "composite")
 
@@ -43,6 +43,7 @@ class KernelParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        coerce_fields(self, _KERNEL_FIELD_TYPES, KernelError)
         if self.kind not in KERNEL_KINDS:
             raise KernelError(
                 f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}"
@@ -51,6 +52,9 @@ class KernelParams:
             raise KernelError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.sigma <= 0.0:
             raise KernelError(f"sigma must be positive, got {self.sigma}")
+
+
+_KERNEL_FIELD_TYPES = field_types(KernelParams)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, inner: np.ndarray) -> np.ndarray:

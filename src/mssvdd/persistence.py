@@ -14,14 +14,14 @@ import hashlib
 import json
 import os
 import stat
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from .baselines import BaselineModel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset
-from .errors import PersistenceError
+from .errors import ConfigError, KernelError, PersistenceError
 from .evaluation import ConfusionMatrix, EvalReport
 from .kernels import KernelParams, NptState
 from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig
@@ -58,37 +58,24 @@ def dataset_digest(data: MultiModalDataset) -> str:
     return h.hexdigest()
 
 
-def _kernel_params_from_dict(obj: dict[str, Any]) -> KernelParams:
-    return KernelParams(
-        kind=obj["kind"],
-        gamma=float(obj["gamma"]),
-        sigma=float(obj["sigma"]),
-        kappa=None if obj["kappa"] is None else float(obj["kappa"]),
-        theta=float(obj["theta"]),
-    )
-
-
 def config_to_dict(config: TrainConfig) -> dict[str, Any]:
     return asdict(config)
 
 
+def _fields_of(cls: type, obj: dict[str, Any]) -> dict[str, Any]:
+    """obj, which must name every field of cls and nothing else."""
+    names = {f.name for f in fields(cls)}
+    if set(obj) != names:
+        raise ConfigError(
+            f"{cls.__name__} fields missing {sorted(names - set(obj))}, "
+            f"unknown {sorted(set(obj) - names)}"
+        )
+    return obj
+
+
 def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
-    kp = _kernel_params_from_dict(obj["kernel_params"])
-    return TrainConfig(
-        d=int(obj["d"]),
-        eta=float(obj["eta"]),
-        beta=float(obj["beta"]),
-        c_penalty=float(obj["c_penalty"]),
-        max_iter=int(obj["max_iter"]),
-        update_strategy=obj["update_strategy"],
-        regularizer=obj["regularizer"],
-        kernelized=bool(obj["kernelized"]),
-        kernel_params=kp,
-        decision_strategy=obj["decision_strategy"],
-        model_kind=obj["model_kind"],
-        nu=float(obj["nu"]),
-        kkt_tol=float(obj["kkt_tol"]),
-    )
+    kp = KernelParams(**_fields_of(KernelParams, obj["kernel_params"]))
+    return TrainConfig(**{**_fields_of(TrainConfig, obj), "kernel_params": kp})
 
 
 def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
@@ -107,7 +94,7 @@ def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
         eigvecs=_decode_array(obj["eigvecs"]),
         eigvals=_decode_array(obj["eigvals"]),
         train_data=FeatureMatrix(_decode_array(obj["train_data"])),
-        params=_kernel_params_from_dict(obj["params"]),
+        params=KernelParams(**_fields_of(KernelParams, obj["params"])),
     )
 
 
@@ -303,7 +290,9 @@ def _load(path: str, kind: str, from_dict: Callable[[Any], Any]) -> Any:
         raise PersistenceError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         return from_dict(obj)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (
+        KeyError, TypeError, AttributeError, ValueError, ConfigError, KernelError
+    ) as exc:
         raise PersistenceError(
             f"malformed {kind} file {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable, Optional, Sequence, Union
 import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset
-from .errors import ConfigError, SolverError, ToolkitError
+from .errors import ConfigError, SolverError, ToolkitError, coerce_fields, field_types
 from .kernels import KernelParams, NptState, npt_embed_test, npt_fit
 from .svdd import (
     ALPHA_TOL,
@@ -99,6 +99,7 @@ class TrainConfig:
     kkt_tol: float = DEFAULT_KKT_TOL
 
     def __post_init__(self):
+        coerce_fields(self, _TRAIN_FIELD_TYPES, ConfigError)
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.d < 1:
@@ -115,6 +116,12 @@ class TrainConfig:
             raise ConfigError(f"unknown decision strategy {self.decision_strategy!r}")
         if self.regularizer not in MULTI_REGULARIZERS + UNI_REGULARIZERS:
             raise ConfigError(f"unknown regularizer {self.regularizer!r}")
+        if not self.c_penalty > 0.0:
+            raise ConfigError(f"c_penalty must be positive, got {self.c_penalty}")
+        if not 0.0 < self.nu <= 1.0:
+            raise ConfigError(f"nu must lie in (0, 1], got {self.nu}")
+        if not self.kkt_tol > 0.0:
+            raise ConfigError(f"kkt_tol must be positive, got {self.kkt_tol}")
 
     def resolved_kernel_params(self) -> KernelParams:
         """Kernel params with the sigmoid slope defaulted to 1/d."""
@@ -122,6 +129,9 @@ class TrainConfig:
         if kp.kappa is None:
             kp = replace(kp, kappa=1.0 / self.d)
         return kp
+
+
+_TRAIN_FIELD_TYPES = field_types(TrainConfig)
 
 
 @dataclass

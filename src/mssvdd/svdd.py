@@ -146,9 +146,9 @@ _Hessian = Union[_DenseHessian, _FactorHessian]
 
 
 def _solver_inputs(
-    points: np.ndarray, scale: float
+    points: np.ndarray, scale: float, kkt_tol: float
 ) -> tuple[np.ndarray, _Hessian]:
-    """Check a d x M matrix of training columns; return it and H = scale * G.
+    """Check the d x M training columns and kkt_tol; return them and H = scale * G.
 
     G = P'P is the Gram of the columns. A low-rank problem
     (d * LOW_RANK_RATIO <= M) gets the factor form, which reads H through
@@ -159,6 +159,8 @@ def _solver_inputs(
         raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise SolverError("points contain NaN or Inf")
+    if not kkt_tol > 0.0:
+        raise SolverError("kkt_tol must be positive")
     d, m = points.shape
     form = _FactorHessian if d * LOW_RANK_RATIO <= m else _DenseHessian
     return points, form(points, scale)
@@ -386,9 +388,7 @@ def svdd_solve(
     of a nearby problem over the same columns; a start that already meets
     kkt_tol is returned unchanged.
     """
-    points, h = _solver_inputs(points, 2.0)
-    if kkt_tol <= 0.0:
-        raise SolverError("kkt_tol must be positive")
+    points, h = _solver_inputs(points, 2.0, kkt_tol)
     m = points.shape[1]
     if c_penalty * m < 1.0:
         raise SolverError(
@@ -477,7 +477,7 @@ def ocsvm_solve(
     mean decision value over boundary support vectors (all support vectors
     when none sit strictly inside the box).
     """
-    points, h = _solver_inputs(points, 1.0)
+    points, h = _solver_inputs(points, 1.0, kkt_tol)
     if not 0.0 < nu <= 1.0:
         raise SolverError(f"nu must lie in (0, 1], got {nu}")
     m = points.shape[1]

@@ -1,12 +1,21 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mssvdd import load_dataset, load_model, pca_init, predict_model, svdd_solve
-from mssvdd.cli import main
-from test_persistence import RETAGGINGS, write_retagged
+from mssvdd import (
+    KernelParams,
+    TrainConfig,
+    load_dataset,
+    load_model,
+    pca_init,
+    predict_model,
+    svdd_solve,
+)
+from mssvdd.cli import _MODEL_KEYS, _train_config, main
+from test_persistence import CONFIG_EDITS, RETAGGINGS, write_edited_config, write_retagged
 
 
 def _read(path):
@@ -224,6 +233,20 @@ class TestTrainPredict:
         assert RETAGGINGS[case][3] in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", sorted(CONFIG_EDITS))
+    def test_predict_rejects_edited_config(self, tmp_path, capsys, case):
+        model_path = write_edited_config(tmp_path, case)
+        paths, _ = _synth_files(tmp_path)
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model_path), "--data", paths[0],
+                "--data", paths[1], "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed model file {model_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_train_round_trip_predictions_identical(self, tmp_path):
         paths, labels = _synth_files(tmp_path)
         cfg = _write_config(
@@ -387,3 +410,64 @@ class TestTargetDesignation:
         assert pos_cm["tp"] + pos_cm["fn"] == 30
         assert neg_cm["tp"] + neg_cm["fn"] == 30
         assert pos != neg
+
+
+# Malformed experiment configs: each exits 1 with one error line and writes nothing.
+MALFORMED_CONFIGS = [
+    {"kernelized": "false"},
+    {"normalize": "false"},
+    {"d": 2.9},
+    {"max_iter": 2.7},
+    {"d": "two"},
+    {"c": None},
+    {"sigma": "abc"},
+    {"target_label": "x"},
+    {"model": "ocsvm", "c": -1},
+    {"model": "ocsvm", "kkt_tol": 0},
+    {"seed": 1.5},
+    {"outer_folds": "3"},
+    {"inner_folds": True},
+    {"target_label": 1.0},
+    {"normalize": 1},
+    {"modality_csvs": "m1.csv"},
+    {"modality_csvs": [1, 2]},
+    {"selection": 3},
+    {"grid": []},
+    {"grid": {"d": 3}},
+    {"grid": {"d": []}},
+    {"grid": {"gamma": [0.5]}},
+]
+# Grid values are typed when a grid is built, which train never does.
+MALFORMED_GRID_VALUES = [{"grid": {"d": [2.5]}}, {"grid": {"c": ["x"]}}]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [(c, e) for e in MALFORMED_CONFIGS for c in ("train", "cv")]
+        + [("cv", e) for e in MALFORMED_GRID_VALUES],
+        ids=json.dumps,
+    )
+    def test_malformed_config_exits_nonzero(self, tmp_path, capsys, command, extra):
+        paths, labels = _synth_files(tmp_path)
+        cfg = _write_config(tmp_path, paths, labels)
+        Path(cfg).write_text(json.dumps(json.loads(Path(cfg).read_text()) | extra))
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg]
+        argv += ["--out", str(out)] if command == "train" else ["--out-prefix", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
+
+    def test_model_keys_cover_every_field_once(self):
+        fields_ = [f.name for f in fields(TrainConfig) if f.name != "kernel_params"]
+        fields_ += [f"kernel_params.{f.name}" for f in fields(KernelParams)]
+        assert sorted(_MODEL_KEYS.values()) == sorted(fields_)
+
+    def test_no_model_keys_gives_default_config(self):
+        assert _train_config({}) == TrainConfig()
+        experiment = {"modality_csvs": ["m.csv"], "seed": 3, "normalize": True, "grid": {}}
+        assert _train_config(experiment) == TrainConfig()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -660,6 +662,22 @@ class TestReportRendering:
         text = report_to_text(report)
         for col in ("OS", "r", "Sen", "Spe", "Pre", "F1", "Acc", "GM"):
             assert col in text
+
+    def test_nested_row_labelled_by_fold_configs(self):
+        report = self._report()
+        folds = [
+            replace(report.config, update_strategy=s, regularizer="w4", decision_strategy="ds2")
+            for s in ("SD-", "AD-+", "SD-", "SD+")
+        ]
+
+        def label(fold_configs):
+            nested = replace(report, fold_configs=fold_configs, selection="nested")
+            return report_to_text(nested).split("\n")[1].split()[:3]
+
+        assert label(folds) == ["subspace[ds2]", "*", "w4"]
+        assert label([replace(f, update_strategy="AD+-") for f in folds]) == [
+            "subspace[ds2]", "+-", "w4"
+        ]
 
     def test_grid_table_csv(self):
         data = synth_multimodal(12, 10, 2, [3, 3], 4.0, seed=33)

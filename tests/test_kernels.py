@@ -30,6 +30,14 @@ class TestKernelParams:
         with pytest.raises(KernelError):
             KernelParams(kind="cubic")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kind", 3), ("gamma", None), ("sigma", "abc"), ("kappa", "1"), ("theta", True)],
+    )
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(KernelError, match=rf"^{field} must be"):
+            KernelParams(**{field: value})
+
     def test_unresolved_kappa_rejected_at_evaluation(self):
         f = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(KernelError, match="kappa"):

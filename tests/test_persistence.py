@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,35 @@ def write_retagged(tmp_path, case):
 
     obj = saved(kind)
     obj[key] = saved("ocsvm")["description"] if value is None else value
+    path.write_text(json.dumps(obj))
+    return path
+
+
+# Edits of the config in a saved ocsvm model or report file: case -> (field,
+# new value or ... to delete it, what the error says).
+CONFIG_EDITS = {
+    "bogus-kind": ("model_kind", "bogus", "unknown model kind 'bogus'"),
+    "negative-c": ("c_penalty", -1, "c_penalty must be positive"),
+    "fractional-d": ("d", 2.5, "d must be int, got 2.5"),
+    "missing-field": ("nu", ..., r"TrainConfig fields missing \['nu'\]"),
+}
+
+
+def write_edited_config(tmp_path, case, what="model"):
+    """Path of a saved ocsvm model (or report) whose config is edited per case."""
+    key, value, _ = CONFIG_EDITS[case]
+    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=11)
+    config = TrainConfig(model_kind="ocsvm", nu=0.3)
+    path = tmp_path / f"{what}-{case}.json"
+    if what == "model":
+        save_model(fit_model(data, config), path)
+    else:
+        save_report(run_cv(data, config, k=3, seed=1), path)
+    obj = json.loads(path.read_text())
+    if value is ...:
+        del obj["config"][key]
+    else:
+        obj["config"][key] = value
     path.write_text(json.dumps(obj))
     return path
 
@@ -186,6 +216,15 @@ class TestModelRoundTrip:
         with pytest.raises(PersistenceError, match=f"states {RETAGGINGS[case][3]} "):
             load_model(path)
 
+    @pytest.mark.parametrize("what", ["model", "report"])
+    @pytest.mark.parametrize("case", sorted(CONFIG_EDITS))
+    def test_edited_config_rejected(self, tmp_path, case, what):
+        path = write_edited_config(tmp_path, case, what)
+        load = load_model if what == "model" else load_report
+        message = f"malformed {what} file {re.escape(str(path))}: ConfigError: "
+        with pytest.raises(PersistenceError, match=message + CONFIG_EDITS[case][2]):
+            load(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")
@@ -244,6 +283,17 @@ class TestConfigDict:
             decision_strategy="ds4",
         )
         assert config_from_dict(config_to_dict(config)) == config
+        # Numbers given as ints are stored, saved and read back as floats.
+        ints = TrainConfig(
+            eta=0, beta=10, c_penalty=1, nu=1, kkt_tol=1,
+            kernel_params=KernelParams(gamma=1, sigma=10, kappa=1, theta=0),
+        )
+        saved = json.loads(json.dumps(config_to_dict(ints)))
+        assert saved["c_penalty"] == 1.0 and type(saved["c_penalty"]) is float
+        back = config_from_dict(saved)
+        assert back == ints and config_to_dict(back) == saved
+        kp = saved["kernel_params"]
+        assert all(type(kp[name]) is float for name in ("gamma", "sigma", "kappa", "theta"))
 
 
 class TestReportRoundTrip:

@@ -27,6 +27,34 @@ from mssvdd.subspace import FoldMemo, ProjectionMatrix, strategy_signs
 from oracles import fd_gradient, random_box_simplex
 
 
+class TestTrainConfig:
+    def test_numbers_cast_to_field_types(self):
+        config = TrainConfig(
+            d=np.int64(3), eta=0, beta=np.float64(1.0), c_penalty=1, nu=1, kkt_tol=1,
+            kernel_params=KernelParams(gamma=1, sigma=np.int64(2), kappa=1, theta=0),
+        )
+        assert type(config.d) is int and config.d == 3
+        for owner, names in (
+            (config, ("eta", "beta", "c_penalty", "nu", "kkt_tol")),
+            (config.kernel_params, ("gamma", "sigma", "kappa", "theta")),
+        ):
+            assert all(type(getattr(owner, name)) is float for name in names)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 2.9), ("d", True), ("max_iter", "20"), ("eta", True),
+            ("c_penalty", None), ("c_penalty", "0.3"), ("kernelized", "false"),
+            ("kernelized", 1), ("model_kind", None), ("kernel_params", None),
+            ("c_penalty", -1), ("c_penalty", 0), ("nu", 0), ("nu", 1.5),
+            ("kkt_tol", 0), ("kkt_tol", float("nan")),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must"):
+            TrainConfig(**{field: value})
+
+
 class TestPcaInit:
     def test_line_in_plane(self):
         t = np.linspace(-1, 1, 20)

@@ -211,7 +211,7 @@ class TestHessianForms:
         + [((d, m), _DenseHessian) for d in (1, 2, 3) for m in range(2, 7)],
     )
     def test_rule_picks_form(self, shape, form):
-        _, h = _solver_inputs(np.zeros(shape), 2.0)
+        _, h = _solver_inputs(np.zeros(shape), 2.0, 1e-6)
         assert type(h) is form
 
     @PROPERTY_SETTINGS
@@ -354,6 +354,14 @@ class TestSvddDistance:
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
         with pytest.raises(SolverError, match="mismatch"):
             svdd_distance_sq(desc, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("kkt_tol", [0.0, -1e-6])
+@pytest.mark.parametrize("solve", [svdd_solve, ocsvm_solve])
+def test_nonpositive_kkt_tol_rejected(solve, kkt_tol):
+    pts = np.random.default_rng(31).standard_normal((2, 6))
+    with pytest.raises(SolverError, match="kkt_tol must be positive"):
+        solve(pts, 0.5, kkt_tol)
 
 
 class TestOcsvm:
