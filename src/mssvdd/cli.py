@@ -32,6 +32,7 @@ from .evaluation import (
     default_grid,
     fit_model,
     grid_search,
+    grid_size,
     grid_table_to_csv,
     nested_cv,
     predict_model,
@@ -151,6 +152,12 @@ def _grid_spec(cfg: dict[str, Any], data: MultiModalDataset, base: TrainConfig) 
     )
 
 
+def _announce_search(cells: int, fits: int) -> None:
+    """Say on stderr how large a search is before it starts: a config
+    without a grid searches the default one, up to 1,209,600 cells."""
+    print(f"grid search: {cells:,} cells, {fits:,} fits", file=sys.stderr)
+
+
 def _load_experiment_data(cfg: dict[str, Any]) -> MultiModalDataset:
     paths = cfg.get("modality_csvs")
     if not paths:
@@ -251,16 +258,27 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     normalize = cfg.get("normalize", False)
     if "grid" in cfg:
         grid = _grid_spec(cfg, data, base)
+        inner_k = cfg.get("inner_folds", 10)
+        selection = cfg.get("selection", "nested")
+        workers = _workers()
+        cells, distinct = grid_size(grid, base)
+        # Nested selection searches in every outer fold and fits each
+        # winner; global selection searches once and cross-validates its winner.
+        if selection == "nested":
+            fits = outer_k * (distinct * inner_k + 1)
+        else:
+            fits = distinct * inner_k + outer_k
+        _announce_search(cells, fits)
         report = nested_cv(
             data,
             grid,
             base,
             outer_k=outer_k,
-            inner_k=cfg.get("inner_folds", 10),
+            inner_k=inner_k,
             seed=seed,
             normalize=normalize,
-            selection=cfg.get("selection", "nested"),
-            workers=_workers(),
+            selection=selection,
+            workers=workers,
         )
     else:
         report = run_cv(data, base, k=outer_k, seed=seed, normalize=normalize)
@@ -279,14 +297,18 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
     data = _load_experiment_data(cfg)
     base = _train_config(cfg)
     grid = _grid_spec(cfg, data, base)
+    inner_k = cfg.get("inner_folds", 10)
+    workers = _workers()
+    cells, distinct = grid_size(grid, base)
+    _announce_search(cells, distinct * inner_k)
     result = grid_search(
         data,
         grid,
         base,
-        inner_k=cfg.get("inner_folds", 10),
+        inner_k=inner_k,
         seed=cfg.get("seed", 0),
         normalize=cfg.get("normalize", False),
-        workers=_workers(),
+        workers=workers,
     )
     prefix = args.out_prefix
     best = {

@@ -470,6 +470,26 @@ class GridSearchResult:
     seed: int
 
 
+def _grid_axes(grid: GridSpec, base: TrainConfig) -> tuple[tuple, ...]:
+    """The value lists expand_grid takes the product of, outermost first."""
+    subspace = base.model_kind == "subspace"
+
+    def axis(values: tuple, fixed: object) -> tuple:
+        return values if subspace else (fixed,)
+
+    searched_sigma = base.kernelized and base.kernel_params.kind != "linear"
+    return (
+        axis(grid.d_grid, base.d),
+        grid.c_grid,
+        axis(grid.eta_grid, base.eta),
+        axis(grid.beta_grid, base.beta),
+        grid.sigma_grid if searched_sigma else (base.kernel_params.sigma,),
+        axis(grid.update_strategies, base.update_strategy),
+        axis(grid.regularizers, base.regularizer),
+        axis(grid.decision_strategies, base.decision_strategy),
+    )
+
+
 def expand_grid(grid: GridSpec, base: TrainConfig) -> list[TrainConfig]:
     """Materialize grid cells in a fixed, documented order.
 
@@ -480,23 +500,10 @@ def expand_grid(grid: GridSpec, base: TrainConfig) -> list[TrainConfig]:
     slope kappa is derived as 1/d per cell, never searched.
     """
     subspace = base.model_kind == "subspace"
-
-    def axis(values: tuple, fixed: object) -> tuple:
-        return values if subspace else (fixed,)
-
-    searched_sigma = base.kernelized and base.kernel_params.kind != "linear"
-    axes = itertools.product(
-        axis(grid.d_grid, base.d),
-        grid.c_grid,
-        axis(grid.eta_grid, base.eta),
-        axis(grid.beta_grid, base.beta),
-        grid.sigma_grid if searched_sigma else (base.kernel_params.sigma,),
-        axis(grid.update_strategies, base.update_strategy),
-        axis(grid.regularizers, base.regularizer),
-        axis(grid.decision_strategies, base.decision_strategy),
-    )
     configs = []
-    for d, c, eta, beta, sigma, upd, reg, ds in axes:
+    for d, c, eta, beta, sigma, upd, reg, ds in itertools.product(
+        *_grid_axes(grid, base)
+    ):
         kappa = 1.0 / d if subspace else base.kernel_params.kappa
         kp = replace(base.kernel_params, sigma=sigma, kappa=kappa)
         configs.append(replace(
@@ -504,6 +511,23 @@ def expand_grid(grid: GridSpec, base: TrainConfig) -> list[TrainConfig]:
             regularizer=reg, decision_strategy=ds, kernel_params=kp, nu=_nu_from_c(c),
         ))
     return configs
+
+
+def grid_size(grid: GridSpec, base: TrainConfig) -> tuple[int, int]:
+    """(cells, distinct fits) of expand_grid(grid, base), without expanding it.
+
+    A grid search fits each distinct training_key once per fold. The key
+    merges cells along the beta, regularizer and decision strategy axes
+    only, so the distinct fits are the other axes' product times the keys
+    of those three axes' combinations.
+    """
+    d, c, eta, beta, sigma, upd, reg, ds = _grid_axes(grid, base)
+    rest = math.prod(len(a) for a in (d, c, eta, sigma, upd))
+    keys = {
+        training_key(replace(base, beta=b, regularizer=r, decision_strategy=s))
+        for b, r, s in itertools.product(beta, reg, ds)
+    }
+    return rest * len(beta) * len(reg) * len(ds), rest * len(keys)
 
 
 def _nu_from_c(c: float) -> float:

@@ -291,7 +291,8 @@ def _load(path: str, kind: str, from_dict: Callable[[Any], Any]) -> Any:
     try:
         return from_dict(obj)
     except (
-        KeyError, TypeError, AttributeError, ValueError, ConfigError, KernelError
+        KeyError, TypeError, AttributeError, ValueError, ConfigError, KernelError,
+        PersistenceError,
     ) as exc:
         raise PersistenceError(
             f"malformed {kind} file {path}: {type(exc).__name__}: {exc}"

@@ -13,12 +13,16 @@ c = diag(G); for the hyperplane, H = G and c = 0, where G is the linear
 Gram matrix of the training columns. Kernelization, when wanted, happens
 upstream by embedding the data before calling these solvers.
 
-After each pair step that no bound clips, the solver also takes an exact
-step on the face of the free coordinates (those strictly inside the box):
-the Newton step to that face's optimum when it has one, or else a
-zero-curvature ascent direction followed to the nearest bound. This ends
-the zig-zag pair steps show when the Gram matrix has rank far below the
-number of free coordinates, as the pooled subspace problems do.
+The solver also takes exact steps on the face of the free coordinates
+(those strictly inside the box): the Newton step to that face's optimum
+when it has one, or else a zero-curvature ascent direction followed to the
+nearest bound. H = scale * P'P has rank at most d, the row count of the
+d x M points P, so its free block can be singular only when the free count
+k exceeds d. There pair steps zig-zag, as on the pooled subspace problems
+(d <= 5, M in the hundreds), and a face step follows every pair step that
+no bound clips. Where k <= d the pair steps converge on their own, and one
+face step, taken when they report convergence, puts the free coordinates
+on the face optimum to rounding.
 
 The solvers read H through one small interface: its diagonal, a column,
 the block of the free coordinates, H[:, F] @ x and H @ a, plus the Gram
@@ -35,7 +39,12 @@ A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
 the same columns ("alpha seeding"). Bound coordinates are kept exactly on
 their bound, so a warm start sees the same free set the previous solve
-ended with.
+ended with. A cold hypersphere solve starts with floor(1/C) coordinates on
+their bound C (_cold_start), as LIBSVM's one-class start does (Chang & Lin,
+2011), choosing the points farthest from the uniform-weight center, the
+likely bounded support vectors (Tax & Duin, 2004): with C = 0.1 and M = 400
+the optimum has about 10 nonzero coordinates, and from the uniform vector
+about 390 pair steps would go to zeroing the rest.
 """
 
 from __future__ import annotations
@@ -86,6 +95,7 @@ class _DenseHessian:
     """
 
     def __init__(self, points: np.ndarray, scale: float):
+        self.rank_bound = points.shape[0]
         self.gram = points.T @ points
         self.h = self.gram if scale == 1.0 else scale * self.gram
         self.diag = np.diag(self.h)
@@ -117,6 +127,7 @@ class _FactorHessian:
     """
 
     def __init__(self, points: np.ndarray, scale: float):
+        self.rank_bound = points.shape[0]
         self.p = points
         self.ps = points if scale == 1.0 else scale * points
         self.gram_diag = np.einsum("ij,ij->j", points, points)
@@ -179,6 +190,26 @@ def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
         alpha[free] = alpha[free] / free_mass * (1.0 - (alpha.sum() - free_mass))
         np.clip(alpha, 0.0, upper, out=alpha)
     return alpha
+
+
+def _cold_start(points: np.ndarray, upper: float) -> np.ndarray:
+    """Tidy feasible hypersphere start: floor(1/upper) coordinates on upper.
+
+    They are the columns of the d x M points farthest from the
+    uniform-weight center, ties going to the lower index; the remaining
+    mass 1 - floor(1/upper) * upper goes on the next farthest column.
+    """
+    m = points.shape[1]
+    center = points.mean(axis=1)
+    # |p_i - center|^2 less the constant |center|^2.
+    far = np.einsum("ij,ij->j", points, points) - 2.0 * (center @ points)
+    order = np.argsort(-far, kind="stable")
+    full = min(int(1.0 / upper), m)
+    alpha = np.zeros(m)
+    alpha[order[:full]] = upper
+    if full < m:
+        alpha[order[full]] = 1.0 - full * upper
+    return _tidy(alpha, upper)
 
 
 def _face_step(
@@ -247,28 +278,32 @@ def _solve_pairwise(
 ) -> np.ndarray:
     """Maximize c'a - 0.5 a'Ha over {sum(a)=1, 0<=a<=upper}.
 
-    Starts from alpha0 when given (a warm start, assumed feasible) and
-    from the uniform vector otherwise. Pair selection is second order: i
-    is the steepest increasable coordinate and j the decreasable one with
-    the largest exact gain of the pair subproblem, which avoids the
-    zig-zagging a purely steepest-pair rule suffers on rank-deficient
-    Hessians. A pair step that no bound clips is followed by an exact
-    step on the face of the free coordinates (_face_step); pair steps
-    alone can cycle among a few free coordinates when H is singular on
-    their face, which warm starts expose more often.
+    Starts from alpha0 when given (assumed feasible and tidy, such as a
+    warm start or svdd_solve's _cold_start) and from the uniform vector
+    otherwise. Pair selection is second order: i is the steepest
+    increasable coordinate and j the decreasable one with the largest
+    exact gain of the pair subproblem, which avoids the zig-zagging a
+    purely steepest-pair rule suffers on rank-deficient Hessians. A pair
+    step that no bound clips is followed by an exact step on the face of
+    the free coordinates (_face_step) when their count k exceeds
+    h.rank_bound, the only case in which H can be singular on that face;
+    pair steps alone can cycle among the free coordinates there.
 
     Stopping is decided on a freshly computed gradient: when the
-    incrementally updated one says converged, alpha is tidied (_tidy),
-    the gradient recomputed, and the pair loop resumes if the tolerance
-    is missed. An alpha0 that already meets kkt_tol is returned unchanged.
+    incrementally updated one says converged, one more face step is taken
+    if alpha moved since the last one, alpha is tidied (_tidy), the
+    gradient recomputed, and the pair loop resumes if the tolerance is
+    missed. An alpha0 that already meets kkt_tol is returned unchanged.
     """
     m = c.size
     diag = h.diag
     alpha = np.full(m, 1.0 / m) if alpha0 is None else np.array(alpha0, dtype=np.float64)
     grad = c - h.times(alpha)
     # A converged check is final only when alpha is tidy and grad was
-    # computed from it; a warm start is taken to be tidy already.
+    # computed from it; a given start is taken to be tidy already.
     settled = alpha0 is not None
+    # Whether a pair step moved alpha since the last face step.
+    moved = False
     violation = np.inf
     for _ in range(MAX_PAIR_UPDATES):
         can_up = alpha < upper
@@ -278,6 +313,9 @@ def _solve_pairwise(
         if violation <= kkt_tol:
             if settled:
                 break
+            if moved:
+                _face_step(h, grad, alpha, upper)
+                moved = False
             alpha = _tidy(alpha, upper)
             grad = c - h.times(alpha)
             settled = True
@@ -305,8 +343,14 @@ def _solve_pairwise(
         grad -= (new_i - alpha[i]) * h_i + (new_j - alpha[j]) * h.column(j)
         alpha[i], alpha[j] = new_i, new_j
         settled = False
-        if 0.0 < new_j and new_i < upper:
+        moved = True
+        if (
+            0.0 < new_j
+            and new_i < upper
+            and np.count_nonzero((alpha > 0.0) & (alpha < upper)) > h.rank_bound
+        ):
             _face_step(h, grad, alpha, upper)
+            moved = False
     else:
         warnings.warn(
             f"dual solver hit the sweep limit with violation {violation:.3e}",
@@ -386,7 +430,8 @@ def svdd_solve(
     c_penalty * M >= 1, otherwise the constraint set is empty. alpha0, when
     given, is a feasible dual vector to start from, typically the solution
     of a nearby problem over the same columns; a start that already meets
-    kkt_tol is returned unchanged.
+    kkt_tol is returned unchanged. Without alpha0 the solve starts from
+    _cold_start: C on the floor(1/C) points farthest from their mean.
     """
     points, h = _solver_inputs(points, 2.0, kkt_tol)
     m = points.shape[1]
@@ -394,7 +439,9 @@ def svdd_solve(
         raise SolverError(
             f"infeasible penalty: C*M = {c_penalty * m:.4g} < 1 (C={c_penalty}, M={m})"
         )
-    if alpha0 is not None:
+    if alpha0 is None:
+        alpha0 = _cold_start(points, c_penalty)
+    else:
         alpha0 = np.asarray(alpha0, dtype=np.float64)
         if alpha0.shape != (m,):
             raise SolverError(f"alpha0 must have shape ({m},), got {alpha0.shape}")

@@ -7,6 +7,7 @@ import pytest
 
 from mssvdd import (
     KernelParams,
+    SolverError,
     TrainConfig,
     load_dataset,
     load_model,
@@ -14,6 +15,7 @@ from mssvdd import (
     predict_model,
     svdd_solve,
 )
+from mssvdd import cli
 from mssvdd.cli import _MODEL_KEYS, _train_config, main
 from test_persistence import CONFIG_EDITS, RETAGGINGS, write_edited_config, write_retagged
 
@@ -229,7 +231,8 @@ class TestTrainPredict:
         argv = ["predict", "--model", str(model_path)] + csvs + ["--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: malformed model file {model_path}: ")
+        assert err.count("\n") == 1
         assert RETAGGINGS[case][3] in err and "Traceback" not in err
         assert not out.exists()
 
@@ -345,6 +348,57 @@ class TestGridsearchAndReport:
         assert best["config"]["c_penalty"] == 0.5
         cells = Path(prefix + "_cells.csv").read_text().strip().split("\n")
         assert cells[0].startswith("cell,fold")
+
+    @pytest.mark.parametrize(
+        "command, selection, fits",
+        [("gridsearch", None, 3), ("cv", "nested", 3 * (3 + 1)), ("cv", "global", 3 + 3)],
+    )
+    def test_search_size_on_stderr(self, tmp_path, capsys, command, selection, fits):
+        # Four cells, one distinct fit: w0 ignores beta, and the decision
+        # strategy does not change a fit.
+        paths, labels = _synth_files(tmp_path, n=30)
+        grid = {
+            "d": [2], "c": [0.5], "eta": [0.01], "beta": [0.0, 0.1],
+            "update_strategies": ["SD-"], "regularizers": ["w0"],
+            "decision_strategies": ["ds1", "ds2"],
+        }
+        extra = {} if selection is None else {"selection": selection}
+        cfg = _write_config(
+            tmp_path, paths, labels, max_iter=2, outer_folds=3, inner_folds=3,
+            grid=grid, **extra,
+        )
+        prefix = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out-prefix", prefix]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"grid search: 4 cells, {fits} fits\n"
+        suffixes = ["_best.json", "_cells.csv"] if command == "gridsearch" else [
+            ".json", ".csv", ".txt", "_folds.csv"]
+        assert out == "".join(f"{prefix}{s}\n" for s in suffixes)
+
+    @pytest.mark.parametrize(
+        "command, config, line",
+        [
+            ("gridsearch", {}, "201,600 cells, 440,000 fits"),
+            ("cv", {"grid": {}}, "201,600 cells, 2,200,005 fits"),
+            ("cv", {"grid": {}, "kernelized": True}, "1,209,600 cells, 13,200,005 fits"),
+        ],
+    )
+    def test_default_grid_size_announced(
+        self, tmp_path, capsys, monkeypatch, command, config, line
+    ):
+        # The search itself would take hours; stop it where it would start.
+        def stop(*args, **kwargs):
+            raise SolverError("search not run")
+
+        monkeypatch.setattr(cli, "grid_search", stop)
+        monkeypatch.setattr(cli, "nested_cv", stop)
+        paths, labels = _synth_files(tmp_path)
+        cfg = _write_config(tmp_path, paths, labels, **config)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"grid search: {line}\nerror: search not run\n"
 
     @pytest.mark.parametrize("value", ["two", "0", ""])
     def test_malformed_workers_env_exits_nonzero(

@@ -27,6 +27,7 @@ from mssvdd.evaluation import (
     confusion_from_labels,
     expand_grid,
     fit_model,
+    grid_size,
     grid_table_to_csv,
     mean_metrics,
     predict_model,
@@ -640,6 +641,34 @@ class TestDefaultGrid:
         assert grid.update_strategies == ("SD-", "SD+")
         assert grid.regularizers == ("psi0", "psi1", "psi2", "psi3")
         assert grid.decision_strategies == ("ds1",)
+
+
+class TestGridSize:
+    @pytest.mark.parametrize(
+        "base, modalities",
+        [
+            (TrainConfig(), 2),
+            (TrainConfig(kernelized=True), 2),
+            (TrainConfig(kernelized=True, kernel_params=KernelParams(kind="composite")), 2),
+            (TrainConfig(), 1),
+            (TrainConfig(model_kind="svdd", kernelized=True), 2),
+            (TrainConfig(model_kind="ocsvm"), 2),
+        ],
+    )
+    def test_matches_expanded_grid(self, base, modalities):
+        # The default grid with d and C cut to one value each, which
+        # grid_size scales by as plain factors.
+        full = default_grid(modalities, base.kernelized, base.model_kind)
+        grid = replace(full, d_grid=full.d_grid[:1], c_grid=full.c_grid[:1])
+        cells = expand_grid(grid, base)
+        assert grid_size(grid, base) == (len(cells), len({training_key(c) for c in cells}))
+        scale = len(full.d_grid) * len(full.c_grid) if base.model_kind == "subspace" else len(full.c_grid)
+        assert grid_size(full, base) == (scale * len(cells), scale * grid_size(grid, base)[1])
+
+    def test_default_grid_sizes(self):
+        assert grid_size(default_grid(2, False), TrainConfig()) == (201_600, 44_000)
+        kernelized = TrainConfig(kernelized=True)
+        assert grid_size(default_grid(2, True), kernelized) == (1_209_600, 264_000)
 
 
 class TestReportRendering:

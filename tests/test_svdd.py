@@ -23,7 +23,9 @@ from mssvdd import (
 from mssvdd import svdd
 from mssvdd.svdd import (
     ALPHA_TOL,
+    DEFAULT_KKT_TOL,
     LOW_RANK_RATIO,
+    _cold_start,
     _DenseHessian,
     _FactorHessian,
     _solve_pairwise,
@@ -290,6 +292,55 @@ class TestWarmStart:
         pts = np.random.default_rng(32).standard_normal((2, 4))
         with pytest.raises(SolverError, match=match):
             svdd_solve(pts, 0.6, alpha0=alpha0)
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "c, m",
+        [
+            (0.1, 40), (0.25, 40), (0.5, 40), (1.0, 40),  # 1/C an integer
+            (0.3, 40), (0.07, 40),  # 1/C not an integer
+            (2.5, 40),  # C > 1: all mass on one column
+            (0.025, 40), (0.0025, 400), (1.0 / 3.0, 3),  # C * M = 1
+        ],
+    )
+    def test_feasible(self, c, m):
+        pts = np.random.default_rng(m).standard_normal((3, m))
+        alpha = _cold_start(pts, c)
+        assert abs(alpha.sum() - 1.0) <= 1e-12
+        assert np.all(alpha >= 0.0) and np.all(alpha <= c)
+        full = min(int(1.0 / c), m)
+        assert np.count_nonzero(alpha == c) == full
+        if c * m == 1.0:
+            assert full == m
+        # The mass sits on the columns farthest from the mean.
+        spread = pts - pts.mean(axis=1, keepdims=True)
+        far = np.argsort(-np.sum(spread * spread, axis=0), kind="stable")
+        assert np.all(np.diff(alpha[far]) <= 0.0)
+        assert np.count_nonzero(alpha) == min(full + (full * c < 1.0), m)
+
+    def test_reads_far_fewer_columns_than_uniform_start(self, monkeypatch):
+        # A pooled W1-sized problem: rank 3, M = 400, C = 0.1.
+        pts = np.random.default_rng(41).standard_normal((3, 400))
+        g = pts.T @ pts
+        reads = []
+        column = _FactorHessian.column
+
+        def counted(self, i):
+            reads.append(i)
+            return column(self, i)
+
+        monkeypatch.setattr(_FactorHessian, "column", counted)
+        cold = svdd_solve(pts, 0.1).alphas
+        cold_reads = len(reads)
+        _, h = _solver_inputs(pts, 2.0, DEFAULT_KKT_TOL)
+        uniform = _solve_pairwise(h, h.gram_diag, 0.1, DEFAULT_KKT_TOL)
+        uniform_reads = len(reads) - cold_reads
+        assert 10 * cold_reads <= uniform_reads
+        lin = np.diag(g).copy()
+        assert kkt_violation(g, lin, 1.0, cold, 0.1) <= DEFAULT_KKT_TOL
+        gap = sphere_objective(g, cold) - sphere_objective(g, uniform)
+        assert abs(gap) <= DEFAULT_KKT_TOL
 
 
 class TestSvddDistance:
