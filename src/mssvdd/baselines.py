@@ -20,11 +20,9 @@ from .subspace import PredictionResult, TrainConfig
 from .svdd import (
     DataDescription,
     HyperplaneDescription,
-    ocsvm_classify,
-    ocsvm_decision,
+    ocsvm_score,
     ocsvm_solve,
-    svdd_classify,
-    svdd_distances_sq,
+    svdd_score,
     svdd_solve,
 )
 
@@ -108,12 +106,11 @@ def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> Predictio
             )
         points = fused
     if model.kind == "svdd":
-        labels = svdd_classify(model.description, points)
-        scores = svdd_distances_sq(model.description, points)
+        scores, labels = svdd_score(model.description, points)
         radius_sq = model.description.radius_sq
     else:
-        labels = ocsvm_classify(model.description, points)
-        scores = -ocsvm_decision(model.description, points)
+        decision, labels = ocsvm_score(model.description, points)
+        scores = -decision
         radius_sq = 0.0
     return PredictionResult(
         fused=labels,

@@ -11,7 +11,7 @@ like their kernelized counterparts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,16 +57,18 @@ class KernelParams:
 _KERNEL_FIELD_TYPES = field_types(KernelParams)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Squared distances between the columns of a and b, given inner = a.T @ b."""
-    sq_a = np.sum(a * a, axis=0)
-    sq_b = np.sum(b * b, axis=0)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * inner
-    return np.maximum(d2, 0.0)
-
-
 def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel values between the columns of a (D x N) and b (D x M)."""
+    """Kernel values between the columns of a (D x N) and b (D x M).
+
+    a.T @ b is computed once and its buffer reused for the distances, so
+    a Gaussian kernel allocates two N x M arrays and a composite one
+    three. Every step runs in place, in the order of the plain formula
+
+        gamma * exp(-max(|a_i|^2 + |b_j|^2 - 2 a_i'b_j, 0) / (2 sigma^2))
+            + (1 - gamma) * tanh(kappa * a_i'b_j + theta),
+
+    so the result is bit-identical to it.
+    """
     if a.shape[0] != b.shape[0]:
         raise KernelError(
             f"dimensionality mismatch: {a.shape[0]} vs {b.shape[0]}"
@@ -74,13 +76,25 @@ def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarr
     inner = a.T @ b
     if params.kind == "linear":
         return inner
-    gauss = np.exp(-_sq_dists(a, b, inner) / (2.0 * params.sigma**2))
-    if params.kind == "gaussian":
-        return gauss
-    if params.kappa is None:
-        raise KernelError("composite kernel needs kappa resolved to a number")
-    sigm = np.tanh(params.kappa * inner + params.theta)
-    return params.gamma * gauss + (1.0 - params.gamma) * sigm
+    sigm = None
+    if params.kind == "composite":
+        if params.kappa is None:
+            raise KernelError("composite kernel needs kappa resolved to a number")
+        sigm = params.kappa * inner
+        sigm += params.theta
+        np.tanh(sigm, out=sigm)
+    k = np.add.outer(np.sum(a * a, axis=0), np.sum(b * b, axis=0))
+    inner *= 2.0
+    k -= inner
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)
+    k /= 2.0 * params.sigma**2
+    np.exp(k, out=k)
+    if sigm is not None:
+        k *= params.gamma
+        sigm *= 1.0 - params.gamma
+        k += sigm
+    return k
 
 
 def kernel_matrix(f: FeatureMatrix, params: KernelParams) -> np.ndarray:
@@ -94,6 +108,17 @@ def kernel_matrix(f: FeatureMatrix, params: KernelParams) -> np.ndarray:
     return kernel_cross(f.values, f.values, params)
 
 
+def _center_in_place(k: np.ndarray) -> tuple[np.ndarray, float]:
+    """Double-center the square kernel matrix k in place; return the row
+    means and grand mean of the raw kernel."""
+    row_means = k.mean(axis=1)
+    grand_mean = float(row_means.mean())
+    k -= row_means[:, None]
+    k -= row_means[None, :]
+    k += grand_mean
+    return row_means, grand_mean
+
+
 def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Double-center a symmetric kernel matrix.
 
@@ -101,39 +126,65 @@ def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     of the raw kernel, which are needed to center kernel vectors of unseen
     points consistently.
     """
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise KernelError(f"kernel matrix must be square, got {k.shape}")
-    if not np.allclose(k, k.T, atol=1e-10, rtol=0.0):
+    centered = np.array(k, dtype=np.float64)
+    if centered.ndim != 2 or centered.shape[0] != centered.shape[1]:
+        raise KernelError(f"kernel matrix must be square, got {centered.shape}")
+    if not np.allclose(centered, centered.T, atol=1e-10, rtol=0.0):
         raise KernelError("kernel matrix must be symmetric")
-    row_means = k.mean(axis=1)
-    grand_mean = float(row_means.mean())
-    centered = k - row_means[:, None] - row_means[None, :] + grand_mean
+    row_means, grand_mean = _center_in_place(centered)
     return centered, row_means, grand_mean
 
 
-@dataclass(frozen=True)
-class NptState:
-    """Fitted embedding state for one modality.
+def _freeze_arrays(obj, *names: str) -> None:
+    """Make the named array fields of a frozen dataclass read-only float64 arrays."""
+    for name in names:
+        a = np.asarray(getattr(obj, name), dtype=np.float64)
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
-    Holds what embedding new points reads: the raw training features, the
-    row means of their raw kernel, and the kept eigenpairs of the centered
-    kernel. The training kernel and the embedded training data are derived
-    from these on demand. The arrays are read-only, so models may share a
-    state.
+
+@dataclass(frozen=True)
+class KernelState:
+    """The training side of a fitted kernel: what centering the kernel
+    vectors of new points reads.
+
+    Holds the raw training features, the row means of their raw kernel and
+    the kernel params. row_means is read-only, so models may share a state.
     """
 
     row_means: np.ndarray
-    eigvecs: np.ndarray
-    eigvals: np.ndarray
     train_data: FeatureMatrix
     params: KernelParams
 
     def __post_init__(self):
-        for name in ("row_means", "eigvecs", "eigvals"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze_arrays(self, "row_means")
+
+    @property
+    def train_kernel(self) -> np.ndarray:
+        """The raw N x N training kernel, recomputed."""
+        return kernel_matrix(self.train_data, self.params)
+
+
+@dataclass(frozen=True)
+class NptState(KernelState):
+    """Fitted embedding state for one modality: a kernel state plus the
+    kept eigenpairs of its centered kernel.
+
+    The embedded training data is derived from these on demand. kernel is
+    the plain KernelState over the same arrays, made once, so the models
+    that compose their maps from one NptState share one kernel state. The
+    arrays are read-only, so models may share a state.
+    """
+
+    eigvecs: np.ndarray
+    eigvals: np.ndarray
+    kernel: KernelState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _freeze_arrays(self, "row_means", "eigvecs", "eigvals")
+        object.__setattr__(
+            self, "kernel", KernelState(self.row_means, self.train_data, self.params)
+        )
 
     @property
     def rank(self) -> int:
@@ -143,11 +194,6 @@ class NptState:
     def embedded(self) -> np.ndarray:
         """The embedded training data, rank x N."""
         return np.sqrt(self.eigvals)[:, None] * self.eigvecs.T
-
-    @property
-    def train_kernel(self) -> np.ndarray:
-        """The raw N x N training kernel, recomputed."""
-        return kernel_matrix(self.train_data, self.params)
 
 
 def npt_fit(
@@ -161,11 +207,13 @@ def npt_fit(
     strictly positive and above eig_rel_tol times the largest one;
     negative eigenvalues (possible with the indefinite sigmoid component)
     are discarded so the embedded Gram matrix stays positive semidefinite.
+    The kernel is centered in place without center_kernel's symmetry
+    check: kernel_matrix returns it exactly symmetric.
     """
     if f.n_samples < 2:
         raise KernelError("embedding requires at least 2 training samples")
-    k = kernel_matrix(f, params)
-    centered, row_means, _ = center_kernel(k)
+    centered = kernel_matrix(f, params)
+    row_means, _ = _center_in_place(centered)
     w, u = np.linalg.eigh(centered)
     order = np.argsort(w)[::-1]
     w = w[order]
@@ -184,17 +232,19 @@ def npt_fit(
 
 
 def npt_embed_test(
-    state: NptState,
+    state: KernelState,
     f_test: FeatureMatrix | np.ndarray,
     params: Optional[KernelParams] = None,
 ) -> np.ndarray:
-    """Embed test points into the fitted space; returns rank x M.
+    """Embed test points through a fitted kernel state.
 
-    For each test point, its kernel vector against the training set is
-    centered with the training statistics and projected through the kept
-    eigenpairs. A test point equal to a training sample reproduces that
-    sample's training embedding. f_test may be a raw D x M array, M = 0
-    included.
+    Each test point's kernel vector against the training set is centered
+    with the training statistics, in place. An NptState projects the
+    centered vectors through its kept eigenpairs and returns rank x M; a
+    test point equal to a training sample then reproduces that sample's
+    training embedding. A plain KernelState returns the centered vectors
+    themselves, N x M, for a caller that applies its own map to them.
+    f_test may be a raw D x M array, M = 0 included.
     """
     params = state.params if params is None else params
     values = f_test.values if isinstance(f_test, FeatureMatrix) else np.asarray(
@@ -205,9 +255,10 @@ def npt_embed_test(
             f"dimensionality mismatch: train D={state.train_data.dim}, "
             f"test shape {values.shape}"
         )
-    if values.shape[1] == 0:
-        return np.zeros((state.rank, 0))
-    kx = kernel_cross(state.train_data.values, values, params)
-    centered = kx - state.row_means[:, None]
-    centered = centered - centered.mean(axis=0, keepdims=True)
+    centered = kernel_cross(state.train_data.values, values, params)
+    centered -= state.row_means[:, None]
+    centered -= centered.mean(axis=0, keepdims=True)
+    if not isinstance(state, NptState):
+        return centered
     return (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ centered)
+

@@ -5,6 +5,14 @@ trip reproduces every matrix bit-for-bit, which in turn makes reloaded
 models predict identically to the originals. Model files store only what
 prediction reads. Files with an unknown format version are rejected
 outright.
+
+Format 3 stores a kernelized subspace model's per-modality kernel state
+with its composed map A_v (subspace.compose_kernel_maps) in place of the
+kernel's eigenpairs. Version 1 and 2 files store the eigenpairs; loading
+composes the maps from them with the same function training uses, so such
+a file predicts bit for bit as the model it was saved from did in
+process. Baseline files differ between versions 2 and 3 only in the
+version number.
 """
 
 from __future__ import annotations
@@ -23,15 +31,15 @@ from .baselines import BaselineModel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset
 from .errors import ConfigError, KernelError, PersistenceError
 from .evaluation import ConfusionMatrix, EvalReport
-from .kernels import KernelParams, NptState
-from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig
+from .kernels import KernelParams, KernelState, NptState
+from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig, compose_kernel_maps
 from .svdd import DataDescription, HyperplaneDescription
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 REPORT_FORMAT_VERSION = 1
 # Version 1 model files also hold the training kernels, embedded training
 # data and pooled column ranges, which prediction never reads; loading ignores them.
-_READABLE_MODEL_VERSIONS = (1, MODEL_FORMAT_VERSION)
+_READABLE_MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
 
 
 def _encode_array(a: np.ndarray) -> dict[str, Any]:
@@ -78,24 +86,65 @@ def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
     return TrainConfig(**{**_fields_of(TrainConfig, obj), "kernel_params": kp})
 
 
-def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
+def _kernel_state_to_dict(state: KernelState) -> dict[str, Any]:
     return {
         "row_means": _encode_array(state.row_means),
-        "eigvecs": _encode_array(state.eigvecs),
-        "eigvals": _encode_array(state.eigvals),
         "train_data": _encode_array(state.train_data.values),
         "params": asdict(state.params),
     }
 
 
+def _kernel_state_fields(obj: dict[str, Any]) -> dict[str, Any]:
+    return {
+        "row_means": _decode_array(obj["row_means"]),
+        "train_data": FeatureMatrix(_decode_array(obj["train_data"])),
+        "params": KernelParams(**_fields_of(KernelParams, obj["params"])),
+    }
+
+
+def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
+    return {
+        **_kernel_state_to_dict(state),
+        "eigvecs": _encode_array(state.eigvecs),
+        "eigvals": _encode_array(state.eigvals),
+    }
+
+
 def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     return NptState(
-        row_means=_decode_array(obj["row_means"]),
+        **_kernel_state_fields(obj),
         eigvecs=_decode_array(obj["eigvecs"]),
         eigvals=_decode_array(obj["eigvals"]),
-        train_data=FeatureMatrix(_decode_array(obj["train_data"])),
-        params=KernelParams(**_fields_of(KernelParams, obj["params"])),
     )
+
+
+def _kernel_maps_to_dict(model: SubspaceModel) -> Optional[list[dict[str, Any]]]:
+    if model.kernel_states is None:
+        return None
+    return [
+        {**_kernel_state_to_dict(state), "map": _encode_array(a)}
+        for state, a in zip(model.kernel_states, model.kernel_maps)
+    ]
+
+
+def _kernel_maps_from_dict(
+    obj: dict[str, Any], projections: list[ProjectionMatrix]
+) -> dict[str, Optional[list]]:
+    """SubspaceModel's kernel_states and kernel_maps from a model file."""
+    if obj["format_version"] < 3:
+        npt_states = obj["npt_states"]
+        return compose_kernel_maps(
+            projections,
+            None if npt_states is None else [_npt_state_from_dict(s) for s in npt_states],
+        )
+    if obj["kernel_maps"] is None:
+        return {"kernel_states": None, "kernel_maps": None}
+    return {
+        "kernel_states": [
+            KernelState(**_kernel_state_fields(e)) for e in obj["kernel_maps"]
+        ],
+        "kernel_maps": [_decode_array(e["map"]) for e in obj["kernel_maps"]],
+    }
 
 
 # A model's kind is config.model_kind. Its file also states the
@@ -169,11 +218,7 @@ def model_to_dict(
         common.update(
             {
                 "projections": [_encode_array(p.q) for p in model.projections],
-                "npt_states": (
-                    None
-                    if model.npt_states is None
-                    else [_npt_state_to_dict(s) for s in model.npt_states]
-                ),
+                "kernel_maps": _kernel_maps_to_dict(model),
                 "ortho_errors": list(model.ortho_errors),
             }
         )
@@ -219,17 +264,12 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
     description = _description_from_dict(obj["description"], description_kind)
     scaler = _scaler_from_jsonable(obj.get("scaler"))
     if model_class == "subspace":
+        projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
         return SubspaceModel(
-            projections=[
-                ProjectionMatrix(_decode_array(p)) for p in obj["projections"]
-            ],
+            projections=projections,
             description=description,
             config=config,
-            npt_states=(
-                None
-                if obj["npt_states"] is None
-                else [_npt_state_from_dict(s) for s in obj["npt_states"]]
-            ),
+            **_kernel_maps_from_dict(obj, projections),
             scaler=scaler,
             ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
             warning=obj.get("warning"),

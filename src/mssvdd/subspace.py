@@ -19,13 +19,12 @@ import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset
 from .errors import ConfigError, SolverError, ToolkitError, coerce_fields, field_types
-from .kernels import KernelParams, NptState, npt_embed_test, npt_fit
+from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
 from .svdd import (
     ALPHA_TOL,
     DEFAULT_KKT_TOL,
     DataDescription,
-    svdd_classify,
-    svdd_distances_sq,
+    svdd_score,
     svdd_solve,
 )
 
@@ -138,6 +137,12 @@ _TRAIN_FIELD_TYPES = field_types(TrainConfig)
 class SubspaceModel:
     """Trained subspace one-class model.
 
+    A kernelized model holds, per modality, the kernel state its test
+    points are embedded through and kernel_maps[v] = A_v = Q_v Lambda_v^-1/2
+    U_v' (d x N), composed once from the projection and the kernel's
+    eigenpairs (compose_kernel_maps); it maps the centered test kernel
+    straight to the subspace. The projections are kept for inspection.
+
     ortho_errors records the largest row-orthonormality deviation observed
     after each update cycle.
     """
@@ -145,7 +150,8 @@ class SubspaceModel:
     projections: list[ProjectionMatrix]
     description: DataDescription
     config: TrainConfig
-    npt_states: Optional[list[NptState]] = None
+    kernel_states: Optional[list[KernelState]] = None
+    kernel_maps: Optional[list[np.ndarray]] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     ortho_errors: list[float] = field(default_factory=list)
     warning: Optional[str] = None
@@ -389,7 +395,7 @@ class FoldMemo:
 
     train() keeps its embedding, its start projections and its cold first
     solve here under each stage's key (see _stage_keys), and predict() the
-    test embedding of each fitted kernel state. A stage that raised a
+    centered test kernel of each kernel state. A stage that raised a
     ToolkitError is kept as that error and raised again for every later
     caller, so all of them fail with the same message. Every kept output is
     immutable. A memo serves the one training set and the one test set it
@@ -567,12 +573,34 @@ def train(
         projections=list(projections),
         description=description,
         config=config,
-        npt_states=(
-            None if embedding.npt_states is None else list(embedding.npt_states)
-        ),
         ortho_errors=ortho_errors,
         warning=warning,
+        **compose_kernel_maps(projections, embedding.npt_states),
     )
+
+
+def compose_kernel_maps(
+    projections: Sequence[ProjectionMatrix],
+    npt_states: Optional[Sequence[NptState]],
+) -> dict[str, Optional[list]]:
+    """A SubspaceModel's kernel_states and kernel_maps for its projections
+    and the fitted kernel states (None for a linear model).
+
+    A_v = (Q_v Lambda_v^-1/2) U_v' applied to the centered test kernel
+    equals Q_v applied to the test embedding, npt_embed_test of the
+    NptState, up to rounding, without the rank x M intermediate. Training
+    and the loading of files that store eigenpairs compose through this
+    one function, so their maps agree bit for bit.
+    """
+    if npt_states is None:
+        return {"kernel_states": None, "kernel_maps": None}
+    return {
+        "kernel_states": [s.kernel for s in npt_states],
+        "kernel_maps": [
+            (p.q * (1.0 / np.sqrt(s.eigvals))) @ s.eigvecs.T
+            for s, p in zip(npt_states, projections)
+        ],
+    }
 
 
 def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:
@@ -605,8 +633,10 @@ def predict(
 ) -> PredictionResult:
     """Classify every sample of data with a trained subspace model.
 
-    memo, made for data as its test set, shares the test embedding of each
-    kernel state with the other models that hold that state.
+    A kernelized model maps each modality's centered test kernel through
+    its composed map. memo, made for data as its test set, shares the
+    centered test kernel of each kernel state with the other models that
+    hold that state.
     """
     if data.n_modalities != model.n_modalities:
         raise ConfigError(
@@ -622,24 +652,23 @@ def predict(
     radius_sq = model.description.radius_sq
     for v in range(v_count):
         feats = data.modalities[v]
-        if model.npt_states is not None:
-            state = model.npt_states[v]
+        if model.kernel_states is not None:
+            state = model.kernel_states[v]
             # The entry holds the state, so no other object can take its id.
-            _, x = _stage(
+            _, kx = _stage(
                 memo,
-                ("test_embedding", id(state)),
-                lambda: (state, _read_only(npt_embed_test(state, feats, state.params))),
+                ("test_kernel", id(state)),
+                lambda: (state, _read_only(npt_embed_test(state, feats))),
             )
+            y = model.kernel_maps[v] @ kx
         else:
             if feats.dim != model.projections[v].input_dim:
                 raise ConfigError(
                     f"modality {v} has {feats.dim} dims, model expects "
                     f"{model.projections[v].input_dim}"
                 )
-            x = feats.values
-        y = model.projections[v].q @ x
-        distances[v] = svdd_distances_sq(model.description, y)
-        per_modality[v] = svdd_classify(model.description, y)
+            y = model.projections[v].q @ feats.values
+        distances[v], per_modality[v] = svdd_score(model.description, y)
     fused = fuse_labels(per_modality, model.config.decision_strategy)
     return PredictionResult(
         fused=fused,

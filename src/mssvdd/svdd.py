@@ -467,11 +467,16 @@ def svdd_solve(
     )
 
 
-def svdd_distances_sq(desc: DataDescription, y: np.ndarray) -> np.ndarray:
-    """Squared distances of the columns of y (d x M) to the sphere center."""
+def _sphere_terms(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|y|^2 and the squared distance to the center, per column of y."""
     y = _query(desc, y)
     y_sq = np.sum(y * y, axis=0)
-    return y_sq - 2.0 * (desc.center @ y) + desc.center_sq
+    return y_sq, y_sq - 2.0 * (desc.center @ y) + desc.center_sq
+
+
+def svdd_distances_sq(desc: DataDescription, y: np.ndarray) -> np.ndarray:
+    """Squared distances of the columns of y (d x M) to the sphere center."""
+    return _sphere_terms(desc, y)[1]
 
 
 def svdd_distance_sq(desc: DataDescription, y: np.ndarray) -> float:
@@ -482,17 +487,22 @@ def svdd_distance_sq(desc: DataDescription, y: np.ndarray) -> float:
     return float(svdd_distances_sq(desc, y[:, None])[0])
 
 
-def svdd_classify(desc: DataDescription, y: np.ndarray) -> np.ndarray:
-    """1 for columns inside or on the sphere, 0 outside (boundary counts in).
+def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances of the columns of y to the center, and their labels:
+    1 inside or on the sphere, 0 outside (boundary counts in).
 
     A column counts as on the sphere when its distance exceeds the radius
     by at most BOUNDARY_RTOL * (|y| + |center|)^2, a bound on the terms of
     |y|^2 - 2 center'y + |center|^2.
     """
-    dist_sq = svdd_distances_sq(desc, y)
-    y = np.asarray(y, dtype=np.float64)
-    scale = (np.sqrt(np.sum(y * y, axis=0)) + np.sqrt(desc.center_sq)) ** 2
-    return (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
+    y_sq, dist_sq = _sphere_terms(desc, y)
+    scale = (np.sqrt(y_sq) + np.sqrt(desc.center_sq)) ** 2
+    return dist_sq, (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
+
+
+def svdd_classify(desc: DataDescription, y: np.ndarray) -> np.ndarray:
+    """svdd_score's labels of the columns of y."""
+    return svdd_score(desc, y)[1]
 
 
 @dataclass(frozen=True)
@@ -546,8 +556,11 @@ def ocsvm_decision(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
     return desc.weight @ y - desc.rho
 
 
-def ocsvm_classify(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
-    """1 for columns on the target side of the hyperplane or on it, 0 otherwise.
+def ocsvm_score(
+    desc: HyperplaneDescription, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decision values of the columns of y, and their labels: 1 on the
+    target side of the hyperplane or on it, 0 otherwise.
 
     A column counts as on the hyperplane when its decision value is at
     least -BOUNDARY_RTOL * (|weight| |y| + |rho|), a bound on the terms of
@@ -556,4 +569,9 @@ def ocsvm_classify(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
     decision = ocsvm_decision(desc, y)
     y = np.asarray(y, dtype=np.float64)
     scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
-    return (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)
+    return decision, (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)
+
+
+def ocsvm_classify(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
+    """ocsvm_score's labels of the columns of y."""
+    return ocsvm_score(desc, y)[1]

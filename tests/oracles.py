@@ -250,3 +250,31 @@ def random_box_simplex(rng: np.random.Generator, m: int, upper: float) -> np.nda
         alpha[idx] += share / idx.size
         deficit = 1.0 - alpha.sum()
     return alpha
+
+
+def kernel_formula(a: np.ndarray, b: np.ndarray, params) -> np.ndarray:
+    """Kernel values between the columns of a and b, written out of place:
+    one a.T @ b, and a new array for every elementwise step."""
+    inner = a.T @ b
+    if params.kind == "linear":
+        return inner
+    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :] - 2.0 * inner
+    gauss = np.exp(-np.maximum(sq, 0.0) / (2.0 * params.sigma**2))
+    if params.kind == "gaussian":
+        return gauss
+    sigm = np.tanh(params.kappa * inner + params.theta)
+    return params.gamma * gauss + (1.0 - params.gamma) * sigm
+
+
+def centered_test_kernel_formula(
+    train: np.ndarray, row_means: np.ndarray, test: np.ndarray, params
+) -> np.ndarray:
+    """The test kernel centered with the training row means, out of place."""
+    centered = kernel_formula(train, test, params) - row_means[:, None]
+    return centered - centered.mean(axis=0, keepdims=True)
+
+
+def center_formula(k: np.ndarray) -> np.ndarray:
+    """The doubly centered kernel matrix, out of place."""
+    row_means = k.mean(axis=1)
+    return k - row_means[:, None] - row_means[None, :] + float(row_means.mean())

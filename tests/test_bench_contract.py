@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mssvdd import TrainConfig, fit_model, synth_multimodal
+import mssvdd.kernels
+import mssvdd.subspace
+from mssvdd import KernelParams, TrainConfig, fit_model, synth_multimodal
 from mssvdd.svdd import DEFAULT_KKT_TOL, ocsvm_solve, svdd_solve
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -67,3 +69,52 @@ def test_baseline_kind_is_model_kind(kind):
     data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=1)
     model = fit_model(data, TrainConfig(model_kind=kind, c_penalty=0.5, nu=0.3))
     assert model.kind == kind == model.config.model_kind
+
+
+def test_kernelized_predict_embeds_through_traced_name(tracing, monkeypatch):
+    # The tracer times the test embedding by rebinding
+    # mssvdd.subspace.npt_embed_test, so kernelized prediction must evaluate
+    # every test kernel inside a call through that name.
+    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=1)
+    probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=2)
+    config = TrainConfig(
+        d=2, c_penalty=0.5, max_iter=2, kernelized=True,
+        kernel_params=KernelParams(sigma=3.0),
+    )
+    model = mssvdd.subspace.train(data, config)
+    depth = [0]
+    inside = []
+    real_embed = mssvdd.subspace.npt_embed_test
+    real_cross = mssvdd.kernels.kernel_cross
+
+    def embed(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_embed(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def cross(a, b, params):
+        inside.append(depth[0] > 0)
+        return real_cross(a, b, params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mssvdd.subspace, "npt_embed_test", embed)
+        patch.setattr(mssvdd.kernels, "kernel_cross", cross)
+        mssvdd.subspace.predict(model, probe)
+    assert inside == [True, True]
+
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    try:
+        mssvdd.subspace.predict(model, probe)
+    finally:
+        tracer.end_op()
+    values, problems = tracer.finish_op(0)
+    assert problems == []
+    assert values["kernels.npt_embed_test.calls"] == 2
+    # 12 training targets against 18 test samples, per modality.
+    assert values["kernels.kernel_evals"] == 2 * 12 * 18
+    spans = {s.name: s for s in tracer.spans}
+    embeds = [s for s in tracer.spans if s.name == "kernels.npt_embed_test"]
+    assert all(s.parent == spans["subspace.predict"].id for s in embeds)

@@ -454,6 +454,35 @@ class TestGroupedGridSearch:
         assert stage_calls == {"npt_fit": 10, "pca_init": 10, "npt_embed_test": 10}
         assert (len(solves), sum(solves)) == (70, 10)
 
+    def test_test_kernel_evaluated_once_per_state_and_fold(self, monkeypatch):
+        # 12 distinct fits per fold share one kernel state per modality; each
+        # test fold evaluates that state's test kernel once.
+        calls = {"train": 0, "test": 0}
+        real = mssvdd.kernels.kernel_cross
+
+        def counting(a, b, params):
+            calls["train" if a is b else "test"] += 1
+            return real(a, b, params)
+
+        monkeypatch.setattr(mssvdd.kernels, "kernel_cross", counting)
+        data = synth_multimodal(20, 20, 2, [5, 5], 3.0, seed=62)
+        grid = GridSpec(
+            sigma_grid=(10.0,),
+            eta_grid=(1e-3,),
+            beta_grid=(1e-2, 1.0),
+            c_grid=(0.1, 0.3),
+            d_grid=(3,),
+            update_strategies=("SD-", "AD-+"),
+            regularizers=("w0", "w4"),
+            decision_strategies=("ds1", "ds2"),
+        )
+        base = TrainConfig(
+            max_iter=1, kernelized=True, kernel_params=KernelParams(sigma=10.0)
+        )
+        result = grid_search(data, grid, base, inner_k=5, seed=63)
+        assert {c.status for c in result.cells} == {"ok"}
+        assert calls == {"train": 10, "test": 10}
+
     def test_first_failing_fold_message_wins(self, monkeypatch):
         # Folds 0 and 1 train on 28 pooled columns, folds 2 and 3 on 26. The
         # cold solves with C=0.3 fail on folds 2 and 3, each fold with its

@@ -12,6 +12,8 @@ from mssvdd import (
 )
 from mssvdd.kernels import KERNEL_KINDS, kernel_cross
 
+from oracles import center_formula, centered_test_kernel_formula, kernel_formula
+
 
 def _random_features(rng, d, n):
     return FeatureMatrix(rng.standard_normal((d, n)))
@@ -124,6 +126,47 @@ class TestKernelMatrix:
         f = _random_features(rng, 3, 5)
         k = kernel_matrix(f, KernelParams(kind="linear"))
         np.testing.assert_allclose(k, f.values.T @ f.values, atol=1e-12)
+
+
+# kernel_cross and the test-kernel centering work in place; pin them bit
+# for bit against the same formulas written out of place.
+class TestInPlaceKernel:
+    SHAPES = [(20, 200, 1000), (5, 64, 16), (1, 9, 9), (40, 257, 700)]
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("square", [False, True])
+    @pytest.mark.parametrize("d,n,m", SHAPES)
+    def test_kernel_matches_formula(self, d, n, m, square, kind):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((d, n))
+        b = a if square else rng.standard_normal((d, m))
+        params = KernelParams(kind=kind, gamma=0.3, sigma=2.0, kappa=0.2, theta=0.1)
+        got = kernel_cross(a, b, params)
+        assert got.tobytes() == kernel_formula(a, b, params).tobytes()
+        if square:
+            k = kernel_matrix(FeatureMatrix(a), params)
+            assert k.tobytes() == got.tobytes()
+            assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("square", [False, True])
+    @pytest.mark.parametrize("d,n,m", SHAPES)
+    def test_centering_matches_formula(self, d, n, m, square, kind):
+        rng = np.random.default_rng(15)
+        f = FeatureMatrix(rng.standard_normal((d, n)))
+        test = f.values if square else rng.standard_normal((d, m))
+        params = KernelParams(kind=kind, gamma=0.3, sigma=2.0, kappa=0.2, theta=0.1)
+        raw = kernel_formula(f.values, f.values, params)
+        want_centered = center_formula(raw)
+        centered, row_means, _ = center_kernel(raw)
+        assert centered.tobytes() == want_centered.tobytes()
+        assert row_means.tobytes() == raw.mean(axis=1).tobytes()
+        state = npt_fit(f, params)
+        assert state.row_means.tobytes() == row_means.tobytes()
+        want = centered_test_kernel_formula(f.values, row_means, test, params)
+        assert npt_embed_test(state.kernel, test).tobytes() == want.tobytes()
+        embedded = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ want)
+        assert npt_embed_test(state, test).tobytes() == embedded.tobytes()
 
 
 class TestCenterKernel:

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mssvdd import (
     fit_model,
     load_model,
     load_report,
+    npt_fit,
     predict_model,
     run_cv,
     save_model,
@@ -172,27 +174,50 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 2
-        for entry in obj["npt_states"]:
-            assert set(entry) == {
-                "row_means", "eigvecs", "eigvals", "train_data", "params"
-            }
-
-        # A version 1 file also holds arrays prediction never reads.
-        v1 = model_to_dict(model)
-        v1["format_version"] = 1
-        v1["modality_index_map"] = [[0, 12], [12, 24]]
-        for entry, state in zip(v1["npt_states"], model.npt_states):
-            entry["train_kernel"] = _encode_array(state.train_kernel)
-            entry["embedded"] = _encode_array(state.embedded)
-            entry["grand_mean"] = float(state.row_means.mean())
-            entry["rank"] = state.rank
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps(v1))
+        assert obj["format_version"] == 3
+        assert "npt_states" not in obj
+        for entry in obj["kernel_maps"]:
+            assert set(entry) == {"row_means", "train_data", "params", "map"}
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
         _predictions_equal(
-            predict_model(model, probe), predict_model(load_model(old), probe)
+            predict_model(model, probe), predict_model(load_model(path), probe)
         )
+
+        # Version 1 and 2 files store the kernels' eigenpairs instead of the
+        # maps; version 1 files also hold arrays prediction never reads.
+        states = [
+            npt_fit(mod, config.resolved_kernel_params())
+            for mod in data.target_subset().modalities
+        ]
+        for version in (1, 2):
+            old = model_to_dict(model)
+            old["format_version"] = version
+            del old["kernel_maps"]
+            old["npt_states"] = [
+                {
+                    "row_means": _encode_array(s.row_means),
+                    "eigvecs": _encode_array(s.eigvecs),
+                    "eigvals": _encode_array(s.eigvals),
+                    "train_data": _encode_array(s.train_data.values),
+                    "params": asdict(s.params),
+                }
+                for s in states
+            ]
+            if version == 1:
+                old["modality_index_map"] = [[0, 12], [12, 24]]
+                for entry, state in zip(old["npt_states"], states):
+                    entry["train_kernel"] = _encode_array(state.train_kernel)
+                    entry["embedded"] = _encode_array(state.embedded)
+                    entry["grand_mean"] = float(state.row_means.mean())
+                    entry["rank"] = state.rank
+            old_path = tmp_path / f"v{version}.json"
+            old_path.write_text(json.dumps(old))
+            back = load_model(old_path)
+            for a, b in zip(back.kernel_maps, model.kernel_maps):
+                assert a.tobytes() == b.tobytes()
+            _predictions_equal(
+                predict_model(model, probe), predict_model(back, probe)
+            )
 
         report = run_cv(
             data, TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2), k=4, seed=1
@@ -200,6 +225,28 @@ class TestModelRoundTrip:
         report_path = tmp_path / "report.json"
         save_report(report, report_path)
         assert json.loads(report_path.read_text())["format_version"] == 1
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_baseline_file_keeps_eigenpairs(self, tmp_path, kind):
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=3)
+        config = TrainConfig(
+            model_kind=kind, c_penalty=0.5, nu=0.3, kernelized=True,
+            kernel_params=KernelParams(kind="composite", sigma=3.0),
+        )
+        model = fit_model(data, config)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        obj = json.loads(path.read_text())
+        assert obj["format_version"] == 3
+        assert set(obj["npt_state"]) == {
+            "row_means", "eigvecs", "eigvals", "train_data", "params"
+        }
+        obj["format_version"] = 2
+        old_path = tmp_path / "v2.json"
+        old_path.write_text(json.dumps(obj))
+        probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
+        for back in (load_model(path), load_model(old_path)):
+            _predictions_equal(predict_model(model, probe), predict_model(back, probe))
 
     @pytest.mark.parametrize("loader", [load_model, load_report])
     @pytest.mark.parametrize("text", ['{"format_version": 1}', "[]"])

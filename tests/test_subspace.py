@@ -369,8 +369,9 @@ class TestTrain:
             kernel_params=KernelParams(kind="composite", sigma=5.0),
         )
         model = train(data, config)
-        assert model.npt_states is not None
-        assert model.npt_states[0].params.kappa == pytest.approx(0.5)
+        assert model.kernel_states is not None
+        assert model.kernel_states[0].params.kappa == pytest.approx(0.5)
+        assert [a.shape for a in model.kernel_maps] == [(2, 12), (2, 12)]
         result = predict(model, data)
         assert result.per_modality.shape == (2, 20)
 
@@ -408,9 +409,9 @@ class TestTrain:
                 predict(plain, test_set).distances,
             )
             models.append(shared)
-        for a, b in zip(models[0].npt_states, models[2].npt_states):
+        for a, b in zip(models[0].kernel_states, models[2].kernel_states):
             assert a is b
-            assert not (a.eigvecs.flags.writeable or a.row_means.flags.writeable)
+            assert not a.row_means.flags.writeable
         with pytest.raises(ConfigError, match="another training set"):
             train(test_set, base, memo=memo)
         with pytest.raises(ConfigError, match="another test set"):

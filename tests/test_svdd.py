@@ -31,7 +31,11 @@ from mssvdd.svdd import (
     _solve_pairwise,
     _solver_inputs,
     ocsvm_classify,
+    ocsvm_decision,
+    ocsvm_score,
     svdd_classify,
+    svdd_distances_sq,
+    svdd_score,
 )
 
 from oracles import (
@@ -413,6 +417,25 @@ def test_nonpositive_kkt_tol_rejected(solve, kkt_tol):
     pts = np.random.default_rng(31).standard_normal((2, 6))
     with pytest.raises(SolverError, match="kkt_tol must be positive"):
         solve(pts, 0.5, kkt_tol)
+
+
+@pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+def test_score_returns_values_and_labels(kind):
+    # Prediction reads values and labels from one call.
+    rng = np.random.default_rng(21)
+    points = rng.standard_normal((3, 80))
+    y = 1.5 * rng.standard_normal((3, 200))
+    if kind == "svdd":
+        desc = svdd_solve(points, 0.1)
+        values, labels = svdd_score(desc, y)
+        want, want_labels = svdd_distances_sq(desc, y), svdd_classify(desc, y)
+    else:
+        desc = ocsvm_solve(points, 0.2)
+        values, labels = ocsvm_score(desc, y)
+        want, want_labels = ocsvm_decision(desc, y), ocsvm_classify(desc, y)
+    assert values.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(labels, want_labels)
+    assert set(np.unique(labels)) == {0, 1}
 
 
 class TestOcsvm:
