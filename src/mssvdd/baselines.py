@@ -97,7 +97,7 @@ def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> Predictio
         )
     fused = fuse_features(data)
     if model.npt_state is not None:
-        points = npt_embed_test(model.npt_state, fused, model.npt_state.params)
+        points = npt_embed_test(model.npt_state, fused)
     else:
         expected = model.description.train_points.shape[0]
         if fused.shape[0] != expected:

@@ -11,7 +11,7 @@ like their kernelized counterparts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -158,6 +158,11 @@ class KernelState:
 
     def __post_init__(self):
         _freeze_arrays(self, "row_means")
+        if self.row_means.shape != (self.train_data.n_samples,):
+            raise KernelError(
+                f"row_means shape {self.row_means.shape} does not match "
+                f"{self.train_data.n_samples} training samples"
+            )
 
     @property
     def train_kernel(self) -> np.ndarray:
@@ -166,25 +171,30 @@ class KernelState:
 
 
 @dataclass(frozen=True)
-class NptState(KernelState):
-    """Fitted embedding state for one modality: a kernel state plus the
-    kept eigenpairs of its centered kernel.
+class NptState:
+    """Fitted embedding state for one modality: its kernel state and the
+    kept eigenpairs of the centered kernel.
 
-    The embedded training data is derived from these on demand. kernel is
-    the plain KernelState over the same arrays, made once, so the models
-    that compose their maps from one NptState share one kernel state. The
-    arrays are read-only, so models may share a state.
+    The embedded training data is derived from these on demand. The arrays
+    are read-only, so models may share a state.
     """
 
+    kernel: KernelState
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    kernel: KernelState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _freeze_arrays(self, "row_means", "eigvecs", "eigvals")
-        object.__setattr__(
-            self, "kernel", KernelState(self.row_means, self.train_data, self.params)
-        )
+        _freeze_arrays(self, "eigvecs", "eigvals")
+
+    @property
+    def train_data(self) -> FeatureMatrix:
+        """The training features, as on a KernelState."""
+        return self.kernel.train_data
+
+    @property
+    def train_kernel(self) -> np.ndarray:
+        """The raw N x N training kernel, recomputed."""
+        return self.kernel.train_kernel
 
     @property
     def rank(self) -> int:
@@ -223,16 +233,14 @@ def npt_fit(
         )
     keep = w > max(eig_rel_tol * w[0], 0.0)
     return NptState(
-        row_means=row_means,
+        kernel=KernelState(row_means=row_means, train_data=f, params=params),
         eigvecs=u[:, order[keep]],
         eigvals=w[keep],
-        train_data=f,
-        params=params,
     )
 
 
 def npt_embed_test(
-    state: KernelState,
+    state: KernelState | NptState,
     f_test: FeatureMatrix | np.ndarray,
     params: Optional[KernelParams] = None,
 ) -> np.ndarray:
@@ -246,19 +254,20 @@ def npt_embed_test(
     themselves, N x M, for a caller that applies its own map to them.
     f_test may be a raw D x M array, M = 0 included.
     """
-    params = state.params if params is None else params
+    kernel = state.kernel if isinstance(state, NptState) else state
+    params = kernel.params if params is None else params
     values = f_test.values if isinstance(f_test, FeatureMatrix) else np.asarray(
         f_test, dtype=np.float64
     )
-    if values.ndim != 2 or values.shape[0] != state.train_data.dim:
+    if values.ndim != 2 or values.shape[0] != kernel.train_data.dim:
         raise KernelError(
-            f"dimensionality mismatch: train D={state.train_data.dim}, "
+            f"dimensionality mismatch: train D={kernel.train_data.dim}, "
             f"test shape {values.shape}"
         )
-    centered = kernel_cross(state.train_data.values, values, params)
-    centered -= state.row_means[:, None]
+    centered = kernel_cross(kernel.train_data.values, values, params)
+    centered -= kernel.row_means[:, None]
     centered -= centered.mean(axis=0, keepdims=True)
-    if not isinstance(state, NptState):
+    if state is kernel:
         return centered
     return (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ centered)
 

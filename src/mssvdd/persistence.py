@@ -32,7 +32,13 @@ from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset
 from .errors import ConfigError, KernelError, PersistenceError
 from .evaluation import ConfusionMatrix, EvalReport
 from .kernels import KernelParams, KernelState, NptState
-from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig, compose_kernel_maps
+from .subspace import (
+    KernelMap,
+    ProjectionMatrix,
+    SubspaceModel,
+    TrainConfig,
+    compose_kernel_maps,
+)
 from .svdd import DataDescription, HyperplaneDescription
 
 MODEL_FORMAT_VERSION = 3
@@ -104,7 +110,7 @@ def _kernel_state_fields(obj: dict[str, Any]) -> dict[str, Any]:
 
 def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
     return {
-        **_kernel_state_to_dict(state),
+        **_kernel_state_to_dict(state.kernel),
         "eigvecs": _encode_array(state.eigvecs),
         "eigvals": _encode_array(state.eigvals),
     }
@@ -112,39 +118,50 @@ def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
 
 def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     return NptState(
-        **_kernel_state_fields(obj),
+        kernel=KernelState(**_kernel_state_fields(obj)),
         eigvecs=_decode_array(obj["eigvecs"]),
         eigvals=_decode_array(obj["eigvals"]),
     )
 
 
 def _kernel_maps_to_dict(model: SubspaceModel) -> Optional[list[dict[str, Any]]]:
-    if model.kernel_states is None:
+    if model.kernel_maps is None:
         return None
     return [
-        {**_kernel_state_to_dict(state), "map": _encode_array(a)}
-        for state, a in zip(model.kernel_states, model.kernel_maps)
+        {**_kernel_state_to_dict(km.state), "map": _encode_array(km.map)}
+        for km in model.kernel_maps
     ]
 
 
 def _kernel_maps_from_dict(
     obj: dict[str, Any], projections: list[ProjectionMatrix]
-) -> dict[str, Optional[list]]:
-    """SubspaceModel's kernel_states and kernel_maps from a model file."""
-    if obj["format_version"] < 3:
-        npt_states = obj["npt_states"]
-        return compose_kernel_maps(
-            projections,
-            None if npt_states is None else [_npt_state_from_dict(s) for s in npt_states],
+) -> Optional[list[KernelMap]]:
+    """A SubspaceModel's kernel maps from a model file, one per projection,
+    each d x N for its projection's d and its kernel's N training samples."""
+    key = "npt_states" if obj["format_version"] < 3 else "kernel_maps"
+    entries = obj[key]
+    if entries is None:
+        return None
+    if len(entries) != len(projections):
+        raise ValueError(
+            f"{len(entries)} {key} entries for {len(projections)} projections"
         )
-    if obj["kernel_maps"] is None:
-        return {"kernel_states": None, "kernel_maps": None}
-    return {
-        "kernel_states": [
-            KernelState(**_kernel_state_fields(e)) for e in obj["kernel_maps"]
-        ],
-        "kernel_maps": [_decode_array(e["map"]) for e in obj["kernel_maps"]],
-    }
+    if key == "npt_states":
+        maps = compose_kernel_maps(
+            projections, [_npt_state_from_dict(e) for e in entries]
+        )
+    else:
+        maps = [
+            KernelMap(KernelState(**_kernel_state_fields(e)), _decode_array(e["map"]))
+            for e in entries
+        ]
+    for v, (km, p) in enumerate(zip(maps, projections)):
+        want = (p.d, km.state.train_data.n_samples)
+        if km.map.shape != want:
+            raise ValueError(
+                f"modality {v} kernel map has shape {km.map.shape}, expected {want}"
+            )
+    return maps
 
 
 # A model's kind is config.model_kind. Its file also states the
@@ -269,7 +286,7 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
             projections=projections,
             description=description,
             config=config,
-            **_kernel_maps_from_dict(obj, projections),
+            kernel_maps=_kernel_maps_from_dict(obj, projections),
             scaler=scaler,
             ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
             warning=obj.get("warning"),

@@ -133,15 +133,24 @@ class TrainConfig:
 _TRAIN_FIELD_TYPES = field_types(TrainConfig)
 
 
+@dataclass(frozen=True)
+class KernelMap:
+    """How a kernelized model maps one modality's test points: state
+    centers their kernel vectors against the training set, and map, A_v =
+    Q_v Lambda_v^-1/2 U_v' (d x N), takes the centered vectors straight to
+    the subspace."""
+
+    state: KernelState
+    map: np.ndarray
+
+
 @dataclass
 class SubspaceModel:
     """Trained subspace one-class model.
 
-    A kernelized model holds, per modality, the kernel state its test
-    points are embedded through and kernel_maps[v] = A_v = Q_v Lambda_v^-1/2
-    U_v' (d x N), composed once from the projection and the kernel's
-    eigenpairs (compose_kernel_maps); it maps the centered test kernel
-    straight to the subspace. The projections are kept for inspection.
+    A kernelized model holds one KernelMap per modality, composed once from
+    the projection and the kernel's eigenpairs (compose_kernel_maps). The
+    projections are kept for inspection.
 
     ortho_errors records the largest row-orthonormality deviation observed
     after each update cycle.
@@ -150,8 +159,7 @@ class SubspaceModel:
     projections: list[ProjectionMatrix]
     description: DataDescription
     config: TrainConfig
-    kernel_states: Optional[list[KernelState]] = None
-    kernel_maps: Optional[list[np.ndarray]] = None
+    kernel_maps: Optional[list[KernelMap]] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     ortho_errors: list[float] = field(default_factory=list)
     warning: Optional[str] = None
@@ -575,32 +583,31 @@ def train(
         config=config,
         ortho_errors=ortho_errors,
         warning=warning,
-        **compose_kernel_maps(projections, embedding.npt_states),
+        kernel_maps=compose_kernel_maps(projections, embedding.npt_states),
     )
 
 
 def compose_kernel_maps(
     projections: Sequence[ProjectionMatrix],
     npt_states: Optional[Sequence[NptState]],
-) -> dict[str, Optional[list]]:
-    """A SubspaceModel's kernel_states and kernel_maps for its projections
-    and the fitted kernel states (None for a linear model).
+) -> Optional[list[KernelMap]]:
+    """A SubspaceModel's kernel maps for its projections and the fitted
+    kernel states (None for a linear model).
 
     A_v = (Q_v Lambda_v^-1/2) U_v' applied to the centered test kernel
     equals Q_v applied to the test embedding, npt_embed_test of the
     NptState, up to rounding, without the rank x M intermediate. Training
     and the loading of files that store eigenpairs compose through this
-    one function, so their maps agree bit for bit.
+    one function, so their maps agree bit for bit. Every map holds its
+    NptState's kernel state, so the models composed from one NptState
+    share it.
     """
     if npt_states is None:
-        return {"kernel_states": None, "kernel_maps": None}
-    return {
-        "kernel_states": [s.kernel for s in npt_states],
-        "kernel_maps": [
-            (p.q * (1.0 / np.sqrt(s.eigvals))) @ s.eigvecs.T
-            for s, p in zip(npt_states, projections)
-        ],
-    }
+        return None
+    return [
+        KernelMap(s.kernel, (p.q * (1.0 / np.sqrt(s.eigvals))) @ s.eigvecs.T)
+        for s, p in zip(npt_states, projections)
+    ]
 
 
 def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:
@@ -652,15 +659,15 @@ def predict(
     radius_sq = model.description.radius_sq
     for v in range(v_count):
         feats = data.modalities[v]
-        if model.kernel_states is not None:
-            state = model.kernel_states[v]
+        if model.kernel_maps is not None:
+            state = model.kernel_maps[v].state
             # The entry holds the state, so no other object can take its id.
             _, kx = _stage(
                 memo,
                 ("test_kernel", id(state)),
                 lambda: (state, _read_only(npt_embed_test(state, feats))),
             )
-            y = model.kernel_maps[v] @ kx
+            y = model.kernel_maps[v].map @ kx
         else:
             if feats.dim != model.projections[v].input_dim:
                 raise ConfigError(

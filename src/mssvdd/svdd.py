@@ -500,11 +500,6 @@ def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return dist_sq, (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
 
 
-def svdd_classify(desc: DataDescription, y: np.ndarray) -> np.ndarray:
-    """svdd_score's labels of the columns of y."""
-    return svdd_score(desc, y)[1]
-
-
 @dataclass(frozen=True)
 class HyperplaneDescription:
     """Solved one-class hyperplane: dual weights and offset rho.
@@ -570,8 +565,3 @@ def ocsvm_score(
     y = np.asarray(y, dtype=np.float64)
     scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
     return decision, (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)
-
-
-def ocsvm_classify(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
-    """ocsvm_score's labels of the columns of y."""
-    return ocsvm_score(desc, y)[1]

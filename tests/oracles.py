@@ -278,3 +278,22 @@ def center_formula(k: np.ndarray) -> np.ndarray:
     """The doubly centered kernel matrix, out of place."""
     row_means = k.mean(axis=1)
     return k - row_means[:, None] - row_means[None, :] + float(row_means.mean())
+
+
+def sphere_score_formula(desc, y: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances of the columns of y to a sphere description's
+    center, and their labels: 1 when within the squared radius plus
+    rtol * (|y| + |center|)^2. Distances and labels are computed apart, as
+    two separate passes over y."""
+    dist_sq = np.sum(y * y, axis=0) - 2.0 * (desc.center @ y) + desc.center_sq
+    scale = (np.sqrt(np.sum(y * y, axis=0)) + np.sqrt(desc.center_sq)) ** 2
+    return dist_sq, (dist_sq <= desc.radius_sq + rtol * scale).astype(np.int64)
+
+
+def hyperplane_score_formula(desc, y: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decision values of the columns of y for a hyperplane description,
+    and their labels: 1 when the value is at least
+    -rtol * (|weight| |y| + |rho|)."""
+    decision = desc.weight @ y - desc.rho
+    scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
+    return decision, (decision >= -rtol * (scale + abs(desc.rho))).astype(np.int64)

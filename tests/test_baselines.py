@@ -43,7 +43,7 @@ class TestSvddBaseline:
         model = fit_baseline(data, config)
         assert model.npt_state is not None
         # kappa resolved against the fused feature dimensionality
-        assert model.npt_state.params.kappa == pytest.approx(1.0 / 6.0)
+        assert model.npt_state.kernel.params.kappa == pytest.approx(1.0 / 6.0)
         result = predict_baseline(model, data)
         assert result.fused.shape == (35,)
 

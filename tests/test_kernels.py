@@ -162,7 +162,7 @@ class TestInPlaceKernel:
         assert centered.tobytes() == want_centered.tobytes()
         assert row_means.tobytes() == raw.mean(axis=1).tobytes()
         state = npt_fit(f, params)
-        assert state.row_means.tobytes() == row_means.tobytes()
+        assert state.kernel.row_means.tobytes() == row_means.tobytes()
         want = centered_test_kernel_formula(f.values, row_means, test, params)
         assert npt_embed_test(state.kernel, test).tobytes() == want.tobytes()
         embedded = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ want)
@@ -278,7 +278,7 @@ class TestNptEmbedTest:
         rng = np.random.default_rng(10)
         f = _random_features(rng, 3, 5)
         state = npt_fit(f, KernelParams(kind="gaussian", sigma=1.0, kappa=1.0))
-        out = npt_embed_test(state, np.zeros((3, 0)), state.params)
+        out = npt_embed_test(state, np.zeros((3, 0)), state.kernel.params)
         assert out.shape == (state.rank, 0)
 
     def test_linear_kernel_preserves_distances(self):
@@ -287,7 +287,7 @@ class TestNptEmbedTest:
         x = x - x.mean(axis=1, keepdims=True)
         f = FeatureMatrix(x)
         state = npt_fit(f, KernelParams(kind="linear"), eig_rel_tol=0.0)
-        phi = npt_embed_test(state, f, state.params)
+        phi = npt_embed_test(state, f, state.kernel.params)
         for i in range(9):
             for j in range(9):
                 orig = np.linalg.norm(x[:, i] - x[:, j])
@@ -312,4 +312,4 @@ class TestNptEmbedTest:
         f = _random_features(rng, 3, 5)
         state = npt_fit(f, KernelParams(kind="gaussian", sigma=1.0, kappa=1.0))
         with pytest.raises(KernelError, match="mismatch"):
-            npt_embed_test(state, np.zeros((4, 2)), state.params)
+            npt_embed_test(state, np.zeros((4, 2)), state.kernel.params)

@@ -21,6 +21,7 @@ from mssvdd import (
     synth_multimodal,
 )
 from mssvdd.persistence import (
+    _decode_array,
     _encode_array,
     config_from_dict,
     config_to_dict,
@@ -195,11 +196,11 @@ class TestModelRoundTrip:
             del old["kernel_maps"]
             old["npt_states"] = [
                 {
-                    "row_means": _encode_array(s.row_means),
+                    "row_means": _encode_array(s.kernel.row_means),
                     "eigvecs": _encode_array(s.eigvecs),
                     "eigvals": _encode_array(s.eigvals),
-                    "train_data": _encode_array(s.train_data.values),
-                    "params": asdict(s.params),
+                    "train_data": _encode_array(s.kernel.train_data.values),
+                    "params": asdict(s.kernel.params),
                 }
                 for s in states
             ]
@@ -208,13 +209,13 @@ class TestModelRoundTrip:
                 for entry, state in zip(old["npt_states"], states):
                     entry["train_kernel"] = _encode_array(state.train_kernel)
                     entry["embedded"] = _encode_array(state.embedded)
-                    entry["grand_mean"] = float(state.row_means.mean())
+                    entry["grand_mean"] = float(state.kernel.row_means.mean())
                     entry["rank"] = state.rank
             old_path = tmp_path / f"v{version}.json"
             old_path.write_text(json.dumps(old))
             back = load_model(old_path)
             for a, b in zip(back.kernel_maps, model.kernel_maps):
-                assert a.tobytes() == b.tobytes()
+                assert a.map.tobytes() == b.map.tobytes()
             _predictions_equal(
                 predict_model(model, probe), predict_model(back, probe)
             )
@@ -225,6 +226,38 @@ class TestModelRoundTrip:
         report_path = tmp_path / "report.json"
         save_report(report, report_path)
         assert json.loads(report_path.read_text())["format_version"] == 1
+
+    # Edits of the first kernel map entry of a saved format 3 file:
+    # case -> (edit, what the error says).
+    KERNEL_MAP_EDITS = {
+        "truncated-map": (
+            lambda e: e.update(map=_encode_array(_decode_array(e["map"])[:, :-1])),
+            r"modality 0 kernel map has shape \(2, 11\), expected \(2, 12\)",
+        ),
+        "truncated-row-means": (
+            lambda e: e.update(row_means=_encode_array(_decode_array(e["row_means"])[:1])),
+            r"row_means shape \(1,\) does not match 12 training samples",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_MAP_EDITS) + ["missing-entry"])
+    def test_malformed_kernel_map_rejected(self, tmp_path, case):
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=3)
+        config = TrainConfig(
+            d=2, eta=0.001, c_penalty=0.5, max_iter=2, kernelized=True,
+            kernel_params=KernelParams(kind="composite", sigma=3.0),
+        )
+        obj = model_to_dict(fit_model(data, config))
+        if case == "missing-entry":
+            del obj["kernel_maps"][1]
+            match = "1 kernel_maps entries for 2 projections"
+        else:
+            edit, match = self.KERNEL_MAP_EDITS[case]
+            edit(obj["kernel_maps"][0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PersistenceError, match=f"malformed .*bad.json.*{match}"):
+            load_model(path)
 
     @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
     def test_baseline_file_keeps_eigenpairs(self, tmp_path, kind):

@@ -22,7 +22,7 @@ from mssvdd import (
     train,
     update_projection,
 )
-from mssvdd.subspace import FoldMemo, ProjectionMatrix, strategy_signs
+from mssvdd.subspace import FoldMemo, ProjectionMatrix, _stage_keys, strategy_signs
 
 from oracles import fd_gradient, random_box_simplex
 
@@ -369,9 +369,9 @@ class TestTrain:
             kernel_params=KernelParams(kind="composite", sigma=5.0),
         )
         model = train(data, config)
-        assert model.kernel_states is not None
-        assert model.kernel_states[0].params.kappa == pytest.approx(0.5)
-        assert [a.shape for a in model.kernel_maps] == [(2, 12), (2, 12)]
+        assert model.kernel_maps is not None
+        assert model.kernel_maps[0].state.params.kappa == pytest.approx(0.5)
+        assert [km.map.shape for km in model.kernel_maps] == [(2, 12), (2, 12)]
         result = predict(model, data)
         assert result.per_modality.shape == (2, 20)
 
@@ -409,9 +409,14 @@ class TestTrain:
                 predict(plain, test_set).distances,
             )
             models.append(shared)
-        for a, b in zip(models[0].kernel_states, models[2].kernel_states):
-            assert a is b
-            assert not a.row_means.flags.writeable
+        # Every model's kernel maps hold the kernel states of the one shared
+        # embedding, whose arrays are read-only.
+        embedding = memo.get(_stage_keys(base)[0], None)
+        for v, npt in enumerate(embedding.npt_states):
+            assert not (npt.eigvecs.flags.writeable or npt.eigvals.flags.writeable)
+            assert not npt.kernel.row_means.flags.writeable
+            for model in models:
+                assert model.kernel_maps[v].state is npt.kernel
         with pytest.raises(ConfigError, match="another training set"):
             train(test_set, base, memo=memo)
         with pytest.raises(ConfigError, match="another test set"):

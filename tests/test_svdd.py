@@ -23,6 +23,7 @@ from mssvdd import (
 from mssvdd import svdd
 from mssvdd.svdd import (
     ALPHA_TOL,
+    BOUNDARY_RTOL,
     DEFAULT_KKT_TOL,
     LOW_RANK_RATIO,
     _cold_start,
@@ -30,10 +31,8 @@ from mssvdd.svdd import (
     _FactorHessian,
     _solve_pairwise,
     _solver_inputs,
-    ocsvm_classify,
     ocsvm_decision,
     ocsvm_score,
-    svdd_classify,
     svdd_distances_sq,
     svdd_score,
 )
@@ -41,10 +40,12 @@ from mssvdd.svdd import (
 from oracles import (
     feasibility_violation,
     hyperplane_objective,
+    hyperplane_score_formula,
     kkt_violation,
     random_box_simplex,
     simplex_grid_best,
     sphere_objective,
+    sphere_score_formula,
 )
 
 
@@ -358,7 +359,7 @@ class TestSvddDistance:
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
         dist = svdd_distance_sq(desc, np.array([3.0]))
         assert dist == pytest.approx(9.0, abs=1e-9)
-        assert svdd_classify(desc, np.array([[3.0]]))[0] == 0
+        assert svdd_score(desc, np.array([[3.0]]))[1][0] == 0
 
     def test_boundary_support_vectors_on_radius(self):
         rng = np.random.default_rng(28)
@@ -398,11 +399,11 @@ class TestSvddDistance:
         for desc in descs:
             assert desc.boundary_indices.size > 0
             sv = desc.train_points[:, desc.boundary_indices]
-            np.testing.assert_array_equal(svdd_classify(desc, sv), 1)
+            np.testing.assert_array_equal(svdd_score(desc, sv)[1], 1)
 
     def test_boundary_inclusive_classification(self):
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
-        labels = svdd_classify(desc, np.array([[1.0, -1.0, 0.0, 1.1]]))
+        labels = svdd_score(desc, np.array([[1.0, -1.0, 0.0, 1.1]]))[1]
         assert labels.tolist() == [1, 1, 1, 0]
 
     def test_dimension_mismatch(self):
@@ -421,21 +422,38 @@ def test_nonpositive_kkt_tol_rejected(solve, kkt_tol):
 
 @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
 def test_score_returns_values_and_labels(kind):
-    # Prediction reads values and labels from one call.
+    # One call gives the values and labels that separate passes over y
+    # give, bit for bit: for spread columns, and for columns at -3 to 3
+    # rounding allowances outside the boundary, which only the allowance
+    # sorts.
     rng = np.random.default_rng(21)
     points = rng.standard_normal((3, 80))
-    y = 1.5 * rng.standard_normal((3, 200))
+    t = np.linspace(-3.0, 3.0, 61)
+    u = rng.standard_normal((3, t.size))
     if kind == "svdd":
         desc = svdd_solve(points, 0.1)
-        values, labels = svdd_score(desc, y)
-        want, want_labels = svdd_distances_sq(desc, y), svdd_classify(desc, y)
+        score, formula = svdd_score, sphere_score_formula
+        c = desc.center[:, None]
+        allowance = BOUNDARY_RTOL * (np.sqrt(desc.radius_sq) + 2.0 * np.linalg.norm(c)) ** 2
+        edge = c + np.sqrt(desc.radius_sq + t * allowance) * u / np.linalg.norm(u, axis=0)
     else:
         desc = ocsvm_solve(points, 0.2)
-        values, labels = ocsvm_score(desc, y)
-        want, want_labels = ocsvm_decision(desc, y), ocsvm_classify(desc, y)
+        score, formula = ocsvm_score, hyperplane_score_formula
+        w = desc.weight[:, None] / (desc.weight @ desc.weight)
+        on_plane = desc.rho * w + u - w * (desc.weight @ u)
+        allowance = BOUNDARY_RTOL * (
+            np.linalg.norm(desc.weight) * np.linalg.norm(on_plane, axis=0) + abs(desc.rho)
+        )
+        edge = on_plane - t * allowance * w
+    y = np.hstack([1.5 * rng.standard_normal((3, 200)), edge])
+    values, labels = score(desc, y)
+    want, want_labels = formula(desc, y, BOUNDARY_RTOL)
     assert values.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(labels, want_labels)
-    assert set(np.unique(labels)) == {0, 1}
+    assert labels.tobytes() == want_labels.tobytes()
+    # allowance bounds the one the labels use from above.
+    edge_labels = labels[200:]
+    assert edge_labels[t <= 0.0].all() and not edge_labels[t > 1.1].any()
+    assert edge_labels[t > 0.0].any()
 
 
 class TestOcsvm:
@@ -445,7 +463,7 @@ class TestOcsvm:
         np.testing.assert_array_equal(desc.alphas, [1.0])
         val = ocsvm_decision(desc, pts)
         assert val[0] == pytest.approx(0.0, abs=1e-9)
-        assert ocsvm_classify(desc, pts)[0] == 1
+        assert ocsvm_score(desc, pts)[1][0] == 1
 
     def test_two_symmetric_points(self):
         desc = ocsvm_solve(np.array([[-1.0, 1.0]]), nu=1.0)
@@ -485,7 +503,7 @@ class TestOcsvm:
             desc = ocsvm_solve(pts, nu)
             assert desc.boundary_indices.size > 0
             sv = pts[:, desc.boundary_indices]
-            np.testing.assert_array_equal(ocsvm_classify(desc, sv), 1)
+            np.testing.assert_array_equal(ocsvm_score(desc, sv)[1], 1)
 
     def test_infeasible_nu(self):
         with pytest.raises(SolverError):
