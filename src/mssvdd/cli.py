@@ -146,7 +146,7 @@ def _train_config(cfg: dict[str, Any]) -> TrainConfig:
 
 
 def _grid_spec(cfg: dict[str, Any], data: MultiModalDataset, base: TrainConfig) -> GridSpec:
-    defaults = default_grid(data.n_modalities, base.kernelized, base.model_kind)
+    defaults = default_grid(data.n_modalities, base.kernelized)
     return replace(
         defaults, **{_GRID_KEYS[key]: v for key, v in cfg.get("grid", {}).items()}
     )

@@ -20,8 +20,13 @@ TARGET_LABEL = 1
 NONTARGET_LABEL = 0
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
+def frozen_array(a, dtype=np.float64) -> np.ndarray:
+    """a as a read-only array of dtype: a itself when it already is one,
+    else a read-only C-contiguous copy, so a caller's array is never frozen
+    or shared. Library code freezes the large arrays it makes, so they are kept."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -33,14 +38,14 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = frozen_array(self.values)
         if v.ndim != 2:
             raise DataError(f"feature matrix must be 2-D, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise DataError(f"feature matrix must be at least 1x1, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DataError("feature matrix contains NaN or Inf entries")
-        object.__setattr__(self, "values", _as_readonly(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def dim(self) -> int:
@@ -76,7 +81,7 @@ class MultiModalDataset:
                 )
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = frozen_array(labels, np.int64)
             if labels.shape != (n,):
                 raise DataError(
                     f"labels must have shape ({n},), got {labels.shape}"
@@ -84,8 +89,6 @@ class MultiModalDataset:
             bad = set(np.unique(labels)) - {TARGET_LABEL, NONTARGET_LABEL}
             if bad:
                 raise DataError(f"unknown label values {sorted(bad)}; expected 0/1")
-            labels = labels.copy()
-            labels.setflags(write=False)
         ids = tuple(self.sample_ids) or tuple(f"s{i:06d}" for i in range(n))
         if len(ids) != n:
             raise DataError(f"sample_ids has length {len(ids)}, expected {n}")
@@ -125,7 +128,7 @@ class FoldPlan:
     seed: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64).copy()
+        a = frozen_array(self.assignment, np.int64)
         if self.k < 2:
             raise DataError(f"fold count must be >= 2, got {self.k}")
         if a.ndim != 1 or a.size < self.k:
@@ -135,7 +138,6 @@ class FoldPlan:
         counts = np.bincount(a, minlength=self.k)
         if np.any(counts == 0):
             raise DataError("every fold must be non-empty")
-        a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
     def test_indices(self, fold: int) -> np.ndarray:

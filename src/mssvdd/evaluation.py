@@ -424,20 +424,12 @@ class GridSpec:
 _GRID_VALUE_TYPES = {name: types[:1] for name, types in field_types(GridSpec).items()}
 
 
-def default_grid(
-    n_modalities: int, kernelized: bool, model_kind: str = "subspace"
-) -> GridSpec:
-    """Reference grids adapted to the modality count and model family."""
-    if model_kind != "subspace":
-        return GridSpec(
-            sigma_grid=DEFAULT_SIGMA_GRID if kernelized else (1.0,),
-            eta_grid=(0.0,),
-            beta_grid=(0.0,),
-            d_grid=(1,),
-            update_strategies=("SD-",),
-            regularizers=("w0",),
-            decision_strategies=("ds1",),
-        )
+def default_grid(n_modalities: int, kernelized: bool) -> GridSpec:
+    """Reference grids adapted to the modality count.
+
+    A baseline search reads only the C and sigma axes: expand_grid pins
+    the rest to its base config.
+    """
     return GridSpec(
         sigma_grid=DEFAULT_SIGMA_GRID if kernelized else (1.0,),
         update_strategies=UPDATE_STRATEGIES if n_modalities == 2 else ("SD-", "SD+"),

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import FeatureMatrix
+from .datamodel import FeatureMatrix, frozen_array
 from .errors import KernelError, coerce_fields, field_types
 
 KERNEL_KINDS = ("linear", "gaussian", "composite")
@@ -135,21 +135,14 @@ def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return centered, row_means, grand_mean
 
 
-def _freeze_arrays(obj, *names: str) -> None:
-    """Make the named array fields of a frozen dataclass read-only float64 arrays."""
-    for name in names:
-        a = np.asarray(getattr(obj, name), dtype=np.float64)
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelState:
     """The training side of a fitted kernel: what centering the kernel
     vectors of new points reads.
 
     Holds the raw training features, the row means of their raw kernel and
     the kernel params. row_means is read-only, so models may share a state.
+    A state equals and hashes as itself only, so it can key a memo.
     """
 
     row_means: np.ndarray
@@ -157,7 +150,7 @@ class KernelState:
     params: KernelParams
 
     def __post_init__(self):
-        _freeze_arrays(self, "row_means")
+        object.__setattr__(self, "row_means", frozen_array(self.row_means))
         if self.row_means.shape != (self.train_data.n_samples,):
             raise KernelError(
                 f"row_means shape {self.row_means.shape} does not match "
@@ -184,7 +177,8 @@ class NptState:
     eigvals: np.ndarray
 
     def __post_init__(self):
-        _freeze_arrays(self, "eigvecs", "eigvals")
+        object.__setattr__(self, "eigvecs", frozen_array(self.eigvecs))
+        object.__setattr__(self, "eigvals", frozen_array(self.eigvals))
 
     @property
     def train_data(self) -> FeatureMatrix:
@@ -202,8 +196,10 @@ class NptState:
 
     @property
     def embedded(self) -> np.ndarray:
-        """The embedded training data, rank x N."""
-        return np.sqrt(self.eigvals)[:, None] * self.eigvecs.T
+        """The embedded training data, rank x N, read-only."""
+        embedded = np.sqrt(self.eigvals)[:, None] * self.eigvecs.T
+        embedded.setflags(write=False)
+        return embedded
 
 
 def npt_fit(
@@ -232,9 +228,12 @@ def npt_fit(
             "degenerate kernel: centered kernel has no positive eigenvalue"
         )
     keep = w > max(eig_rel_tol * w[0], 0.0)
+    # Frozen here, so NptState keeps it in eigh's column-major layout.
+    eigvecs = u[:, order[keep]]
+    eigvecs.setflags(write=False)
     return NptState(
         kernel=KernelState(row_means=row_means, train_data=f, params=params),
-        eigvecs=u[:, order[keep]],
+        eigvecs=eigvecs,
         eigvals=w[keep],
     )
 
@@ -252,22 +251,22 @@ def npt_embed_test(
     test point equal to a training sample then reproduces that sample's
     training embedding. A plain KernelState returns the centered vectors
     themselves, N x M, for a caller that applies its own map to them.
-    f_test may be a raw D x M array, M = 0 included.
+    f_test may be a raw D x M array, M = 0 included. The result is
+    read-only, so callers may share it.
     """
     kernel = state.kernel if isinstance(state, NptState) else state
     params = kernel.params if params is None else params
     values = f_test.values if isinstance(f_test, FeatureMatrix) else np.asarray(
         f_test, dtype=np.float64
     )
-    if values.ndim != 2 or values.shape[0] != kernel.train_data.dim:
-        raise KernelError(
-            f"dimensionality mismatch: train D={kernel.train_data.dim}, "
-            f"test shape {values.shape}"
-        )
+    if values.ndim != 2:
+        raise KernelError(f"test points must be a D x M matrix, got shape {values.shape}")
     centered = kernel_cross(kernel.train_data.values, values, params)
     centered -= kernel.row_means[:, None]
     centered -= centered.mean(axis=0, keepdims=True)
-    if state is kernel:
-        return centered
-    return (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ centered)
+    out = centered
+    if state is not kernel:
+        out = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ centered)
+    out.setflags(write=False)
+    return out
 

@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Union
 import numpy as np
 
 from .baselines import BaselineModel
-from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset
+from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset, frozen_array
 from .errors import ConfigError, KernelError, PersistenceError
 from .evaluation import ConfusionMatrix, EvalReport
 from .kernels import KernelParams, KernelState, NptState
@@ -57,8 +57,9 @@ def _encode_array(a: np.ndarray) -> dict[str, Any]:
 
 
 def _decode_array(obj: dict[str, Any]) -> np.ndarray:
+    """A read-only float64 array over the decoded bytes."""
     raw = base64.b64decode(obj["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    a = frozen_array(np.frombuffer(raw, dtype="<f8"))
     return a.reshape([int(s) for s in obj["shape"]])
 
 

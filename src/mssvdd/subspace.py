@@ -17,7 +17,7 @@ from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
-from .datamodel import FeatureMatrix, MultiModalDataset
+from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
 from .errors import ConfigError, SolverError, ToolkitError, coerce_fields, field_types
 from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
 from .svdd import (
@@ -52,19 +52,20 @@ class ProjectionMatrix:
     """d x D matrix with orthonormal rows."""
 
     q: np.ndarray
+    _ortho_error: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        q = np.ascontiguousarray(self.q, dtype=np.float64)
+        q = frozen_array(self.q)
         if q.ndim != 2:
             raise ConfigError(f"projection must be 2-D, got shape {q.shape}")
         d, big_d = q.shape
         if d > big_d:
             raise ConfigError(f"subspace dim {d} exceeds feature dim {big_d}")
-        err = np.max(np.abs(q @ q.T - np.eye(d)))
+        err = float(np.max(np.abs(q @ q.T - np.eye(d))))
         if err > 1e-8:
             raise ConfigError(f"rows are not orthonormal (deviation {err:.3e})")
-        q.setflags(write=False)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_ortho_error", err)
 
     @property
     def d(self) -> int:
@@ -75,8 +76,8 @@ class ProjectionMatrix:
         return self.q.shape[1]
 
     def ortho_error(self) -> float:
-        d = self.q.shape[0]
-        return float(np.max(np.abs(self.q @ self.q.T - np.eye(d))))
+        """Largest entry of |q q' - I|, as checked at construction."""
+        return self._ortho_error
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,8 @@ class FoldMemo:
 
     train() keeps its embedding, its start projections and its cold first
     solve here under each stage's key (see _stage_keys), and predict() the
-    centered test kernel of each kernel state. A stage that raised a
+    centered test kernel of each kernel state, keyed by the state itself
+    (a KernelState hashes by identity). A stage that raised a
     ToolkitError is kept as that error and raised again for every later
     caller, so all of them fail with the same message. Every kept output is
     immutable. A memo serves the one training set and the one test set it
@@ -450,11 +452,6 @@ def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple, tuple]:
     return embed, start, first_solve
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class _Embedding:
     """Per-modality training inputs: the target samples, embedded when
@@ -470,7 +467,7 @@ def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
         return _Embedding(tuple(mod.values for mod in train_data.modalities), None)
     kp = config.resolved_kernel_params()
     states = tuple(npt_fit(mod, kp) for mod in train_data.modalities)
-    return _Embedding(tuple(_read_only(s.embedded) for s in states), states)
+    return _Embedding(tuple(s.embedded for s in states), states)
 
 
 def train(
@@ -661,12 +658,7 @@ def predict(
         feats = data.modalities[v]
         if model.kernel_maps is not None:
             state = model.kernel_maps[v].state
-            # The entry holds the state, so no other object can take its id.
-            _, kx = _stage(
-                memo,
-                ("test_kernel", id(state)),
-                lambda: (state, _read_only(npt_embed_test(state, feats))),
-            )
+            kx = _stage(memo, state, lambda: npt_embed_test(state, feats))
             y = model.kernel_maps[v].map @ kx
         else:
             if feats.dim != model.projections[v].input_dim:

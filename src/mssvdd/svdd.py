@@ -55,6 +55,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .datamodel import frozen_array
 from .errors import SolverError
 
 ALPHA_TOL = 1e-8
@@ -165,7 +166,7 @@ def _solver_inputs(
     (d * LOW_RANK_RATIO <= M) gets the factor form, which reads H through
     P in O(dM) memory; any other gets the dense form, which builds G.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = frozen_array(points)
     if points.ndim != 2 or points.shape[1] < 1:
         raise SolverError(f"points must be a d x M matrix, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
@@ -366,19 +367,16 @@ def _freeze(desc, upper: float) -> np.ndarray:
     """Set a description's read-only alphas, train_points, support and
     boundary indices (0 < alpha < upper, up to ALPHA_TOL); return
     train_points @ alphas, read-only."""
-    alphas = np.asarray(desc.alphas, dtype=np.float64).copy()
-    pts = np.ascontiguousarray(desc.train_points, dtype=np.float64)
+    alphas, pts = frozen_array(desc.alphas), frozen_array(desc.train_points)
     if alphas.shape != (pts.shape[1],):
         raise SolverError("alphas length must match the training columns")
-    support = np.flatnonzero(alphas > ALPHA_TOL)
-    boundary = np.flatnonzero((alphas > ALPHA_TOL) & (alphas < upper - ALPHA_TOL))
-    product = pts @ alphas
+    support = alphas > ALPHA_TOL
+    boundary = support & (alphas < upper - ALPHA_TOL)
     for name, a in (("alphas", alphas), ("train_points", pts),
-                    ("support_indices", support), ("boundary_indices", boundary)):
-        a.setflags(write=False)
-        object.__setattr__(desc, name, a)
-    product.setflags(write=False)
-    return product
+                    ("support_indices", np.flatnonzero(support)),
+                    ("boundary_indices", np.flatnonzero(boundary))):
+        object.__setattr__(desc, name, frozen_array(a, a.dtype))
+    return frozen_array(pts @ alphas)
 
 
 def _query(desc, y: np.ndarray) -> np.ndarray:
@@ -467,26 +465,6 @@ def svdd_solve(
     )
 
 
-def _sphere_terms(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|y|^2 and the squared distance to the center, per column of y."""
-    y = _query(desc, y)
-    y_sq = np.sum(y * y, axis=0)
-    return y_sq, y_sq - 2.0 * (desc.center @ y) + desc.center_sq
-
-
-def svdd_distances_sq(desc: DataDescription, y: np.ndarray) -> np.ndarray:
-    """Squared distances of the columns of y (d x M) to the sphere center."""
-    return _sphere_terms(desc, y)[1]
-
-
-def svdd_distance_sq(desc: DataDescription, y: np.ndarray) -> float:
-    """Squared distance of a single d-vector to the sphere center."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise SolverError(f"expected a vector, got shape {y.shape}")
-    return float(svdd_distances_sq(desc, y[:, None])[0])
-
-
 def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances of the columns of y to the center, and their labels:
     1 inside or on the sphere, 0 outside (boundary counts in).
@@ -495,7 +473,9 @@ def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.nda
     by at most BOUNDARY_RTOL * (|y| + |center|)^2, a bound on the terms of
     |y|^2 - 2 center'y + |center|^2.
     """
-    y_sq, dist_sq = _sphere_terms(desc, y)
+    y = _query(desc, y)
+    y_sq = np.sum(y * y, axis=0)
+    dist_sq = y_sq - 2.0 * (desc.center @ y) + desc.center_sq
     scale = (np.sqrt(y_sq) + np.sqrt(desc.center_sq)) ** 2
     return dist_sq, (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
 
@@ -545,12 +525,6 @@ def ocsvm_solve(
     return HyperplaneDescription(alphas=alphas, rho=rho, nu=nu, train_points=points)
 
 
-def ocsvm_decision(desc: HyperplaneDescription, y: np.ndarray) -> np.ndarray:
-    """Decision values for the columns of y; >= 0 means target."""
-    y = _query(desc, y)
-    return desc.weight @ y - desc.rho
-
-
 def ocsvm_score(
     desc: HyperplaneDescription, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +535,7 @@ def ocsvm_score(
     least -BOUNDARY_RTOL * (|weight| |y| + |rho|), a bound on the terms of
     weight'y - rho.
     """
-    decision = ocsvm_decision(desc, y)
-    y = np.asarray(y, dtype=np.float64)
+    y = _query(desc, y)
+    decision = desc.weight @ y - desc.rho
     scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
     return decision, (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)

@@ -671,6 +671,21 @@ class TestDefaultGrid:
         assert grid.regularizers == ("psi0", "psi1", "psi2", "psi3")
         assert grid.decision_strategies == ("ds1",)
 
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_baseline_cells_search_c_and_sigma_only(self, kind):
+        base = TrainConfig(model_kind=kind, kernelized=True)
+        grid = default_grid(2, kernelized=True)
+        want = [
+            replace(
+                base, c_penalty=c, nu=min(max(c, 1e-4), 1.0),
+                kernel_params=replace(base.kernel_params, sigma=sigma),
+            )
+            for c in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+            for sigma in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+        ]
+        assert expand_grid(grid, base) == want
+        assert grid_size(grid, base) == (48, 48)
+
 
 class TestGridSize:
     @pytest.mark.parametrize(
@@ -687,7 +702,7 @@ class TestGridSize:
     def test_matches_expanded_grid(self, base, modalities):
         # The default grid with d and C cut to one value each, which
         # grid_size scales by as plain factors.
-        full = default_grid(modalities, base.kernelized, base.model_kind)
+        full = default_grid(modalities, base.kernelized)
         grid = replace(full, d_grid=full.d_grid[:1], c_grid=full.c_grid[:1])
         cells = expand_grid(grid, base)
         assert grid_size(grid, base) == (len(cells), len({training_key(c) for c in cells}))

@@ -133,6 +133,11 @@ class TestOrthonormalize:
         q = orthonormalize(rng.standard_normal((3, 7)))
         np.testing.assert_allclose(q.q @ q.q.T, np.eye(3), atol=1e-10)
 
+    def test_ortho_error_is_the_checked_deviation(self):
+        q = orthonormalize(np.random.default_rng(6).standard_normal((3, 7)))
+        want = float(np.max(np.abs(q.q @ q.q.T - np.eye(3))))
+        assert q.ortho_error() == want and q.ortho_error() > 0.0
+
     def test_rank_deficient(self):
         with pytest.raises(SolverError, match="rank"):
             orthonormalize(np.array([[1.0, 0.0], [2.0, 0.0]]))

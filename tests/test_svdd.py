@@ -12,10 +12,9 @@ from mssvdd import (
     SolverError,
     TrainConfig,
     npt_fit,
-    ocsvm_decision,
+    ocsvm_score,
     ocsvm_solve,
-    svdd_distance_sq,
-    svdd_distances_sq,
+    svdd_score,
     svdd_solve,
     synth_multimodal,
     train,
@@ -31,10 +30,6 @@ from mssvdd.svdd import (
     _FactorHessian,
     _solve_pairwise,
     _solver_inputs,
-    ocsvm_decision,
-    ocsvm_score,
-    svdd_distances_sq,
-    svdd_score,
 )
 
 from oracles import (
@@ -58,7 +53,7 @@ class TestSvddSolve:
         desc = svdd_solve(np.array([[3.0], [4.0]]), c_penalty=c, alpha0=alpha0)
         np.testing.assert_array_equal(desc.alphas, [1.0])
         assert desc.radius_sq == 0.0
-        assert svdd_distance_sq(desc, np.array([3.0, 4.0])) == pytest.approx(0.0)
+        assert svdd_score(desc, np.array([[3.0], [4.0]]))[0] == pytest.approx(0.0)
 
     def test_symmetric_pair(self):
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
@@ -121,7 +116,7 @@ class TestSvddSolve:
         for c in (0.3, 0.6, 1.0):
             pts = rng.standard_normal((3, 15))
             desc = svdd_solve(pts, c)
-            dists = svdd_distances_sq(desc, pts)
+            dists = svdd_score(desc, pts)[0]
             unbounded = desc.alphas < c - ALPHA_TOL
             assert np.all(dists[unbounded] <= desc.radius_sq + 1e-6)
 
@@ -353,11 +348,11 @@ class TestSvddDistance:
         rng = np.random.default_rng(27)
         pts = rng.standard_normal((3, 8))
         desc = svdd_solve(pts, 0.7)
-        assert svdd_distance_sq(desc, desc.center) == pytest.approx(0.0, abs=1e-9)
+        assert svdd_score(desc, desc.center[:, None])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_pair_example_outside_point(self):
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
-        dist = svdd_distance_sq(desc, np.array([3.0]))
+        dist = svdd_score(desc, np.array([[3.0]]))[0]
         assert dist == pytest.approx(9.0, abs=1e-9)
         assert svdd_score(desc, np.array([[3.0]]))[1][0] == 0
 
@@ -366,7 +361,7 @@ class TestSvddDistance:
         pts = rng.standard_normal((2, 20))
         desc = svdd_solve(pts, 0.25, kkt_tol=1e-8)
         assert desc.boundary_indices.size > 0
-        dists = svdd_distances_sq(desc, pts[:, desc.boundary_indices])
+        dists = svdd_score(desc, pts[:, desc.boundary_indices])[0]
         np.testing.assert_allclose(dists, desc.radius_sq, atol=1e-6)
 
     @FORM_RATIOS
@@ -409,7 +404,7 @@ class TestSvddDistance:
     def test_dimension_mismatch(self):
         desc = svdd_solve(np.array([[-1.0, 1.0]]), c_penalty=1.0)
         with pytest.raises(SolverError, match="mismatch"):
-            svdd_distance_sq(desc, np.array([1.0, 2.0]))
+            svdd_score(desc, np.array([[1.0], [2.0]]))[0]
 
 
 @pytest.mark.parametrize("kkt_tol", [0.0, -1e-6])
@@ -461,7 +456,7 @@ class TestOcsvm:
         pts = np.array([[2.0], [1.0]])
         desc = ocsvm_solve(pts, nu=1.0)
         np.testing.assert_array_equal(desc.alphas, [1.0])
-        val = ocsvm_decision(desc, pts)
+        val = ocsvm_score(desc, pts)[0]
         assert val[0] == pytest.approx(0.0, abs=1e-9)
         assert ocsvm_score(desc, pts)[1][0] == 1
 
