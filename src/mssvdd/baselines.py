@@ -15,8 +15,8 @@ import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset
 from .errors import ConfigError
-from .kernels import NptState, npt_embed_test, npt_fit, KernelParams
-from .subspace import PredictionResult, TrainConfig
+from .kernels import KernelParams, npt_embed_test, npt_fit
+from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps
 from .svdd import (
     DataDescription,
     HyperplaneDescription,
@@ -33,7 +33,7 @@ class BaselineModel:
 
     description: Union[DataDescription, HyperplaneDescription]
     config: TrainConfig
-    npt_state: Optional[NptState] = None
+    kernel_maps: Optional[list[KernelMap]] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     n_modalities: int = 1
     warning: Optional[str] = None
@@ -63,11 +63,11 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
         raise ConfigError(f"not a baseline model kind: {config.model_kind!r}")
     train_data = data.target_subset() if data.labels is not None else data
     fused = fuse_features(train_data)
-    npt_state = None
+    npt_states = None
     if config.kernelized:
         kp = _resolve_baseline_kernel(config, fused.shape[0])
-        npt_state = npt_fit(FeatureMatrix(fused), kp)
-        points = npt_state.embedded
+        npt_states = [npt_fit(FeatureMatrix(fused), kp)]
+        points = npt_states[0].embedded
     else:
         points = fused
     if config.model_kind == "svdd":
@@ -76,10 +76,11 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
         )
     else:
         description = ocsvm_solve(points, config.nu, config.kkt_tol)
+    # Composed after the solve, so the solver's Gram is freed by then.
     return BaselineModel(
         description=description,
         config=config,
-        npt_state=npt_state,
+        kernel_maps=compose_kernel_maps(None, npt_states),
         n_modalities=data.n_modalities,
     )
 
@@ -96,8 +97,9 @@ def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> Predictio
             f"{data.n_modalities}"
         )
     fused = fuse_features(data)
-    if model.npt_state is not None:
-        points = npt_embed_test(model.npt_state, fused)
+    if model.kernel_maps is not None:
+        km = model.kernel_maps[0]
+        points = km.map @ npt_embed_test(km.state, fused)
     else:
         expected = model.description.train_points.shape[0]
         if fused.shape[0] != expected:

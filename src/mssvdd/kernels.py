@@ -181,11 +181,6 @@ class NptState:
         object.__setattr__(self, "eigvals", frozen_array(self.eigvals))
 
     @property
-    def train_data(self) -> FeatureMatrix:
-        """The training features, as on a KernelState."""
-        return self.kernel.train_data
-
-    @property
     def train_kernel(self) -> np.ndarray:
         """The raw N x N training kernel, recomputed."""
         return self.kernel.train_kernel

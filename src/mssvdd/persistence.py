@@ -6,13 +6,12 @@ models predict identically to the originals. Model files store only what
 prediction reads. Files with an unknown format version are rejected
 outright.
 
-Format 3 stores a kernelized subspace model's per-modality kernel state
-with its composed map A_v (subspace.compose_kernel_maps) in place of the
-kernel's eigenpairs. Version 1 and 2 files store the eigenpairs; loading
-composes the maps from them with the same function training uses, so such
-a file predicts bit for bit as the model it was saved from did in
-process. Baseline files differ between versions 2 and 3 only in the
-version number.
+A kernelized model file stores, for each kernel, the kernel state and the
+composed map (subspace.compose_kernel_maps) in place of the kernel's
+eigenpairs: subspace files from format 3 on, baseline files from format 4
+on. Older files store the eigenpairs; loading composes the maps from them
+with the same function training uses, so such a file predicts bit for bit
+as the model it was saved from did in process.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ from .subspace import (
 )
 from .svdd import DataDescription, HyperplaneDescription
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 REPORT_FORMAT_VERSION = 1
 # Version 1 model files also hold the training kernels, embedded training
 # data and pooled column ranges, which prediction never reads; loading ignores them.
-_READABLE_MODEL_VERSIONS = (1, 2, MODEL_FORMAT_VERSION)
+_READABLE_MODEL_VERSIONS = (1, 2, 3, MODEL_FORMAT_VERSION)
 
 
 def _encode_array(a: np.ndarray) -> dict[str, Any]:
@@ -109,14 +108,6 @@ def _kernel_state_fields(obj: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _npt_state_to_dict(state: NptState) -> dict[str, Any]:
-    return {
-        **_kernel_state_to_dict(state.kernel),
-        "eigvecs": _encode_array(state.eigvecs),
-        "eigvals": _encode_array(state.eigvals),
-    }
-
-
 def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     return NptState(
         kernel=KernelState(**_kernel_state_fields(obj)),
@@ -125,39 +116,52 @@ def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
     )
 
 
-def _kernel_maps_to_dict(model: SubspaceModel) -> Optional[list[dict[str, Any]]]:
-    if model.kernel_maps is None:
+def _kernel_maps_to_dict(
+    kernel_maps: Optional[list[KernelMap]],
+) -> Optional[list[dict[str, Any]]]:
+    if kernel_maps is None:
         return None
     return [
         {**_kernel_state_to_dict(km.state), "map": _encode_array(km.map)}
-        for km in model.kernel_maps
+        for km in kernel_maps
     ]
 
 
 def _kernel_maps_from_dict(
-    obj: dict[str, Any], projections: list[ProjectionMatrix]
+    obj: dict[str, Any],
+    description: Union[DataDescription, HyperplaneDescription],
+    projections: Optional[list[ProjectionMatrix]],
 ) -> Optional[list[KernelMap]]:
-    """A SubspaceModel's kernel maps from a model file, one per projection,
-    each d x N for its projection's d and its kernel's N training samples."""
-    key = "npt_states" if obj["format_version"] < 3 else "kernel_maps"
+    """A model's kernel maps from its file: one per projection, or one for
+    a baseline's fused features (projections None), each dim x N for the
+    description's dimension dim and the kernel's N training samples.
+    Subspace files before format 3 and baseline files before format 4
+    store the kernel's eigenpairs instead, under npt_states (a baseline's
+    one entry under npt_state), and the maps are composed from them."""
+    if projections is None:
+        count, what, old_key, first = 1, "fused feature set", "npt_state", 4
+    else:
+        count, what, old_key, first = len(projections), "projections", "npt_states", 3
+    key = "kernel_maps" if obj["format_version"] >= first else old_key
     entries = obj[key]
     if entries is None:
         return None
-    if len(entries) != len(projections):
-        raise ValueError(
-            f"{len(entries)} {key} entries for {len(projections)} projections"
-        )
-    if key == "npt_states":
-        maps = compose_kernel_maps(
-            projections, [_npt_state_from_dict(e) for e in entries]
-        )
-    else:
+    if key == "npt_state":
+        entries = [entries]
+    if len(entries) != count:
+        raise ValueError(f"{len(entries)} {key} entries for {count} {what}")
+    if key == "kernel_maps":
         maps = [
             KernelMap(KernelState(**_kernel_state_fields(e)), _decode_array(e["map"]))
             for e in entries
         ]
-    for v, (km, p) in enumerate(zip(maps, projections)):
-        want = (p.d, km.state.train_data.n_samples)
+    else:
+        maps = compose_kernel_maps(
+            projections, [_npt_state_from_dict(e) for e in entries]
+        )
+    dim = description.train_points.shape[0]
+    for v, km in enumerate(maps):
+        want = (dim, km.state.train_data.n_samples)
         if km.map.shape != want:
             raise ValueError(
                 f"modality {v} kernel map has shape {km.map.shape}, expected {want}"
@@ -231,12 +235,12 @@ def model_to_dict(
         "scaler": _scaler_to_jsonable(model.scaler),
         "provenance": provenance or {},
         "warning": model.warning,
+        "kernel_maps": _kernel_maps_to_dict(model.kernel_maps),
     }
     if isinstance(model, SubspaceModel):
         common.update(
             {
                 "projections": [_encode_array(p.q) for p in model.projections],
-                "kernel_maps": _kernel_maps_to_dict(model),
                 "ortho_errors": list(model.ortho_errors),
             }
         )
@@ -245,11 +249,6 @@ def model_to_dict(
             {
                 "baseline_kind": model.kind,
                 "n_modalities": model.n_modalities,
-                "npt_state": (
-                    None
-                    if model.npt_state is None
-                    else _npt_state_to_dict(model.npt_state)
-                ),
             }
         )
     return common
@@ -280,30 +279,23 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
                 f"model_kind {kind!r} implies {implied!r}"
             )
     description = _description_from_dict(obj["description"], description_kind)
-    scaler = _scaler_from_jsonable(obj.get("scaler"))
+    projections = None
     if model_class == "subspace":
         projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
+    common = {
+        "description": description,
+        "config": config,
+        "kernel_maps": _kernel_maps_from_dict(obj, description, projections),
+        "scaler": _scaler_from_jsonable(obj.get("scaler")),
+        "warning": obj.get("warning"),
+    }
+    if projections is not None:
         return SubspaceModel(
             projections=projections,
-            description=description,
-            config=config,
-            kernel_maps=_kernel_maps_from_dict(obj, projections),
-            scaler=scaler,
             ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
-            warning=obj.get("warning"),
+            **common,
         )
-    return BaselineModel(
-        description=description,
-        config=config,
-        npt_state=(
-            None
-            if obj["npt_state"] is None
-            else _npt_state_from_dict(obj["npt_state"])
-        ),
-        scaler=scaler,
-        n_modalities=int(obj["n_modalities"]),
-        warning=obj.get("warning"),
-    )
+    return BaselineModel(n_modalities=int(obj["n_modalities"]), **common)
 
 
 def _dump_json(obj: dict[str, Any]) -> str:

@@ -59,6 +59,8 @@ class ProjectionMatrix:
         if q.ndim != 2:
             raise ConfigError(f"projection must be 2-D, got shape {q.shape}")
         d, big_d = q.shape
+        if d < 1:
+            raise ConfigError(f"projection has no rows, shape {q.shape}")
         if d > big_d:
             raise ConfigError(f"subspace dim {d} exceeds feature dim {big_d}")
         err = float(np.max(np.abs(q @ q.T - np.eye(d))))
@@ -136,13 +138,16 @@ _TRAIN_FIELD_TYPES = field_types(TrainConfig)
 
 @dataclass(frozen=True)
 class KernelMap:
-    """How a kernelized model maps one modality's test points: state
-    centers their kernel vectors against the training set, and map, A_v =
-    Q_v Lambda_v^-1/2 U_v' (d x N), takes the centered vectors straight to
-    the subspace."""
+    """How a kernelized model maps test points: state centers their kernel
+    vectors against the training set, and the read-only map takes them to
+    the description's space: A_v = Q_v Lambda_v^-1/2 U_v' (d x N) per
+    modality of a subspace model, Lambda^-1/2 U' (rank x N) for a baseline."""
 
     state: KernelState
     map: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "map", frozen_array(self.map))
 
 
 @dataclass
@@ -585,26 +590,30 @@ def train(
 
 
 def compose_kernel_maps(
-    projections: Sequence[ProjectionMatrix],
+    projections: Optional[Sequence[ProjectionMatrix]],
     npt_states: Optional[Sequence[NptState]],
 ) -> Optional[list[KernelMap]]:
-    """A SubspaceModel's kernel maps for its projections and the fitted
-    kernel states (None for a linear model).
+    """A model's kernel maps for its projections (None for a baseline) and
+    the fitted kernel states (None for a linear model).
 
     A_v = (Q_v Lambda_v^-1/2) U_v' applied to the centered test kernel
     equals Q_v applied to the test embedding, npt_embed_test of the
-    NptState, up to rounding, without the rank x M intermediate. Training
-    and the loading of files that store eigenpairs compose through this
-    one function, so their maps agree bit for bit. Every map holds its
+    NptState, up to rounding, without the rank x M intermediate; a
+    baseline's Lambda^-1/2 U' gives the embedding itself. Training and the
+    loading of files that store eigenpairs compose through this one
+    function, so their maps agree bit for bit. Every map holds its
     NptState's kernel state, so the models composed from one NptState
     share it.
     """
     if npt_states is None:
         return None
-    return [
-        KernelMap(s.kernel, (p.q * (1.0 / np.sqrt(s.eigvals))) @ s.eigvecs.T)
-        for s, p in zip(npt_states, projections)
-    ]
+    maps = []
+    for s, p in zip(npt_states, projections or [None] * len(npt_states)):
+        inv_sqrt = 1.0 / np.sqrt(s.eigvals)
+        a = inv_sqrt[:, None] * s.eigvecs.T if p is None else (p.q * inv_sqrt) @ s.eigvecs.T
+        a.setflags(write=False)
+        maps.append(KernelMap(s.kernel, a))
+    return maps
 
 
 def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:

@@ -41,9 +41,9 @@ class TestSvddBaseline:
             kernel_params=KernelParams(kind="composite", sigma=5.0),
         )
         model = fit_baseline(data, config)
-        assert model.npt_state is not None
+        assert model.kernel_maps is not None and len(model.kernel_maps) == 1
         # kappa resolved against the fused feature dimensionality
-        assert model.npt_state.kernel.params.kappa == pytest.approx(1.0 / 6.0)
+        assert model.kernel_maps[0].state.params.kappa == pytest.approx(1.0 / 6.0)
         result = predict_baseline(model, data)
         assert result.fused.shape == (35,)
 

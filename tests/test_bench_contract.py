@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mssvdd.baselines
+import mssvdd.evaluation
 import mssvdd.kernels
 import mssvdd.subspace
 from mssvdd import KernelParams, TrainConfig, fit_model, synth_multimodal
@@ -118,3 +120,55 @@ def test_kernelized_predict_embeds_through_traced_name(tracing, monkeypatch):
     spans = {s.name: s for s in tracer.spans}
     embeds = [s for s in tracer.spans if s.name == "kernels.npt_embed_test"]
     assert all(s.parent == spans["subspace.predict"].id for s in embeds)
+
+
+@pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+def test_kernelized_baseline_predict_embeds_through_traced_name(
+    tracing, monkeypatch, kind
+):
+    # The tracer times a baseline's test embedding by rebinding
+    # mssvdd.baselines.npt_embed_test, so kernelized baseline prediction must
+    # evaluate its test kernel inside a call through that name.
+    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=1)
+    probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=2)
+    config = TrainConfig(
+        model_kind=kind, c_penalty=0.5, nu=0.3, kernelized=True,
+        kernel_params=KernelParams(sigma=3.0),
+    )
+    model = fit_model(data, config)
+    depth = [0]
+    inside = []
+    real_embed = mssvdd.baselines.npt_embed_test
+    real_cross = mssvdd.kernels.kernel_cross
+
+    def embed(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_embed(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def cross(a, b, params):
+        inside.append(depth[0] > 0)
+        return real_cross(a, b, params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mssvdd.baselines, "npt_embed_test", embed)
+        patch.setattr(mssvdd.kernels, "kernel_cross", cross)
+        mssvdd.baselines.predict_baseline(model, probe)
+    assert inside == [True]
+
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    try:
+        mssvdd.evaluation.predict_model(model, probe)
+    finally:
+        tracer.end_op()
+    values, problems = tracer.finish_op(0)
+    assert problems == []
+    assert values["kernels.npt_embed_test.calls"] == 1
+    # 12 training targets against 18 test samples, on the fused features.
+    assert values["kernels.kernel_evals"] == 12 * 18
+    spans = {s.name: s for s in tracer.spans}
+    embeds = [s for s in tracer.spans if s.name == "kernels.npt_embed_test"]
+    assert [s.parent for s in embeds] == [spans["baselines.predict_baseline"].id]

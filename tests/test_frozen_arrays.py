@@ -14,6 +14,7 @@ import pytest
 from mssvdd import (
     FeatureMatrix,
     FoldPlan,
+    KernelMap,
     KernelParams,
     KernelState,
     MultiModalDataset,
@@ -22,7 +23,9 @@ from mssvdd import (
     fit_model,
     npt_fit,
     ocsvm_solve,
+    load_model,
     predict_model,
+    save_model,
     svdd_solve,
     synth_multimodal,
 )
@@ -45,6 +48,12 @@ def _projection(a):
 def _kernel_state(a):
     train = FeatureMatrix(_rng().standard_normal((3, a.size)))
     return KernelState(row_means=a, train_data=train, params=KernelParams()).row_means
+
+
+def _kernel_map(a):
+    train = FeatureMatrix(_rng().standard_normal((3, a.shape[1])))
+    state = KernelState(np.zeros(a.shape[1]), train, KernelParams())
+    return KernelMap(state, a).map
 
 
 def _labels(a):
@@ -80,6 +89,7 @@ CALLER_ARRAYS = {
         _projection, lambda: np.linalg.qr(_rng().standard_normal((5, 2)))[0].T.copy()
     ),
     "KernelState": (_kernel_state, lambda: _rng().standard_normal(6)),
+    "KernelMap": (_kernel_map, lambda: _rng().standard_normal((2, 6))),
     "labels": (_labels, lambda: np.array([1, 0, 1, 1, 0])),
     "FoldPlan": (_fold_plan, lambda: np.array([0, 1, 1, 0, 1])),
     "svdd_solve": (_svdd, lambda: _rng().standard_normal((3, 12))),
@@ -150,9 +160,10 @@ def test_kernel_state_hashes_by_identity():
 @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
 def test_kernelized_baseline_copies_no_large_array(monkeypatch, kind):
     # Every array the size of the embedded training data (rank x N, within
-    # one row of N x N) reaches the solver and the description as the one
-    # npt_fit made: the eigenvectors and the embedding are handed over
-    # frozen, so no frozen_array call copies them.
+    # one row of N x N) reaches the solver, the description and the kernel
+    # map as the one made for it: the eigenvectors, the embedding and the
+    # composed map are handed over frozen, so no frozen_array call copies
+    # them.
     calls = []
 
     def counting(a, dtype=np.float64):
@@ -174,7 +185,23 @@ def test_kernelized_baseline_copies_no_large_array(monkeypatch, kind):
     )
     model = fit_model(train, config)
     predict_model(model, test)
-    large = model.npt_state.rank * n
+    large = model.kernel_maps[0].map.size
     assert datamodel.frozen_array is counting
     assert any(size >= large and not copied for size, copied in calls)
     assert [size for size, copied in calls if copied and size >= large] == []
+
+
+@pytest.mark.parametrize("kind", ["subspace", "svdd"])
+def test_kernel_maps_read_only(tmp_path, kind):
+    # A write to a map would silently change the model's predictions.
+    train = synth_multimodal(20, 10, 2, [4, 4], 3.0, seed=74)
+    config = TrainConfig(
+        model_kind=kind, kernelized=True, d=2, max_iter=2, c_penalty=0.25,
+        kernel_params=KernelParams(sigma=3.0),
+    )
+    model = fit_model(train, config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    for m in (model, load_model(path)):
+        assert m.kernel_maps
+        assert not any(km.map.flags.writeable for km in m.kernel_maps)

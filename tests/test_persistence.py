@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mssvdd import (
+    FeatureMatrix,
     KernelParams,
     PersistenceError,
     TrainConfig,
@@ -20,6 +21,7 @@ from mssvdd import (
     save_report,
     synth_multimodal,
 )
+from mssvdd.baselines import fuse_features
 from mssvdd.persistence import (
     _decode_array,
     _encode_array,
@@ -175,7 +177,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 3
+        assert obj["format_version"] == 4
         assert "npt_states" not in obj
         for entry in obj["kernel_maps"]:
             assert set(entry) == {"row_means", "train_data", "params", "map"}
@@ -259,27 +261,73 @@ class TestModelRoundTrip:
         with pytest.raises(PersistenceError, match=f"malformed .*bad.json.*{match}"):
             load_model(path)
 
-    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
-    def test_baseline_file_keeps_eigenpairs(self, tmp_path, kind):
+    @staticmethod
+    def _kernelized_baseline(kind):
         data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=3)
         config = TrainConfig(
             model_kind=kind, c_penalty=0.5, nu=0.3, kernelized=True,
             kernel_params=KernelParams(kind="composite", sigma=3.0),
         )
-        model = fit_model(data, config)
+        return data, fit_model(data, config)
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_baseline_file_holds_one_kernel_map(self, tmp_path, kind):
+        _, model = self._kernelized_baseline(kind)
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 3
-        assert set(obj["npt_state"]) == {
-            "row_means", "eigvecs", "eigvals", "train_data", "params"
-        }
-        obj["format_version"] = 2
-        old_path = tmp_path / "v2.json"
-        old_path.write_text(json.dumps(obj))
+        assert obj["format_version"] == 4
+        assert "npt_state" not in obj
+        [entry] = obj["kernel_maps"]
+        assert set(entry) == {"row_means", "train_data", "params", "map"}
+        back = load_model(path)
+        assert back.kernel_maps[0].map.tobytes() == model.kernel_maps[0].map.tobytes()
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
-        for back in (load_model(path), load_model(old_path)):
+        _predictions_equal(predict_model(model, probe), predict_model(back, probe))
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_baseline_eigenpair_versions_load(self, tmp_path, kind):
+        # Baseline files before format 4 store the fused kernel's eigenpairs
+        # under npt_state; loading composes the map training composes.
+        data, model = self._kernelized_baseline(kind)
+        state = npt_fit(
+            FeatureMatrix(fuse_features(data.target_subset())),
+            model.kernel_maps[0].state.params,
+        )
+        probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
+        for version in (2, 3):
+            old = model_to_dict(model)
+            old["format_version"] = version
+            del old["kernel_maps"]
+            old["npt_state"] = {
+                "row_means": _encode_array(state.kernel.row_means),
+                "eigvecs": _encode_array(state.eigvecs),
+                "eigvals": _encode_array(state.eigvals),
+                "train_data": _encode_array(state.kernel.train_data.values),
+                "params": asdict(state.kernel.params),
+            }
+            old_path = tmp_path / f"v{version}.json"
+            old_path.write_text(json.dumps(old))
+            back = load_model(old_path)
+            assert len(back.kernel_maps) == 1
+            assert back.kernel_maps[0].map.tobytes() == model.kernel_maps[0].map.tobytes()
             _predictions_equal(predict_model(model, probe), predict_model(back, probe))
+
+    @pytest.mark.parametrize("case", ["two-entries", "truncated-map"])
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_malformed_baseline_kernel_map_rejected(self, tmp_path, kind, case):
+        obj = model_to_dict(self._kernelized_baseline(kind)[1])
+        entries = obj["kernel_maps"]
+        if case == "two-entries":
+            entries.append(entries[0])
+            match = "2 kernel_maps entries for 1 fused feature set"
+        else:
+            entries[0]["map"] = _encode_array(_decode_array(entries[0]["map"])[:, :-1])
+            match = r"kernel map has shape \(\d+, 11\), expected \(\d+, 12\)"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PersistenceError, match=f"malformed .*bad.json.*{match}"):
+            load_model(path)
 
     @pytest.mark.parametrize("loader", [load_model, load_report])
     @pytest.mark.parametrize("text", ['{"format_version": 1}', "[]"])

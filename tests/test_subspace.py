@@ -93,6 +93,21 @@ class TestPcaInit:
             pca_init(FeatureMatrix(np.ones((2, 5))), 3)
 
 
+class TestProjectionMatrix:
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (np.ones(3), "must be 2-D"),
+            (np.zeros((0, 3)), "has no rows"),
+            (np.eye(3, 2), "exceeds feature dim"),
+            (np.ones((2, 3)), "not orthonormal"),
+        ],
+    )
+    def test_rejected(self, q, message):
+        with pytest.raises(ConfigError, match=message):
+            ProjectionMatrix(q)
+
+
 class TestProject:
     def test_identity(self):
         rng = np.random.default_rng(3)
