@@ -1,5 +1,6 @@
 """Exception types raised by the toolkit, and the type check configs share."""
 
+import math
 import numbers
 from typing import Any, get_args, get_type_hints
 
@@ -42,8 +43,8 @@ def typed(name: str, value: Any, types: tuple[type, ...], error: type) -> Any:
     """value as the first of types that accepts it; else error naming name and value.
 
     float and int accept any non-bool real and integral number and cast
-    to it, so 2 becomes 2.0 and 2.9 is no int; every other type accepts
-    only its own instances.
+    to it, so 2 becomes 2.0 and 2.9 is no int; a float must be finite.
+    Every other type accepts only its own instances.
     """
     for t in types:
         number = _NUMBERS.get(t)
@@ -51,7 +52,13 @@ def typed(name: str, value: Any, types: tuple[type, ...], error: type) -> Any:
             if isinstance(value, t):
                 return value
         elif isinstance(value, number) and not isinstance(value, bool):
-            return t(value)
+            try:
+                value = t(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if t is float and not math.isfinite(value):
+                raise error(f"{name} must be finite, got {value!r}")
+            return value
     names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
     raise error(f"{name} must be {names}, got {value!r}")
 
@@ -59,10 +66,12 @@ def typed(name: str, value: Any, types: tuple[type, ...], error: type) -> Any:
 def coerce_fields(obj: Any, types: dict[str, tuple[type, ...]], error: type) -> None:
     """Replace each field of the frozen dataclass obj by its typed value.
 
-    A value whose type is the field's first type is kept as it is, which
-    is the common case and the one the check must not slow down.
+    A value whose type is the field's first type, a float only when
+    finite, is kept as it is: the common case, and the one the check must
+    not slow down.
     """
     for name, accepted in types.items():
         value = getattr(obj, name)
-        if type(value) is not accepted[0]:
+        kind = type(value)
+        if kind is not accepted[0] or (kind is float and not math.isfinite(value)):
             object.__setattr__(obj, name, typed(name, value, accepted, error))

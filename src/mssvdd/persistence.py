@@ -2,16 +2,20 @@
 
 Arrays are serialized as little-endian 64-bit floats so a save/load round
 trip reproduces every matrix bit-for-bit, which in turn makes reloaded
-models predict identically to the originals. Model files store only what
-prediction reads. Files with an unknown format version are rejected
-outright.
+models predict identically to the originals. A model file states each
+fact once and stores only what prediction reads: the config, the
+description's center and radius (or weight and offset), the projections,
+and for a kernelized model each kernel's state and composed map
+(subspace.compose_kernel_maps). The kernel params and the description's
+box bound (C or nu) come from the config.
 
-A kernelized model file stores, for each kernel, the kernel state and the
-composed map (subspace.compose_kernel_maps) in place of the kernel's
-eigenpairs: subspace files from format 3 on, baseline files from format 4
-on. Older files store the eigenpairs; loading composes the maps from them
-with the same function training uses, so such a file predicts bit for bit
-as the model it was saved from did in process.
+Model files of every earlier format version still load: _upgrade takes a
+file one version at a time to the current layout, and only the current
+layout is read. The steps that need arrays compose the maps from stored
+eigenpairs with the function training uses, and take the description's
+center or weight from its stored alphas and training points as the
+description does, so an old file predicts bit for bit as it did when it
+was saved. Files with an unknown format version are rejected outright.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .baselines import BaselineModel
+from .baselines import BaselineModel, _resolve_baseline_kernel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset, frozen_array
-from .errors import ConfigError, KernelError, PersistenceError
+from .errors import ConfigError, PersistenceError, ToolkitError, typed
 from .evaluation import ConfusionMatrix, EvalReport
 from .kernels import KernelParams, KernelState, NptState
 from .subspace import (
@@ -40,11 +44,8 @@ from .subspace import (
 )
 from .svdd import DataDescription, HyperplaneDescription
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 REPORT_FORMAT_VERSION = 1
-# Version 1 model files also hold the training kernels, embedded training
-# data and pooled column ranges, which prediction never reads; loading ignores them.
-_READABLE_MODEL_VERSIONS = (1, 2, 3, MODEL_FORMAT_VERSION)
 
 
 def _encode_array(a: np.ndarray) -> dict[str, Any]:
@@ -92,28 +93,11 @@ def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
     return TrainConfig(**{**_fields_of(TrainConfig, obj), "kernel_params": kp})
 
 
-def _kernel_state_to_dict(state: KernelState) -> dict[str, Any]:
-    return {
-        "row_means": _encode_array(state.row_means),
-        "train_data": _encode_array(state.train_data.values),
-        "params": asdict(state.params),
-    }
-
-
-def _kernel_state_fields(obj: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "row_means": _decode_array(obj["row_means"]),
-        "train_data": FeatureMatrix(_decode_array(obj["train_data"])),
-        "params": KernelParams(**_fields_of(KernelParams, obj["params"])),
-    }
-
-
-def _npt_state_from_dict(obj: dict[str, Any]) -> NptState:
-    return NptState(
-        kernel=KernelState(**_kernel_state_fields(obj)),
-        eigvecs=_decode_array(obj["eigvecs"]),
-        eigvals=_decode_array(obj["eigvals"]),
-    )
+def _kernel_params(config: TrainConfig, train_data: FeatureMatrix) -> KernelParams:
+    """The params a model of config evaluates its kernel on train_data with."""
+    if config.model_kind == "subspace":
+        return config.resolved_kernel_params()
+    return _resolve_baseline_kernel(config, train_data.dim)
 
 
 def _kernel_maps_to_dict(
@@ -122,50 +106,52 @@ def _kernel_maps_to_dict(
     if kernel_maps is None:
         return None
     return [
-        {**_kernel_state_to_dict(km.state), "map": _encode_array(km.map)}
+        {
+            "row_means": _encode_array(km.state.row_means),
+            "train_data": _encode_array(km.state.train_data.values),
+            "map": _encode_array(km.map),
+        }
         for km in kernel_maps
     ]
 
 
 def _kernel_maps_from_dict(
-    obj: dict[str, Any],
-    description: Union[DataDescription, HyperplaneDescription],
+    entries: Optional[list[dict[str, Any]]],
+    config: TrainConfig,
     projections: Optional[list[ProjectionMatrix]],
+    dim: int,
 ) -> Optional[list[KernelMap]]:
-    """A model's kernel maps from its file: one per projection, or one for
-    a baseline's fused features (projections None), each dim x N for the
-    description's dimension dim and the kernel's N training samples.
-    Subspace files before format 3 and baseline files before format 4
-    store the kernel's eigenpairs instead, under npt_states (a baseline's
-    one entry under npt_state), and the maps are composed from them."""
+    """A model's kernel maps: one per projection, or one for a baseline's
+    fused features (projections None), each dim x N for the description's
+    dimension dim and the kernel's N training samples."""
     if projections is None:
-        count, what, old_key, first = 1, "fused feature set", "npt_state", 4
+        count, what = 1, "fused feature set"
     else:
-        count, what, old_key, first = len(projections), "projections", "npt_states", 3
-    key = "kernel_maps" if obj["format_version"] >= first else old_key
-    entries = obj[key]
+        count, what = len(projections), "projections"
+    if (entries is not None) != config.kernelized:
+        raise PersistenceError(
+            f"kernel_maps is {'set' if entries is not None else 'null'}, but "
+            f"the config's kernelized is {config.kernelized}"
+        )
     if entries is None:
         return None
-    if key == "npt_state":
-        entries = [entries]
     if len(entries) != count:
-        raise ValueError(f"{len(entries)} {key} entries for {count} {what}")
-    if key == "kernel_maps":
-        maps = [
-            KernelMap(KernelState(**_kernel_state_fields(e)), _decode_array(e["map"]))
-            for e in entries
-        ]
-    else:
-        maps = compose_kernel_maps(
-            projections, [_npt_state_from_dict(e) for e in entries]
+        raise ValueError(f"{len(entries)} kernel_maps entries for {count} {what}")
+    maps = []
+    for v, entry in enumerate(entries):
+        train_data = FeatureMatrix(_decode_array(entry["train_data"]))
+        state = KernelState(
+            row_means=_decode_array(entry["row_means"]),
+            train_data=train_data,
+            params=_kernel_params(config, train_data),
         )
-    dim = description.train_points.shape[0]
-    for v, km in enumerate(maps):
-        want = (dim, km.state.train_data.n_samples)
+        km = KernelMap(state, _decode_array(entry["map"]))
+        want = (dim, train_data.n_samples)
         if km.map.shape != want:
             raise ValueError(
                 f"modality {v} kernel map has shape {km.map.shape}, expected {want}"
             )
+        maps.append(km)
     return maps
 
 
@@ -177,32 +163,43 @@ _KIND_TAGS = {
     "svdd": ("baseline", "sphere"),
     "ocsvm": ("baseline", "hyperplane"),
 }
-# Description kind -> class and the scalars stored beside its arrays.
+# Description kind -> class, the vector and the scalar its file stores,
+# and the config field that gives its box bound.
 _DESCRIPTIONS = {
-    "sphere": (DataDescription, ("c_penalty", "radius_sq")),
-    "hyperplane": (HyperplaneDescription, ("rho", "nu")),
+    "sphere": (DataDescription, "center", "radius_sq", "c_penalty"),
+    "hyperplane": (HyperplaneDescription, "weight", "rho", "nu"),
 }
+# The one weight of a loaded description's one column.
+_ONE = frozen_array(np.ones(1))
 
 
 def _description_to_dict(
     desc: Union[DataDescription, HyperplaneDescription], kind: str
 ) -> dict[str, Any]:
+    _, vector, scalar, _ = _DESCRIPTIONS[kind]
     return {
         "kind": kind,
-        "alphas": _encode_array(desc.alphas),
-        "train_points": _encode_array(desc.train_points),
-        **{name: getattr(desc, name) for name in _DESCRIPTIONS[kind][1]},
+        vector: _encode_array(getattr(desc, vector)),
+        scalar: getattr(desc, scalar),
     }
 
 
 def _description_from_dict(
-    obj: dict[str, Any], kind: str
+    obj: dict[str, Any], kind: str, config: TrainConfig
 ) -> Union[DataDescription, HyperplaneDescription]:
-    cls, scalars = _DESCRIPTIONS[kind]
+    """The one-column description whose column, with weight 1, is the
+    stored center or weight; scoring reads it as the solved one."""
+    cls, vector, scalar, bound = _DESCRIPTIONS[kind]
+    column = _decode_array(obj[vector])
+    if column.ndim != 1:
+        raise ValueError(f"description {vector} has shape {column.shape}, expected a vector")
     return cls(
-        alphas=_decode_array(obj["alphas"]),
-        train_points=_decode_array(obj["train_points"]),
-        **{name: float(obj[name]) for name in scalars},
+        alphas=_ONE,
+        train_points=column[:, None],
+        **{
+            scalar: typed(f"description.{scalar}", obj[scalar], (float,), PersistenceError),
+            bound: getattr(config, bound),
+        },
     )
 
 
@@ -254,48 +251,180 @@ def model_to_dict(
     return common
 
 
-def _check_version(obj: dict[str, Any], kind: str, readable: tuple[int, ...]) -> None:
-    version = obj.get("format_version")
-    if version not in readable:
-        expected = " or ".join(str(v) for v in readable)
-        raise PersistenceError(
-            f"unsupported {kind} format version {version!r}; expected {expected}"
+# ---------------------------------------------------------------------------
+# Upgrading older model files, one format version at a time
+# ---------------------------------------------------------------------------
+
+def _without(obj: dict[str, Any], key: str) -> dict[str, Any]:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _composed(
+    projections: Optional[list[ProjectionMatrix]], entries: list[dict[str, Any]]
+) -> list[dict[str, Any]]:
+    """Format 4 kernel-map entries from eigenpair entries, one per
+    projection (projections None: one for a baseline), each map composed
+    by compose_kernel_maps as training composes it."""
+    states = [
+        NptState(
+            kernel=KernelState(
+                row_means=_decode_array(e["row_means"]),
+                train_data=FeatureMatrix(_decode_array(e["train_data"])),
+                params=KernelParams(**_fields_of(KernelParams, e["params"])),
+            ),
+            eigvecs=_decode_array(e["eigvecs"]),
+            eigvals=_decode_array(e["eigvals"]),
         )
+        for e in entries
+    ]
+    if projections is not None and len(states) != len(projections):
+        raise ValueError(
+            f"{len(states)} npt_states entries for {len(projections)} projections"
+        )
+    return [
+        {
+            "row_means": e["row_means"],
+            "train_data": e["train_data"],
+            "params": e["params"],
+            "map": _encode_array(km.map),
+        }
+        for e, km in zip(entries, compose_kernel_maps(projections, states))
+    ]
+
+
+def _v1_to_v2(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 2 dropped what prediction never reads: a subspace model's
+    pooled column ranges here, and each kernel's training kernel, embedded
+    training data, grand mean and rank, which no later step reads."""
+    return _without(obj, "modality_index_map")
+
+
+def _v2_to_v3(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 3 stores a subspace model's composed kernel maps in place of
+    the kernels' eigenpairs (npt_states)."""
+    if obj["model_class"] != "subspace":
+        return obj
+    entries = obj["npt_states"]
+    if entries is not None:
+        projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
+        entries = _composed(projections, entries)
+    return {**_without(obj, "npt_states"), "kernel_maps": entries}
+
+
+def _v3_to_v4(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 4 stores a baseline's composed kernel map in place of its
+    kernel's eigenpairs (npt_state)."""
+    if obj["model_class"] == "subspace":
+        return obj
+    entry = obj["npt_state"]
+    return {
+        **_without(obj, "npt_state"),
+        "kernel_maps": None if entry is None else _composed(None, [entry]),
+    }
+
+
+def _v4_to_v5(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 5 drops the copies of what the config states: each kernel
+    map's params and the description's box bound. Each copy must equal
+    what the config gives. The description stores its center or weight,
+    train_points @ alphas, in place of its alphas and training points."""
+    config = config_from_dict(obj["config"])
+    desc = obj["description"]
+    _, vector, scalar, bound = _DESCRIPTIONS[desc["kind"]]
+    stated = typed(f"description.{bound}", desc[bound], (float,), PersistenceError)
+    if stated != getattr(config, bound):
+        raise PersistenceError(
+            f"description.{bound} {stated!r} disagrees with the config's "
+            f"{getattr(config, bound)!r}"
+        )
+    column = _decode_array(desc["train_points"]) @ _decode_array(desc["alphas"])
+    entries = obj["kernel_maps"]
+    if entries is not None:
+        for v, e in enumerate(entries):
+            params = KernelParams(**_fields_of(KernelParams, e["params"]))
+            derived = _kernel_params(config, FeatureMatrix(_decode_array(e["train_data"])))
+            if params != derived:
+                raise PersistenceError(
+                    f"kernel_maps[{v}].params {asdict(params)} disagree with the "
+                    f"config's {asdict(derived)}"
+                )
+        entries = [_without(e, "params") for e in entries]
+    return {
+        **obj,
+        "description": {
+            "kind": desc["kind"],
+            vector: _encode_array(column),
+            scalar: desc[scalar],
+        },
+        "kernel_maps": entries,
+    }
+
+
+# Version -> the step that upgrades a model file of that version to the next.
+_UPGRADES = {1: _v1_to_v2, 2: _v2_to_v3, 3: _v3_to_v4, 4: _v4_to_v5}
+
+
+def _upgrade(obj: dict[str, Any]) -> dict[str, Any]:
+    """A parsed model file of any readable version, in the current layout.
+
+    The only model reader of format_version: a current file is returned
+    as it is, an older one goes through each step from its version on.
+    """
+    version = obj.get("format_version")
+    if type(version) is not int or not 1 <= version <= MODEL_FORMAT_VERSION:
+        raise PersistenceError(
+            f"unsupported model format version {version!r}; expected 1 to "
+            f"{MODEL_FORMAT_VERSION}"
+        )
+    for step in range(version, MODEL_FORMAT_VERSION):
+        obj = {**_UPGRADES[step](obj), "format_version": step + 1}
+    return obj
 
 
 def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
-    _check_version(obj, "model", _READABLE_MODEL_VERSIONS)
+    obj = _upgrade(obj)
     config = config_from_dict(obj["config"])
     kind = config.model_kind
     model_class, description_kind = _KIND_TAGS[kind]
-    for tag, stated, implied in (
-        ("model_class", obj["model_class"], model_class),
-        ("baseline_kind", obj.get("baseline_kind"), None if kind == "subspace" else kind),
-        ("description kind", obj["description"]["kind"], description_kind),
-    ):
+    tags = [("model_class", obj["model_class"], model_class)]
+    if model_class == "baseline":
+        tags.append(("baseline_kind", obj["baseline_kind"], kind))
+    tags.append(("description kind", obj["description"]["kind"], description_kind))
+    for tag, stated, implied in tags:
         if stated != implied:
             raise PersistenceError(
                 f"model file states {tag} {stated!r}, but its config's "
                 f"model_kind {kind!r} implies {implied!r}"
             )
-    description = _description_from_dict(obj["description"], description_kind)
-    projections = None
-    if model_class == "subspace":
-        projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
+    description = _description_from_dict(obj["description"], description_kind, config)
+    dim = description.train_points.shape[0]
     common = {
         "description": description,
         "config": config,
-        "kernel_maps": _kernel_maps_from_dict(obj, description, projections),
-        "scaler": _scaler_from_jsonable(obj.get("scaler")),
-        "warning": obj.get("warning"),
+        "scaler": _scaler_from_jsonable(obj["scaler"]),
+        "warning": typed("warning", obj["warning"], (str, type(None)), PersistenceError),
     }
-    if projections is not None:
-        return SubspaceModel(
-            projections=projections,
-            ortho_errors=[float(e) for e in obj.get("ortho_errors", [])],
+    if model_class == "baseline":
+        return BaselineModel(
+            n_modalities=typed("n_modalities", obj["n_modalities"], (int,), PersistenceError),
+            kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, None, dim),
             **common,
         )
-    return BaselineModel(n_modalities=int(obj["n_modalities"]), **common)
+    projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
+    for v, p in enumerate(projections):
+        if p.d != config.d:
+            raise PersistenceError(
+                f"projection {v} has {p.d} rows, but the config's d is {config.d}"
+            )
+    return SubspaceModel(
+        projections=projections,
+        kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, projections, dim),
+        ortho_errors=[
+            typed("ortho_errors entry", e, (float,), PersistenceError)
+            for e in obj["ortho_errors"]
+        ],
+        **common,
+    )
 
 
 def _dump_json(obj: dict[str, Any]) -> str:
@@ -340,10 +469,7 @@ def _load(path: str, kind: str, from_dict: Callable[[Any], Any]) -> Any:
         raise PersistenceError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         return from_dict(obj)
-    except (
-        KeyError, TypeError, AttributeError, ValueError, ConfigError, KernelError,
-        PersistenceError,
-    ) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, ToolkitError) as exc:
         raise PersistenceError(
             f"malformed {kind} file {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -390,7 +516,12 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
 
 
 def report_from_dict(obj: dict[str, Any]) -> EvalReport:
-    _check_version(obj, "report", (REPORT_FORMAT_VERSION,))
+    version = obj.get("format_version")
+    if version != REPORT_FORMAT_VERSION:
+        raise PersistenceError(
+            f"unsupported report format version {version!r}; expected "
+            f"{REPORT_FORMAT_VERSION}"
+        )
     return EvalReport(
         config=config_from_dict(obj["config"]),
         fold_confusions=[

@@ -49,6 +49,7 @@ about 390 pair steps would go to zeroing the rest.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -72,9 +73,11 @@ FACE_CONSISTENCY_TOL = 1e-10
 # the magnitudes of the terms of its distance or decision value. The
 # allowance absorbs rounding only. A free support vector lies on the
 # boundary only to within the solve's kkt_tol, so it may classify as an
-# outlier: a kernel-embedded ocsvm (600 targets, composite sigma = 3,
-# nu = 0.1) put 297 of its 600 free SVs outside, and a full-rank svdd
-# (200 x 300 Gaussian points, C = 0.01) 8 of its 24.
+# outlier: a full-rank svdd (200 x 300 Gaussian points, C = 0.01) put 8 of
+# its 24 free SVs outside. A kernel-embedded ocsvm (600 targets, composite
+# sigma = 3, nu = 0.1) put 297 of its 600 outside, but not because of this
+# allowance: its embedded points sum to 0, so its weight is at rounding
+# level and every decision value is rounding noise.
 BOUNDARY_RTOL = 1024 * np.finfo(np.float64).eps
 
 
@@ -395,10 +398,12 @@ class DataDescription:
     """Solved hypersphere description of a point cloud.
 
     alphas are the dual weights over the training columns, c_penalty the
-    box bound, radius_sq the squared decision radius. train_points is the
-    d x M matrix the description was fit on, retained so distances to new
-    points can be evaluated. center and center_sq are derived caches. The
-    arrays are read-only, so models may share a description.
+    box bound, radius_sq the squared decision radius, finite and
+    non-negative. train_points is the d x M matrix the description was
+    fit on. center = train_points @ alphas and center_sq are derived
+    caches; scoring reads only them and radius_sq. A description loaded
+    from a model file has one column, the stored center, with weight 1.
+    The arrays are read-only, so models may share a description.
     """
 
     alphas: np.ndarray
@@ -411,6 +416,10 @@ class DataDescription:
     center_sq: float = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius_sq) and self.radius_sq >= 0.0):
+            raise SolverError(
+                f"radius_sq must be finite and non-negative, got {self.radius_sq}"
+            )
         center = _freeze(self, self.c_penalty)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "center_sq", float(center @ center))
@@ -482,9 +491,13 @@ def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class HyperplaneDescription:
-    """Solved one-class hyperplane: dual weights and offset rho.
+    """Solved one-class hyperplane: dual weights, finite offset rho and
+    nu in (0, 1].
 
-    A point y is classified target when sum_j a_j <x_j, y> - rho >= 0.
+    A point y is classified target when sum_j a_j <x_j, y> - rho >= 0,
+    that is weight'y - rho >= 0 for the derived weight = train_points @
+    alphas; scoring reads only weight and rho. A description loaded from a
+    model file has one column, the stored weight, with weight 1.
     """
 
     alphas: np.ndarray
@@ -496,6 +509,10 @@ class HyperplaneDescription:
     weight: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.rho):
+            raise SolverError(f"rho must be finite, got {self.rho}")
+        if not 0.0 < self.nu <= 1.0:
+            raise SolverError(f"nu must lie in (0, 1], got {self.nu}")
         bound = 1.0 / (self.nu * np.shape(self.train_points)[1])
         object.__setattr__(self, "weight", _freeze(self, bound))
 

@@ -34,7 +34,12 @@ class TestKernelParams:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("kind", 3), ("gamma", None), ("sigma", "abc"), ("kappa", "1"), ("theta", True)],
+        [
+            ("kind", 3), ("gamma", None), ("sigma", "abc"), ("kappa", "1"), ("theta", True),
+            ("gamma", float("nan")), ("sigma", float("nan")), ("sigma", float("inf")),
+            ("kappa", float("nan")), ("kappa", float("inf")), ("kappa", float("-inf")),
+            ("theta", float("nan")), ("theta", float("inf")),
+        ],
     )
     def test_wrong_type_rejected(self, field, value):
         with pytest.raises(KernelError, match=rf"^{field} must be"):

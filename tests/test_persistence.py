@@ -1,27 +1,29 @@
+import copy
 import json
+import os
 import re
-from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import old_models
+
 from mssvdd import (
-    FeatureMatrix,
     KernelParams,
     PersistenceError,
+    ToolkitError,
     TrainConfig,
     dataset_digest,
     fit_model,
     load_model,
     load_report,
-    npt_fit,
     predict_model,
     run_cv,
     save_model,
     save_report,
     synth_multimodal,
 )
-from mssvdd.baselines import fuse_features
 from mssvdd.persistence import (
     _decode_array,
     _encode_array,
@@ -87,6 +89,21 @@ def write_edited_config(tmp_path, case, what="model"):
         obj["config"][key] = value
     path.write_text(json.dumps(obj))
     return path
+
+
+def _matches_parent(model, path):
+    """model, loaded from the fixture at path, holds the kernel maps and
+    gives the predictions on old_models.probe() stored for that file."""
+    with open(os.path.join(old_models.DATA, "expected.json")) as fh:
+        want = json.load(fh)[os.path.basename(path)]
+    maps = model.kernel_maps
+    digests = None if maps is None else [old_models.map_digest(km.map) for km in maps]
+    assert digests == want["maps"]
+    result = predict_model(model, old_models.probe())
+    assert result.fused.tolist() == want["fused"]
+    assert result.per_modality.tolist() == want["per_modality"]
+    assert result.distances.tobytes() == np.array(want["distances"]).tobytes()
+    assert result.radius_sq == want["radius_sq"]
 
 
 def _predictions_equal(a, b):
@@ -177,50 +194,28 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 4
+        assert obj["format_version"] == 5
         assert "npt_states" not in obj
         for entry in obj["kernel_maps"]:
-            assert set(entry) == {"row_means", "train_data", "params", "map"}
+            assert set(entry) == {"row_means", "train_data", "map"}
+        assert set(obj["description"]) == {"kind", "center", "radius_sq"}
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
         _predictions_equal(
             predict_model(model, probe), predict_model(load_model(path), probe)
         )
 
-        # Version 1 and 2 files store the kernels' eigenpairs instead of the
-        # maps; version 1 files also hold arrays prediction never reads.
-        states = [
-            npt_fit(mod, config.resolved_kernel_params())
-            for mod in data.target_subset().modalities
-        ]
-        for version in (1, 2):
-            old = model_to_dict(model)
-            old["format_version"] = version
-            del old["kernel_maps"]
-            old["npt_states"] = [
-                {
-                    "row_means": _encode_array(s.kernel.row_means),
-                    "eigvecs": _encode_array(s.eigvecs),
-                    "eigvals": _encode_array(s.eigvals),
-                    "train_data": _encode_array(s.kernel.train_data.values),
-                    "params": asdict(s.kernel.params),
-                }
-                for s in states
-            ]
-            if version == 1:
-                old["modality_index_map"] = [[0, 12], [12, 24]]
-                for entry, state in zip(old["npt_states"], states):
-                    entry["train_kernel"] = _encode_array(state.train_kernel)
-                    entry["embedded"] = _encode_array(state.embedded)
-                    entry["grand_mean"] = float(state.kernel.row_means.mean())
-                    entry["rank"] = state.rank
-            old_path = tmp_path / f"v{version}.json"
-            old_path.write_text(json.dumps(old))
-            back = load_model(old_path)
-            for a, b in zip(back.kernel_maps, model.kernel_maps):
-                assert a.map.tobytes() == b.map.tobytes()
-            _predictions_equal(
-                predict_model(model, probe), predict_model(back, probe)
-            )
+        # Files that the writers of versions 1 to 4 wrote load to the maps
+        # and predictions the last loader with per-version branches gave.
+        for version in old_models.VERSIONS:
+            for name in old_models.MODELS:
+                old_path = old_models.model_path(version, name)
+                assert json.loads(Path(old_path).read_text())["format_version"] == version
+                back = load_model(old_path)
+                _matches_parent(back, old_path)
+                # Saved again, it is a current file that predicts the same.
+                again = tmp_path / f"again-v{version}-{name}.json"
+                save_model(back, again)
+                _matches_parent(load_model(again), old_path)
 
         report = run_cv(
             data, TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2), k=4, seed=1
@@ -276,42 +271,30 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 4
+        assert obj["format_version"] == 5
         assert "npt_state" not in obj
         [entry] = obj["kernel_maps"]
-        assert set(entry) == {"row_means", "train_data", "params", "map"}
+        assert set(entry) == {"row_means", "train_data", "map"}
+        stored = {"kind", "center", "radius_sq"} if kind == "svdd" else {"kind", "weight", "rho"}
+        assert set(obj["description"]) == stored
         back = load_model(path)
         assert back.kernel_maps[0].map.tobytes() == model.kernel_maps[0].map.tobytes()
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
         _predictions_equal(predict_model(model, probe), predict_model(back, probe))
 
     @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
-    def test_baseline_eigenpair_versions_load(self, tmp_path, kind):
+    def test_baseline_eigenpair_versions_load(self, kind):
         # Baseline files before format 4 store the fused kernel's eigenpairs
-        # under npt_state; loading composes the map training composes.
-        data, model = self._kernelized_baseline(kind)
-        state = npt_fit(
-            FeatureMatrix(fuse_features(data.target_subset())),
-            model.kernel_maps[0].state.params,
-        )
-        probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
-        for version in (2, 3):
-            old = model_to_dict(model)
-            old["format_version"] = version
-            del old["kernel_maps"]
-            old["npt_state"] = {
-                "row_means": _encode_array(state.kernel.row_means),
-                "eigvecs": _encode_array(state.eigvecs),
-                "eigvals": _encode_array(state.eigvals),
-                "train_data": _encode_array(state.kernel.train_data.values),
-                "params": asdict(state.kernel.params),
-            }
-            old_path = tmp_path / f"v{version}.json"
-            old_path.write_text(json.dumps(old))
-            back = load_model(old_path)
-            assert len(back.kernel_maps) == 1
-            assert back.kernel_maps[0].map.tobytes() == model.kernel_maps[0].map.tobytes()
-            _predictions_equal(predict_model(model, probe), predict_model(back, probe))
+        # under npt_state (null for the linear ocsvm fixture); loading
+        # composes the map training composes.
+        for version in (1, 2, 3):
+            path = old_models.model_path(version, kind)
+            obj = json.loads(Path(path).read_text())
+            assert "kernel_maps" not in obj
+            assert (obj["npt_state"] is None) == (kind == "ocsvm")
+            back = load_model(path)
+            assert back.kind == kind
+            _matches_parent(back, path)
 
     @pytest.mark.parametrize("case", ["two-entries", "truncated-map"])
     @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
@@ -394,6 +377,144 @@ class TestModelRoundTrip:
         other_name.hardlink_to(shared)
         save_model(second, shared)
         assert other_name.read_bytes() == fresh.read_bytes()
+
+
+def _old_file(tmp_path, name, version):
+    """The parsed version 4 fixture of model name, or (version 5) that
+    model saved again in the current format."""
+    path = old_models.model_path(4, name)
+    if version == 5:
+        path = tmp_path / f"{name}-v5.json"
+        save_model(load_model(old_models.model_path(4, name)), path)
+    return json.loads(Path(path).read_text())
+
+
+def _edited(obj, key_path, value):
+    """A copy of obj with the field at key_path set to value, or deleted
+    when value is ...."""
+    obj = copy.deepcopy(obj)
+    *parents, last = key_path
+    owner = obj
+    for key in parents:
+        owner = owner[key]
+    if value is ...:
+        del owner[last]
+    else:
+        owner[last] = value
+    return obj
+
+
+NAN, INF = float("nan"), float("inf")
+# Single-field edits of a fixture's file: case -> (model, field path, new
+# value, versions it applies to, what the error says). Version 4 files hold
+# copies of the kernel params and of the description's C or nu, which
+# version 5 files derive from the config.
+FILE_EDITS = {
+    "nu-0": ("ocsvm", ("description", "nu"), 0, (4,), r"description\.nu 0\.0 disagrees"),
+    "c-copy": (
+        "linear", ("description", "c_penalty"), 0.25, (4,),
+        r"description\.c_penalty 0\.25 disagrees with the config's 0\.5",
+    ),
+    "kappa-0-copy": (
+        "kernelized", ("kernel_maps", 0, "params", "kappa"), 0, (4,),
+        r"kernel_maps\[0\]\.params .*'kappa': 0\.0.* disagree",
+    ),
+    "sigma-copy": (
+        "svdd", ("kernel_maps", 0, "params", "sigma"), 2.0, (4,),
+        r"kernel_maps\[0\]\.params .*'sigma': 2\.0.* disagree",
+    ),
+    "config-nu-0": ("ocsvm", ("config", "nu"), 0, (4, 5), r"nu must lie in \(0, 1\]"),
+    "radius-nan": (
+        "svdd", ("description", "radius_sq"), NAN, (4, 5),
+        "description.radius_sq must be finite, got nan",
+    ),
+    "radius-negative": (
+        "linear", ("description", "radius_sq"), -1, (4, 5),
+        "radius_sq must be finite and non-negative, got -1.0",
+    ),
+    "radius-true": (
+        "kernelized", ("description", "radius_sq"), True, (4, 5),
+        "description.radius_sq must be float, got True",
+    ),
+    "rho-nan": (
+        "ocsvm", ("description", "rho"), NAN, (4, 5), "description.rho must be finite, got nan"
+    ),
+    "rho-true": (
+        "ocsvm", ("description", "rho"), True, (4, 5), "description.rho must be float, got True"
+    ),
+    "kernelized-flip": (
+        "linear", ("config", "kernelized"), True, (4, 5),
+        "kernel_maps is null, but the config's kernelized is True",
+    ),
+    "d-edit": (
+        "linear", ("config", "d"), 3, (4, 5), "projection 0 has 2 rows, but the config's d is 3"
+    ),
+    "eta-nan": ("linear", ("config", "eta"), NAN, (4, 5), "eta must be finite, got nan"),
+    "beta-inf": ("kernelized", ("config", "beta"), INF, (4, 5), "beta must be finite, got inf"),
+    "c-inf": ("svdd", ("config", "c_penalty"), INF, (4, 5), "c_penalty must be finite, got inf"),
+    "kkt-tol-inf": (
+        "ocsvm", ("config", "kkt_tol"), INF, (4, 5), "kkt_tol must be finite, got inf"
+    ),
+    "sigma-nan": (
+        "kernelized", ("config", "kernel_params", "sigma"), NAN, (4, 5),
+        "sigma must be finite, got nan",
+    ),
+    "kappa-inf": (
+        "svdd", ("config", "kernel_params", "kappa"), INF, (4, 5),
+        "kappa must be finite, got inf",
+    ),
+    "theta-nan": (
+        "linear", ("config", "kernel_params", "theta"), NAN, (4, 5),
+        "theta must be finite, got nan",
+    ),
+}
+
+# The sweep's edits of every field: delete it (...) or set it to each value.
+SWEEP_VALUES = (..., None, "x", -1, NAN, 0, 1e6, True, [], {})
+
+
+def _key_paths(obj, prefix=()):
+    """The path to every key of every object nested in obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(obj, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+class TestFileEdits:
+    @pytest.mark.parametrize(
+        "case, version",
+        [(case, v) for case, edit in sorted(FILE_EDITS.items()) for v in edit[3]],
+    )
+    def test_edit_rejected(self, tmp_path, case, version):
+        name, key_path, value, _, message = FILE_EDITS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(_edited(_old_file(tmp_path, name, version), key_path, value)))
+        names_file = f"^malformed model file {re.escape(str(path))}: "
+        with pytest.raises(PersistenceError, match=names_file + f".*{message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [4, 5])
+    @pytest.mark.parametrize("name", sorted(old_models.MODELS))
+    def test_every_field_edit_fails_typed(self, tmp_path, name, version):
+        # Loading and predicting with a file that has any one field deleted
+        # or replaced either works or raises a ToolkitError.
+        obj = _old_file(tmp_path, name, version)
+        probe = old_models.probe()
+        path = tmp_path / "edited.json"
+        untyped = []
+        for key_path in _key_paths(obj):
+            for value in SWEEP_VALUES:
+                path.write_text(json.dumps(_edited(obj, key_path, value)))
+                try:
+                    predict_model(load_model(path), probe)
+                except ToolkitError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the failure under test
+                    untyped.append(f"{key_path} = {value!r}: {type(exc).__name__}: {exc}")
+        assert not untyped, "\n".join(untyped)
 
 
 class TestConfigDict:

@@ -48,6 +48,13 @@ class TestTrainConfig:
             ("kernelized", 1), ("model_kind", None), ("kernel_params", None),
             ("c_penalty", -1), ("c_penalty", 0), ("nu", 0), ("nu", 1.5),
             ("kkt_tol", 0), ("kkt_tol", float("nan")),
+            # Non-finite floats: C = inf too, as C >= 1 already gives the
+            # hard margin.
+            ("eta", float("nan")), ("eta", float("inf")), ("beta", float("nan")),
+            ("beta", float("inf")), ("c_penalty", float("nan")),
+            ("c_penalty", float("inf")), ("nu", float("nan")), ("kkt_tol", float("inf")),
+            ("kkt_tol", float("-inf")),
+            pytest.param("eta", 10**400, id="eta-int-beyond-float"),
         ],
     )
     def test_bad_value_rejected(self, field, value):

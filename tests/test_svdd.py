@@ -505,3 +505,51 @@ class TestOcsvm:
             ocsvm_solve(np.zeros((2, 3)), nu=0.2)
         with pytest.raises(SolverError):
             ocsvm_solve(np.zeros((2, 3)), nu=1.5)
+
+
+class TestDescriptionScalars:
+    @pytest.mark.parametrize("radius_sq", [float("nan"), float("inf"), -1.0])
+    def test_bad_radius_rejected(self, radius_sq):
+        with pytest.raises(SolverError, match="^radius_sq must be finite and non-negative"):
+            svdd.DataDescription(
+                alphas=np.ones(1), c_penalty=1.0, radius_sq=radius_sq,
+                train_points=np.ones((2, 1)),
+            )
+
+    @pytest.mark.parametrize(
+        "rho, nu, message",
+        [
+            (float("nan"), 0.5, "^rho must be finite"),
+            (float("-inf"), 0.5, "^rho must be finite"),
+            (0.0, 0.0, r"^nu must lie in \(0, 1\]"),
+            (0.0, 1.5, r"^nu must lie in \(0, 1\]"),
+            (0.0, float("nan"), r"^nu must lie in \(0, 1\]"),
+        ],
+    )
+    def test_bad_hyperplane_scalars_rejected(self, rho, nu, message):
+        with pytest.raises(SolverError, match=message):
+            svdd.HyperplaneDescription(
+                alphas=np.ones(1), rho=rho, nu=nu, train_points=np.ones((2, 1))
+            )
+
+    def test_one_column_scores_as_solved(self):
+        # A loaded description is the solved one's center (or weight) as its
+        # one column, with weight 1: pts @ [1.0] returns the column exactly.
+        rng = np.random.default_rng(31)
+        pts = rng.standard_normal((3, 40)) + 2.0
+        y = rng.standard_normal((3, 25)) + 2.0
+        sphere = svdd_solve(pts, 0.1)
+        one = svdd.DataDescription(
+            alphas=np.ones(1), c_penalty=0.1, radius_sq=sphere.radius_sq,
+            train_points=sphere.center[:, None],
+        )
+        assert one.center.tobytes() == sphere.center.tobytes()
+        for a, b in zip(svdd_score(one, y), svdd_score(sphere, y)):
+            assert a.tobytes() == b.tobytes()
+        plane = ocsvm_solve(pts, 0.2)
+        one = svdd.HyperplaneDescription(
+            alphas=np.ones(1), rho=plane.rho, nu=0.2, train_points=plane.weight[:, None]
+        )
+        assert one.weight.tobytes() == plane.weight.tobytes()
+        for a, b in zip(ocsvm_score(one, y), ocsvm_score(plane, y)):
+            assert a.tobytes() == b.tobytes()
