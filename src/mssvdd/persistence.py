@@ -522,6 +522,9 @@ def report_from_dict(obj: dict[str, Any]) -> EvalReport:
             f"unsupported report format version {version!r}; expected "
             f"{REPORT_FORMAT_VERSION}"
         )
+    fold_configs = typed(
+        "fold_configs", obj["fold_configs"], (list, type(None)), PersistenceError
+    )
     return EvalReport(
         config=config_from_dict(obj["config"]),
         fold_confusions=[
@@ -529,18 +532,20 @@ def report_from_dict(obj: dict[str, Any]) -> EvalReport:
             for c in obj["fold_confusions"]
         ],
         fold_plan=FoldPlan(
-            k=int(obj["k"]),
+            k=typed("k", obj["k"], (int,), PersistenceError),
             assignment=np.array(obj["fold_assignment"], dtype=np.int64),
-            seed=int(obj["seed"]),
+            seed=typed("seed", obj["seed"], (int,), PersistenceError),
         ),
-        normalize=bool(obj.get("normalize", False)),
-        max_ortho_error=obj.get("max_ortho_error"),
+        normalize=typed("normalize", obj["normalize"], (bool,), PersistenceError),
+        max_ortho_error=typed(
+            "max_ortho_error", obj["max_ortho_error"], (float, type(None)), PersistenceError
+        ),
         fold_configs=(
             None
-            if obj.get("fold_configs") is None
-            else [config_from_dict(c) for c in obj["fold_configs"]]
+            if fold_configs is None
+            else [config_from_dict(c) for c in fold_configs]
         ),
-        selection=obj.get("selection"),
+        selection=typed("selection", obj["selection"], (str, type(None)), PersistenceError),
     )
 
 

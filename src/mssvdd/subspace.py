@@ -447,7 +447,8 @@ def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple, tuple]:
 
     Each key holds the config fields its stage reads, and the fields of the
     stages before it: the embedding reads the resolved kernel params when
-    kernelized, the start adds d, and the first solve adds C and kkt_tol.
+    kernelized, the start (_start: PCA for a linear fit, identity rows on
+    the kernel embedding) adds d, and the first solve adds C and kkt_tol.
     The update strategy, eta, beta and the regularizer enter only after
     the first solve; the iterations after it read the whole training_key.
     """
@@ -475,6 +476,21 @@ def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
     return _Embedding(tuple(s.embedded for s in states), states)
 
 
+def _start(embedding: _Embedding, d: int) -> tuple[ProjectionMatrix, ...]:
+    """The start projections: the top-d principal directions of each input.
+
+    An NPT embedding is already in those coordinates: its rows are
+    sqrt(lambda_i) u_i' for the centered kernel's eigenpairs, in descending
+    order of lambda_i, and every u_i of a positive lambda_i is orthogonal to
+    the ones vector. So its rows have zero mean, its covariance is
+    diag(lambda) / (N - 1), and pca_init would return the first d identity
+    rows, up to rounding.
+    """
+    if embedding.npt_states is None:
+        return tuple(pca_init(x, d) for x in embedding.inputs)
+    return tuple(ProjectionMatrix(np.eye(d, x.shape[0])) for x in embedding.inputs)
+
+
 def train(
     data: MultiModalDataset,
     config: TrainConfig,
@@ -484,11 +500,14 @@ def train(
     """Fit a subspace one-class model on the target-class samples of data.
 
     When labels are present only target samples are used; unlabelled data
-    is assumed to be all-target. The kernelized variant first embeds every
-    modality through its fitted kernel feature map. memo, made for data,
-    shares the embedding, start projections and first solve with the other
-    fits on data that use the same memo; the model is the same with or
-    without it.
+    is assumed to be all-target. A linear fit starts from each modality's
+    top-d PCA directions. The kernelized variant first embeds every
+    modality through its fitted kernel feature map, whose coordinates are
+    already principal directions, and starts from their first d. Every
+    solve after the first is warm-started from the previous one's alphas.
+    memo, made for data, shares the embedding, start projections and first
+    solve with the other fits on data that use the same memo; the model is
+    the same with or without it.
     """
     validate_train_config(config, data.n_modalities)
     signs = strategy_signs(config.update_strategy, data.n_modalities)
@@ -508,9 +527,7 @@ def train(
             )
 
     index_map = [(v * n, (v + 1) * n) for v in range(v_count)]
-    projections = _stage(
-        memo, start_key, lambda: tuple(pca_init(x, config.d) for x in inputs)
-    )
+    projections = _stage(memo, start_key, lambda: _start(embedding, config.d))
 
     ortho_errors: list[float] = []
     warning: Optional[str] = None

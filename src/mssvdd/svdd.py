@@ -39,12 +39,17 @@ A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
 the same columns ("alpha seeding"). Bound coordinates are kept exactly on
 their bound, so a warm start sees the same free set the previous solve
-ended with. A cold hypersphere solve starts with floor(1/C) coordinates on
-their bound C (_cold_start), as LIBSVM's one-class start does (Chang & Lin,
-2011), choosing the points farthest from the uniform-weight center, the
-likely bounded support vectors (Tax & Duin, 2004): with C = 0.1 and M = 400
-the optimum has about 10 nonzero coordinates, and from the uniform vector
-about 390 pair steps would go to zeroing the rest.
+ended with. A start that misses the tolerance first gets one face step:
+where the columns moved only a little, as between training iterations,
+the free set rarely changes and that one Newton step on its face lands
+on the optimum, so the pair loop has nothing left to do. A cold
+hypersphere solve starts with floor(1/C) coordinates on their bound C
+(_cold_start), as LIBSVM's one-class start does (Chang & Lin, 2011),
+choosing the points farthest from the uniform-weight center, the likely
+bounded support vectors (Tax & Duin, 2004): with C = 0.1 and M = 400 the
+optimum has about 10 nonzero coordinates, and from the uniform vector
+about 390 pair steps would go to zeroing the rest. That start has at most
+one free coordinate, so it has no face to step on.
 """
 
 from __future__ import annotations
@@ -218,8 +223,9 @@ def _cold_start(points: np.ndarray, upper: float) -> np.ndarray:
 
 def _face_step(
     h: _Hessian, grad: np.ndarray, alpha: np.ndarray, upper: float
-) -> None:
-    """Exact ascent step on the face of the free coordinates, in place.
+) -> bool:
+    """Exact ascent step on the face of the free coordinates, in place;
+    return whether it moved alpha.
 
     With F = {0 < a < upper}, solves [[H_FF, 1], [1', 0]] [p; mu] = [g_F; 0]
     by least squares. A consistent system gives p, the Newton step to the
@@ -233,7 +239,7 @@ def _face_step(
     free = np.flatnonzero((alpha > 0.0) & (alpha < upper))
     k = free.size
     if k < 2:
-        return
+        return False
     h_ff = h.block(free)
     g_f = grad[free]
     system = np.ones((k + 1, k + 1))
@@ -260,10 +266,10 @@ def _face_step(
     if blocked:
         length = ratios[block]
     if not np.isfinite(length):
-        return
+        return False
     step = length * direction
     if g_f @ step - 0.5 * (step @ h_ff @ step) <= 0.0:
-        return
+        return False
     new = a_f + step
     if blocked:
         new[block] = upper if direction[block] > 0.0 else 0.0
@@ -271,6 +277,7 @@ def _face_step(
     new[(step < 0.0) & (new < BOUND_SNAP)] = 0.0
     alpha[free] = new
     grad -= h.cols_times(free, new - a_f)
+    return True
 
 
 def _solve_pairwise(
@@ -293,6 +300,14 @@ def _solve_pairwise(
     h.rank_bound, the only case in which H can be singular on that face;
     pair steps alone can cycle among the free coordinates there.
 
+    An alpha0 that misses kkt_tol first gets one face step, before any
+    pair step: a warm start from a nearby problem usually has the free set
+    of this problem's optimum, so that step lands on it. When the step
+    moves alpha, alpha is tidied and the gradient recomputed before the
+    pair loop goes on. A start with fewer than 2 free coordinates, such as
+    _cold_start's, has no face to step on and goes straight to the pair
+    loop.
+
     Stopping is decided on a freshly computed gradient: when the
     incrementally updated one says converged, one more face step is taken
     if alpha moved since the last one, alpha is tidied (_tidy), the
@@ -306,6 +321,8 @@ def _solve_pairwise(
     # A converged check is final only when alpha is tidy and grad was
     # computed from it; a given start is taken to be tidy already.
     settled = alpha0 is not None
+    # Whether the first violated check still owes a given start its face step.
+    face_first = alpha0 is not None
     # Whether a pair step moved alpha since the last face step.
     moved = False
     violation = np.inf
@@ -324,6 +341,12 @@ def _solve_pairwise(
             grad = c - h.times(alpha)
             settled = True
             continue
+        if face_first:
+            face_first = False
+            if _face_step(h, grad, alpha, upper):
+                alpha = _tidy(alpha, upper)
+                grad = c - h.times(alpha)
+                continue
         h_i = h.column(i)
         diffs = grad[i] - grad
         denoms = np.maximum(diag[i] + diag - 2.0 * h_i, 1e-12)

@@ -449,9 +449,10 @@ class TestGroupedGridSearch:
         grid_search(data, grid, base, inner_k=5, seed=63)
         assert len(calls) == len(keys) * 5 == 60
         assert {training_key(c) for c in calls} == keys
-        # One embedding, start and test embedding per fold and modality;
-        # one cold first solve per fold and C, one warm solve per fit.
-        assert stage_calls == {"npt_fit": 10, "pca_init": 10, "npt_embed_test": 10}
+        # One embedding and test embedding per fold and modality, and no
+        # pca_init: a kernelized start is the identity on the embedding.
+        # One cold first solve per fold and C, one warm solve per fit.
+        assert stage_calls == {"npt_fit": 10, "pca_init": 0, "npt_embed_test": 10}
         assert (len(solves), sum(solves)) == (70, 10)
 
     def test_test_kernel_evaluated_once_per_state_and_fold(self, monkeypatch):

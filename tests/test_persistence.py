@@ -336,6 +336,27 @@ class TestModelRoundTrip:
         with pytest.raises(PersistenceError, match=message + CONFIG_EDITS[case][2]):
             load(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("normalize", "no"), ("normalize", 1), ("normalize", None),
+            ("max_ortho_error", "x"), ("max_ortho_error", []),
+            ("max_ortho_error", {}), ("max_ortho_error", True),
+            ("selection", 3), ("selection", []),
+            ("fold_configs", "x"), ("fold_configs", {}), ("fold_configs", [1]),
+            ("k", 2.9), ("k", "3"), ("seed", "1"), ("seed", 1.5),
+        ],
+    )
+    def test_edited_report_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "report.json"
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=11)
+        save_report(run_cv(data, TrainConfig(d=2, c_penalty=0.5), k=3, seed=1), path)
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PersistenceError, match=f"malformed report file {re.escape(str(path))}"):
+            load_report(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")

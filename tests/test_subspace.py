@@ -22,9 +22,34 @@ from mssvdd import (
     train,
     update_projection,
 )
-from mssvdd.subspace import FoldMemo, ProjectionMatrix, _stage_keys, strategy_signs
+from mssvdd.subspace import (
+    FoldMemo,
+    ProjectionMatrix,
+    _embed,
+    _stage_keys,
+    _start,
+    strategy_signs,
+)
+from mssvdd.svdd import _FactorHessian
 
-from oracles import fd_gradient, random_box_simplex
+from oracles import fd_gradient, kkt_violation, random_box_simplex, sphere_objective
+
+# W1: the kernelized two-modality fit whose 20 warm solves the benchmark times.
+W1_CONFIG = TrainConfig(
+    d=3,
+    eta=1e-3,
+    beta=1e-2,
+    c_penalty=0.1,
+    max_iter=20,
+    update_strategy="AD-+",
+    regularizer="w4",
+    kernelized=True,
+    kernel_params=KernelParams(kind="composite", gamma=0.5, sigma=10.0),
+)
+
+
+def w1_data(seed: int) -> MultiModalDataset:
+    return synth_multimodal(200, 100, 2, [20, 20], 3.0, seed)
 
 
 class TestTrainConfig:
@@ -534,6 +559,47 @@ class TestTrain:
         result = predict(model, data)
         acc = float(np.mean(result.fused == data.labels))
         assert acc >= 0.9
+
+
+class TestW1Fit:
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_kernelized_start_is_pca_of_embedding(self, seed):
+        embedding = _embed(w1_data(seed), W1_CONFIG)
+        for start, x in zip(_start(embedding, W1_CONFIG.d), embedding.inputs):
+            np.testing.assert_array_equal(start.q, np.eye(W1_CONFIG.d, x.shape[0]))
+            assert np.max(np.abs(start.q - pca_init(x, W1_CONFIG.d).q)) <= 1e-11
+
+    def test_warm_solves_read_few_columns(self, monkeypatch):
+        # Without a face step first, seed 7's 20 warm solves read 272 Hessian
+        # columns in pair steps; with it, each lands on its optimum at once.
+        reads = []
+        column = _FactorHessian.column
+
+        def counted(self, i):
+            reads.append(i)
+            return column(self, i)
+
+        warm = []
+
+        def solve(points, c_penalty, kkt_tol, alpha0=None):
+            before = len(reads)
+            desc = svdd_solve(points, c_penalty, kkt_tol, alpha0=alpha0)
+            if alpha0 is not None:
+                warm.append((desc, len(reads) - before))
+            return desc
+
+        monkeypatch.setattr(_FactorHessian, "column", counted)
+        monkeypatch.setattr("mssvdd.subspace.svdd_solve", solve)
+        model = train(w1_data(7), W1_CONFIG)
+        assert model.warning is None
+        assert len(warm) == W1_CONFIG.max_iter
+        assert sum(n for _, n in warm) <= 4
+        c, tol = W1_CONFIG.c_penalty, W1_CONFIG.kkt_tol
+        for desc, _ in warm:
+            g = desc.train_points.T @ desc.train_points
+            assert kkt_violation(g, np.diag(g).copy(), 1.0, desc.alphas, c) <= tol
+            cold = sphere_objective(g, svdd_solve(desc.train_points, c, tol).alphas)
+            assert abs(sphere_objective(g, desc.alphas) - cold) <= 1e-12 * abs(cold)
 
 
 class TestPredict:

@@ -294,6 +294,18 @@ class TestWarmStart:
             svdd_solve(pts, 0.6, alpha0=alpha0)
 
 
+def test_every_sweep_limit_hit_warns(monkeypatch):
+    # Python shows a warning once per call site by default; a caller that
+    # records warnings sees each solve that stopped at the cap.
+    monkeypatch.setattr(svdd, "MAX_PAIR_UPDATES", 2)
+    pts = np.random.default_rng(33).standard_normal((3, 40))
+    with pytest.warns(RuntimeWarning) as record:
+        for _ in range(2):
+            svdd_solve(pts, 0.1)
+    hits = [w for w in record if str(w.message).startswith("dual solver hit the sweep limit")]
+    assert len(hits) == 2
+
+
 class TestColdStart:
     @pytest.mark.parametrize(
         "c, m",
