@@ -381,6 +381,14 @@ def save_fold_plan(plan: FoldPlan, path: str) -> None:
 
 
 def load_fold_plan(path: str, k: int, seed: int = 0) -> FoldPlan:
-    rows = _read_rows(str(path))
-    assignment = np.array([int(float(r[0])) for r in rows], dtype=np.int64)
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    """Read the fold index column save_fold_plan writes; header auto-detected."""
+    path = str(path)
+    assignment = []
+    for i, row in enumerate(_data_rows(path)):
+        value = _parse_cell(row[0], path, i, 0)
+        if not value.is_integer():
+            raise DataError(
+                f"{path}: non-integral fold index at row {i + 1}: {row[0]!r}"
+            )
+        assignment.append(int(value))
+    return FoldPlan(k=k, assignment=np.array(assignment, dtype=np.int64), seed=seed)

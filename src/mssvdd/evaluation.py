@@ -312,8 +312,10 @@ def _fold_outcomes(
     for every group. Each group fits its configs[0] once and predicts once,
     and every config fuses that one prediction with its own decision
     strategy. All fits share one FoldMemo, so a stage that several groups
-    need (embedding, start projections, cold first solve, test kernel)
-    runs once per fold. A group whose fit or prediction fails gets the error.
+    need (embedding, cold first solve, test kernel) runs once per fold if
+    it succeeds; a failing one fails again, with the same error, in each
+    group that needs it. A group whose fit or prediction fails gets the
+    error.
     """
     data, plan, fold, groups, normalize = args
     train_set = data.subset(plan.train_indices(fold))

@@ -525,15 +525,25 @@ def report_from_dict(obj: dict[str, Any]) -> EvalReport:
     fold_configs = typed(
         "fold_configs", obj["fold_configs"], (list, type(None)), PersistenceError
     )
+    k = typed("k", obj["k"], (int,), PersistenceError)
+    confusions = [
+        ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
+        for c in obj["fold_confusions"]
+    ]
+    if len(confusions) != k:
+        raise PersistenceError(
+            f"fold_confusions holds {len(confusions)} folds, expected k = {k}"
+        )
+    assignment = [
+        typed(f"fold_assignment[{i}]", f, (int,), PersistenceError)
+        for i, f in enumerate(obj["fold_assignment"])
+    ]
     return EvalReport(
         config=config_from_dict(obj["config"]),
-        fold_confusions=[
-            ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
-            for c in obj["fold_confusions"]
-        ],
+        fold_confusions=confusions,
         fold_plan=FoldPlan(
-            k=typed("k", obj["k"], (int,), PersistenceError),
-            assignment=np.array(obj["fold_assignment"], dtype=np.int64),
+            k=k,
+            assignment=np.array(assignment, dtype=np.int64),
             seed=typed("seed", obj["seed"], (int,), PersistenceError),
         ),
         normalize=typed("normalize", obj["normalize"], (bool,), PersistenceError),

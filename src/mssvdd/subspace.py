@@ -18,12 +18,12 @@ from typing import Any, Callable, Hashable, Optional, Sequence, Union
 import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
-from .errors import ConfigError, SolverError, ToolkitError, coerce_fields, field_types
+from .errors import ConfigError, SolverError, coerce_fields, field_types
 from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
 from .svdd import (
-    ALPHA_TOL,
     DEFAULT_KKT_TOL,
     DataDescription,
+    support_masks,
     svdd_score,
     svdd_solve,
 )
@@ -225,7 +225,7 @@ def project(q: ProjectionMatrix, f: ArrayLike) -> np.ndarray:
     x = _values(f)
     if x.shape[0] != q.input_dim:
         raise ConfigError(
-            f"projection expects {q.input_dim}-d inputs, got {x.shape[0]}-d"
+            f"projection expects {q.input_dim} input dims, got {x.shape[0]}"
         )
     return q.q @ x
 
@@ -297,17 +297,18 @@ def _pooled_weights(
         return None
     if regularizer in ("w1", "w4", "psi1"):
         return np.ones_like(alphas)
-    if regularizer in ("w2", "w5"):
-        return (alphas > ALPHA_TOL).astype(np.float64)
     if regularizer in ("w3", "w6"):
         return alphas.astype(np.float64)
+    if regularizer == "psi2" and c_penalty is None:
+        raise ConfigError("psi2 needs c_penalty to identify boundary vectors")
+    # Without c_penalty only the support mask is read.
+    support, boundary = support_masks(alphas, np.inf if c_penalty is None else c_penalty)
+    if regularizer in ("w2", "w5"):
+        return support.astype(np.float64)
     if regularizer == "psi2":
-        if c_penalty is None:
-            raise ConfigError("psi2 needs c_penalty to identify boundary vectors")
-        mask = (alphas > ALPHA_TOL) & (alphas < c_penalty - ALPHA_TOL)
-        return np.where(mask, alphas, 0.0)
+        return np.where(boundary, alphas, 0.0)
     if regularizer == "psi3":
-        return np.where(alphas > ALPHA_TOL, alphas, 0.0)
+        return np.where(support, alphas, 0.0)
     raise ConfigError(f"unknown regularizer {regularizer!r}")
 
 
@@ -407,15 +408,16 @@ def training_key(config: TrainConfig) -> TrainConfig:
 class FoldMemo:
     """Stage outputs shared by the fits and predictions on one train/test split.
 
-    train() keeps its embedding, its start projections and its cold first
-    solve here under each stage's key (see _stage_keys), and predict() the
-    centered test kernel of each kernel state, keyed by the state itself
-    (a KernelState hashes by identity). A stage that raised a
-    ToolkitError is kept as that error and raised again for every later
-    caller, so all of them fail with the same message. Every kept output is
-    immutable. A memo serves the one training set and the one test set it
-    was made for, compared by identity, so no key names the data; it lives
-    as long as its owner keeps it, one fold of a cross-validation.
+    train() keeps its embedding and its cold first solve here under each
+    stage's key (see _stage_keys), and predict() the centered test kernel
+    of each kernel state, keyed by the state itself (a KernelState hashes
+    by identity). These are the stages whose sharing pays across a grid's
+    cells; cheaper ones, such as the start projections, are recomputed. A
+    stage that raises keeps nothing, so every caller computes it and raises
+    the same error. Every kept output is immutable. A memo serves the one
+    training set and the one test set it was made for, compared by
+    identity, so no key names the data; it lives as long as its owner
+    keeps it, one fold of a cross-validation.
     """
 
     def __init__(
@@ -426,36 +428,32 @@ class FoldMemo:
         self._outputs: dict[Hashable, Any] = {}
 
     def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """compute()'s result under key; compute runs on the first call only."""
+        """compute()'s result under key; compute runs on each call until one
+        returns."""
         if key not in self._outputs:
-            try:
-                self._outputs[key] = compute()
-            except ToolkitError as exc:
-                self._outputs[key] = exc
-        out = self._outputs[key]
-        if isinstance(out, ToolkitError):
-            raise out.with_traceback(None)
-        return out
+            self._outputs[key] = compute()
+        return self._outputs[key]
 
 
 def _stage(memo: Optional[FoldMemo], key: Hashable, compute: Callable[[], Any]) -> Any:
     return compute() if memo is None else memo.get(key, compute)
 
 
-def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple, tuple]:
-    """Keys of train()'s embedding, start projections and cold first solve.
+def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple]:
+    """Keys of train()'s embedding and cold first solve.
 
     Each key holds the config fields its stage reads, and the fields of the
-    stages before it: the embedding reads the resolved kernel params when
-    kernelized, the start (_start: PCA for a linear fit, identity rows on
-    the kernel embedding) adds d, and the first solve adds C and kkt_tol.
-    The update strategy, eta, beta and the regularizer enter only after
-    the first solve; the iterations after it read the whole training_key.
+    stage before it: the embedding reads the resolved kernel params when
+    kernelized, and the first solve adds d, which sets its start
+    projections (_start), C and kkt_tol. The update strategy, eta, beta and
+    the regularizer enter only after the first solve; the iterations after
+    it read the whole training_key.
     """
     embed = ("embed", config.resolved_kernel_params() if config.kernelized else None)
-    start = ("start",) + embed[1:] + (config.d,)
-    first_solve = ("first_solve",) + start[1:] + (config.c_penalty, config.kkt_tol)
-    return embed, start, first_solve
+    first_solve = ("first_solve",) + embed[1:] + (
+        config.d, config.c_penalty, config.kkt_tol
+    )
+    return embed, first_solve
 
 
 @dataclass(frozen=True)
@@ -503,34 +501,25 @@ def train(
     is assumed to be all-target. A linear fit starts from each modality's
     top-d PCA directions. The kernelized variant first embeds every
     modality through its fitted kernel feature map, whose coordinates are
-    already principal directions, and starts from their first d. Every
-    solve after the first is warm-started from the previous one's alphas.
-    memo, made for data, shares the embedding, start projections and first
-    solve with the other fits on data that use the same memo; the model is
-    the same with or without it.
+    already principal directions, and starts from their first d. After a
+    cold solve at the start, each of max_iter iterations steps every
+    modality's projection in turn and solves again, warm-started from the
+    previous description's alphas. A failing solve or step ends the loop
+    and keeps the last projections and description that were solved
+    together, with the reason in the model's warning; a fit whose first
+    solve fails raises. memo, made for data, shares the
+    embedding and first solve with the other fits on data that use the same
+    memo; the model is the same with or without it.
     """
     validate_train_config(config, data.n_modalities)
     signs = strategy_signs(config.update_strategy, data.n_modalities)
     if memo is not None and data is not memo.train_data:
         raise ConfigError("memo was made for another training set")
-    embed_key, start_key, first_solve_key = _stage_keys(config)
+    embed_key, first_solve_key = _stage_keys(config)
     embedding = _stage(memo, embed_key, lambda: _embed(data, config))
     inputs = embedding.inputs
     n = inputs[0].shape[1]
-    v_count = len(inputs)
-
-    for v, x in enumerate(inputs):
-        if config.d > min(x.shape[0], n):
-            raise ConfigError(
-                f"subspace dim {config.d} too large for modality {v} "
-                f"({x.shape[0]} dims, {n} samples)"
-            )
-
-    index_map = [(v * n, (v + 1) * n) for v in range(v_count)]
-    projections = _stage(memo, start_key, lambda: _start(embedding, config.d))
-
-    ortho_errors: list[float] = []
-    warning: Optional[str] = None
+    index_map = [(v * n, (v + 1) * n) for v in range(len(inputs))]
 
     def solve(
         projs: Sequence[ProjectionMatrix], alpha0: Optional[np.ndarray]
@@ -538,62 +527,47 @@ def train(
         pooled = np.hstack([p.q @ x for p, x in zip(projs, inputs)])
         return svdd_solve(pooled, config.c_penalty, config.kkt_tol, alpha0=alpha0)
 
-    last_valid: Optional[tuple[Sequence[ProjectionMatrix], DataDescription]] = None
-    # Each solve starts from the previous one's alphas: the pooled columns
-    # stay the same and the projections move only a little per iteration.
-    alpha0: Optional[np.ndarray] = None
-    # max_iter projection steps, each preceded by a solve, then a final
-    # solve on the last projections.
-    for it in range(config.max_iter + 1):
-        final = it == config.max_iter
-        try:
-            if it == 0:
-                desc = _stage(
-                    memo, first_solve_key, lambda: solve(projections, None)
-                )
-            else:
-                desc = solve(projections, alpha0)
-        except SolverError as exc:
-            if final:
-                warning = f"final solve failed, keeping last iterate: {exc}"
-            else:
-                warning = f"stopped early: {exc}"
-            break
-        alpha0 = desc.alphas
-        last_valid = (projections, desc)
-        if final:
-            break
-        stepped = list(projections)
-        failed = None
-        for v in range(v_count):
+    def step(
+        projs: Sequence[ProjectionMatrix], alphas: np.ndarray
+    ) -> list[ProjectionMatrix]:
+        # Modality v's gradient reads the already stepped Q_n for n < v.
+        stepped = list(projs)
+        for v, sign in enumerate(signs):
             grad = lagrangian_gradient(
                 v,
                 stepped,
                 inputs,
-                desc.alphas,
+                alphas,
                 config.beta,
                 config.regularizer,
                 index_map,
                 config.c_penalty,
             )
-            if not np.all(np.isfinite(grad)):
-                failed = f"non-finite gradient on modality {v}"
-                break
-            try:
-                stepped[v] = update_projection(
-                    stepped[v], grad, config.eta, signs[v]
-                )
-            except SolverError as exc:
-                failed = str(exc)
-                break
-        if failed is not None:
-            warning = f"stopped early: {failed}"
-            break
-        projections = stepped
-        ortho_errors.append(max(p.ortho_error() for p in projections))
+            stepped[v] = update_projection(stepped[v], grad, config.eta, sign)
+        return stepped
 
-    if last_valid is None:
-        raise SolverError(f"training never reached a valid state: {warning}")
+    ortho_errors: list[float] = []
+    warning: Optional[str] = None
+    last_valid: Optional[tuple[Sequence[ProjectionMatrix], DataDescription]] = None
+    final = False
+    projections = _start(embedding, config.d)
+    try:
+        desc = _stage(memo, first_solve_key, lambda: solve(projections, None))
+        last_valid = (projections, desc)
+        for it in range(config.max_iter):
+            projections = step(projections, desc.alphas)
+            ortho_errors.append(max(p.ortho_error() for p in projections))
+            final = it == config.max_iter - 1
+            # The pooled columns stay the same and the projections move only
+            # a little per iteration, so the last alphas are a close start.
+            desc = solve(projections, desc.alphas)
+            last_valid = (projections, desc)
+    except SolverError as exc:
+        warning = (
+            "final solve failed, keeping last iterate" if final else "stopped early"
+        ) + f": {exc}"
+        if last_valid is None:
+            raise SolverError(f"training never reached a valid state: {warning}") from exc
     projections, description = last_valid
 
     return SubspaceModel(
@@ -687,12 +661,7 @@ def predict(
             kx = _stage(memo, state, lambda: npt_embed_test(state, feats))
             y = model.kernel_maps[v].map @ kx
         else:
-            if feats.dim != model.projections[v].input_dim:
-                raise ConfigError(
-                    f"modality {v} has {feats.dim} dims, model expects "
-                    f"{model.projections[v].input_dim}"
-                )
-            y = model.projections[v].q @ feats.values
+            y = project(model.projections[v], feats)
         distances[v], per_modality[v] = svdd_score(model.description, y)
     fused = fuse_labels(per_modality, model.config.decision_strategy)
     return PredictionResult(

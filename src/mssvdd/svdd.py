@@ -25,15 +25,18 @@ face step, taken when they report convergence, puts the free coordinates
 on the face optimum to rounding.
 
 The solvers read H through one small interface: its diagonal, a column,
-the block of the free coordinates, H[:, F] @ x and H @ a, plus the Gram
-reads of the epilogue. It has two forms, chosen once per solve from the
-shape of the d x M points P (_solver_inputs). A problem is low-rank when
+the block of the free coordinates, H[:, F] @ x, H @ a and, for the
+hypersphere's radius, the Gram quadratic form a'Ga. The epilogues take
+diag(G) and G a from H's diagonal and H a, which are exactly scale times
+them, as the scale is 1 or 2. The interface has two forms, chosen once per solve from the shape of the
+d x M points P (_solver_inputs). A problem is low-rank when
 d * LOW_RANK_RATIO <= M, as the pooled subspace problems are (d <= 5, M
 in the hundreds); its factor form never forms an M x M array and reads
 columns and products through P in O(dM) time and memory. Every other
 problem, such as a kernelized baseline with d close to M, uses the dense
-form, which builds the Gram once with one syrk: there the pair loop's
-many column reads cost more through P than the one Gram does.
+form, which builds H once with one syrk and holds no other M x M array:
+there the pair loop's many column reads cost more through P than the one
+Gram does.
 
 A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
@@ -99,16 +102,17 @@ class _DenseHessian:
     """H = scale * G from the M x M Gram G = P'P of the d x M points P.
 
     numpy evaluates P.T @ P as one symmetric rank-k update and copies its
-    triangle onto the other, so the Gram is exactly symmetric. Columns are
-    views of H.
+    triangle onto the other, so the Gram is exactly symmetric; it is scaled
+    in place, so H is the solve's only M x M array. Columns are views of H.
     """
 
     def __init__(self, points: np.ndarray, scale: float):
         self.rank_bound = points.shape[0]
-        self.gram = points.T @ points
-        self.h = self.gram if scale == 1.0 else scale * self.gram
+        self.scale = scale
+        self.h = points.T @ points
+        if scale != 1.0:
+            self.h *= scale
         self.diag = np.diag(self.h)
-        self.gram_diag = np.diag(self.gram)
 
     def column(self, i: int) -> np.ndarray:
         return self.h[:, i]
@@ -122,11 +126,8 @@ class _DenseHessian:
     def times(self, a: np.ndarray) -> np.ndarray:
         return self.h @ a
 
-    def gram_times(self, a: np.ndarray) -> np.ndarray:
-        return self.gram @ a
-
     def gram_quad(self, a: np.ndarray) -> float:
-        return float(a @ self.gram @ a)
+        return float(a @ self.h @ a) / self.scale
 
 
 class _FactorHessian:
@@ -139,8 +140,7 @@ class _FactorHessian:
         self.rank_bound = points.shape[0]
         self.p = points
         self.ps = points if scale == 1.0 else scale * points
-        self.gram_diag = np.einsum("ij,ij->j", points, points)
-        self.diag = scale * self.gram_diag
+        self.diag = scale * np.einsum("ij,ij->j", points, points)
 
     def column(self, i: int) -> np.ndarray:
         return self.p.T @ self.ps[:, i]
@@ -153,9 +153,6 @@ class _FactorHessian:
 
     def times(self, a: np.ndarray) -> np.ndarray:
         return self.p.T @ (self.ps @ a)
-
-    def gram_times(self, a: np.ndarray) -> np.ndarray:
-        return self.p.T @ (self.p @ a)
 
     def gram_quad(self, a: np.ndarray) -> float:
         center = self.p @ a
@@ -389,19 +386,21 @@ def _solve_pairwise(
     return alpha
 
 
-def _freeze(desc, upper: float) -> np.ndarray:
-    """Set a description's read-only alphas, train_points, support and
-    boundary indices (0 < alpha < upper, up to ALPHA_TOL); return
+def support_masks(alphas: np.ndarray, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """The support vectors (alpha > 0) and, among them, the boundary ones
+    (alpha < upper), each up to ALPHA_TOL, as boolean masks over alphas."""
+    support = alphas > ALPHA_TOL
+    return support, support & (alphas < upper - ALPHA_TOL)
+
+
+def _freeze(desc) -> np.ndarray:
+    """Set a description's read-only alphas and train_points; return
     train_points @ alphas, read-only."""
     alphas, pts = frozen_array(desc.alphas), frozen_array(desc.train_points)
     if alphas.shape != (pts.shape[1],):
         raise SolverError("alphas length must match the training columns")
-    support = alphas > ALPHA_TOL
-    boundary = support & (alphas < upper - ALPHA_TOL)
-    for name, a in (("alphas", alphas), ("train_points", pts),
-                    ("support_indices", np.flatnonzero(support)),
-                    ("boundary_indices", np.flatnonzero(boundary))):
-        object.__setattr__(desc, name, frozen_array(a, a.dtype))
+    object.__setattr__(desc, "alphas", alphas)
+    object.__setattr__(desc, "train_points", pts)
     return frozen_array(pts @ alphas)
 
 
@@ -433,8 +432,6 @@ class DataDescription:
     c_penalty: float
     radius_sq: float
     train_points: np.ndarray
-    support_indices: np.ndarray = field(init=False)
-    boundary_indices: np.ndarray = field(init=False)
     center: np.ndarray = field(init=False)
     center_sq: float = field(init=False)
 
@@ -443,7 +440,7 @@ class DataDescription:
             raise SolverError(
                 f"radius_sq must be finite and non-negative, got {self.radius_sq}"
             )
-        center = _freeze(self, self.c_penalty)
+        center = _freeze(self)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "center_sq", float(center @ center))
 
@@ -481,13 +478,15 @@ def svdd_solve(
             raise SolverError(f"alpha0 entries must lie in [0, C={c_penalty}]")
         if abs(alpha0.sum() - 1.0) > 1e-9:
             raise SolverError(f"alpha0 must sum to 1, sums to {alpha0.sum():.12g}")
-    alphas = _solve_pairwise(h, h.gram_diag, c_penalty, kkt_tol, alpha0)
-    dist_sq = h.gram_diag - 2.0 * h.gram_times(alphas) + h.gram_quad(alphas)
-    boundary = (alphas > ALPHA_TOL) & (alphas < c_penalty - ALPHA_TOL)
+    # H = 2G, so its diagonal and H a are exactly twice diag(G) and G a:
+    # dist_sq is diag(G) - 2 G a + a'Ga.
+    gram_diag = h.diag / 2.0
+    alphas = _solve_pairwise(h, gram_diag, c_penalty, kkt_tol, alpha0)
+    dist_sq = gram_diag - h.times(alphas) + h.gram_quad(alphas)
+    support, boundary = support_masks(alphas, c_penalty)
     if np.any(boundary):
         radius_sq = float(np.mean(dist_sq[boundary]))
     else:
-        support = alphas > ALPHA_TOL
         radius_sq = float(np.max(dist_sq[support]))
     return DataDescription(
         alphas=alphas,
@@ -527,8 +526,6 @@ class HyperplaneDescription:
     rho: float
     nu: float
     train_points: np.ndarray
-    support_indices: np.ndarray = field(init=False)
-    boundary_indices: np.ndarray = field(init=False)
     weight: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -536,8 +533,7 @@ class HyperplaneDescription:
             raise SolverError(f"rho must be finite, got {self.rho}")
         if not 0.0 < self.nu <= 1.0:
             raise SolverError(f"nu must lie in (0, 1], got {self.nu}")
-        bound = 1.0 / (self.nu * np.shape(self.train_points)[1])
-        object.__setattr__(self, "weight", _freeze(self, bound))
+        object.__setattr__(self, "weight", _freeze(self))
 
 
 def ocsvm_solve(
@@ -557,11 +553,9 @@ def ocsvm_solve(
         raise SolverError(f"infeasible nu: nu*M = {nu * m:.4g} < 1")
     bound = 1.0 / (nu * m)
     alphas = _solve_pairwise(h, np.zeros(m), bound, kkt_tol)
-    decision = h.gram_times(alphas)
-    boundary = (alphas > ALPHA_TOL) & (alphas < bound - ALPHA_TOL)
-    if not np.any(boundary):
-        boundary = alphas > ALPHA_TOL
-    rho = float(np.mean(decision[boundary]))
+    decision = h.times(alphas)
+    support, boundary = support_masks(alphas, bound)
+    rho = float(np.mean(decision[boundary if np.any(boundary) else support]))
     return HyperplaneDescription(alphas=alphas, rho=rho, nu=nu, train_points=points)
 
 

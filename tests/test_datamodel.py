@@ -217,6 +217,18 @@ class TestStratifiedFolds:
         back = load_fold_plan(tmp_path / "folds.csv", k=4, seed=1)
         np.testing.assert_array_equal(plan.assignment, back.assignment)
 
+    def test_fold_plan_csv_header_skipped(self, tmp_path):
+        path = tmp_path / "folds.csv"
+        _write_csv(path, [["fold"], [0], [1], [1], [0]])
+        plan = load_fold_plan(path, k=2)
+        np.testing.assert_array_equal(plan.assignment, [0, 1, 1, 0])
+
+    def test_fold_plan_csv_rejects_non_integral_index(self, tmp_path):
+        path = tmp_path / "folds.csv"
+        _write_csv(path, [[0], [1], [1.7], [0]])
+        with pytest.raises(DataError, match="non-integral fold index at row 3: '1.7'"):
+            load_fold_plan(path, k=2)
+
 
 class TestSynthMultimodal:
     def test_deterministic_per_seed(self):

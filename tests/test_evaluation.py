@@ -327,10 +327,9 @@ class TestGroupedGridSearch:
     # also holds cells that only their decision strategy makes invalid (ds4)
     # and cells that fail at fit time for their update strategy (AD-+). The
     # stage-sharing grids span two sigma (when kernelized), two d and two C,
-    # so groups share embeddings, starts and first solves. Their C=0.037 is
-    # feasible on the first two folds (M=28) and not on the last two (M=26),
-    # so the cold solve's memoized failure is shared by every group with
-    # that (sigma, d).
+    # so groups share embeddings and first solves. Their C=0.037 is feasible
+    # on the first two folds (M=28) and not on the last two (M=26), so every
+    # group with that (sigma, d) fails its cold solve with the same error.
     STAGE_SHARING = (
         dict(n_target=18, n_outlier=10, v=2, dims=[3, 3]),
         GridSpec(

@@ -345,6 +345,8 @@ class TestModelRoundTrip:
             ("selection", 3), ("selection", []),
             ("fold_configs", "x"), ("fold_configs", {}), ("fold_configs", [1]),
             ("k", 2.9), ("k", "3"), ("seed", "1"), ("seed", 1.5),
+            ("fold_assignment", [0, 1, 2, 0.7]),
+            ("fold_confusions", [{"tp": 1, "fn": 0, "fp": 0, "tn": 1}] * 2),
         ],
     )
     def test_edited_report_field_rejected(self, tmp_path, key, value):

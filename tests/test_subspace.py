@@ -30,7 +30,7 @@ from mssvdd.subspace import (
     _start,
     strategy_signs,
 )
-from mssvdd.svdd import _FactorHessian
+from mssvdd.svdd import _FactorHessian, support_masks
 
 from oracles import fd_gradient, kkt_violation, random_box_simplex, sphere_objective
 
@@ -439,7 +439,7 @@ class TestTrain:
             kernel_params=KernelParams(sigma=3.0),
         )
         # The second config shares every memoized stage with the first, the
-        # third only the embedding and the start.
+        # third only the embedding.
         configs = [
             base,
             replace(base, update_strategy="AD-+"),
@@ -629,6 +629,7 @@ class TestPredict:
         # Free support vectors lie on the sphere and count as inside whichever
         # way their distances round. Modality 0's pooled columns are the 8
         # targets, which come first in data.
-        free = model.description.boundary_indices
+        desc = model.description
+        free = np.flatnonzero(support_masks(desc.alphas, desc.c_penalty)[1])
         inside[free[free < 8]] = True
         np.testing.assert_array_equal(inside.astype(int), res.per_modality[0])

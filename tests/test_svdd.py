@@ -30,6 +30,7 @@ from mssvdd.svdd import (
     _FactorHessian,
     _solve_pairwise,
     _solver_inputs,
+    support_masks,
 )
 
 from oracles import (
@@ -127,7 +128,7 @@ class TestSvddSolve:
         assert abs(desc.alphas.sum() - 1.0) <= 1e-8
         assert np.all(desc.alphas >= 0.0)
         assert np.all(desc.alphas <= 0.5)
-        assert desc.support_indices.size >= 1
+        assert np.any(support_masks(desc.alphas, 0.5)[0])
 
     def test_bound_coordinates_exactly_on_bound(self):
         rng = np.random.default_rng(31)
@@ -178,7 +179,7 @@ class TestGram:
             KernelParams(kind="gaussian", sigma=2.0),
         ).embedded
         for points in (pooled, embedded, np.asfortranarray(embedded)):
-            g = _DenseHessian(points, 1.0).gram
+            g = _DenseHessian(points, 1.0).h
             assert np.array_equal(g, g.T)
 
 
@@ -251,6 +252,20 @@ class TestHessianForms:
             tracemalloc.stop()
         # One 4000 x 4000 float64 array is 128 MB.
         assert peak < 8 * 2**20
+
+    def test_dense_solve_holds_one_hessian(self):
+        # 40 x 1,000 points are not low-rank, so the solve builds H densely.
+        m = 1000
+        pts = np.random.default_rng(42).standard_normal((40, m))
+        assert 40 * LOW_RANK_RATIO > m
+        tracemalloc.start()
+        try:
+            svdd_solve(pts, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # H = 2G is the only M x M array: no separate Gram beside it.
+        assert peak < 1.5 * m * m * 8
 
 
 class TestWarmStart:
@@ -346,7 +361,7 @@ class TestColdStart:
         cold = svdd_solve(pts, 0.1).alphas
         cold_reads = len(reads)
         _, h = _solver_inputs(pts, 2.0, DEFAULT_KKT_TOL)
-        uniform = _solve_pairwise(h, h.gram_diag, 0.1, DEFAULT_KKT_TOL)
+        uniform = _solve_pairwise(h, h.diag / 2.0, 0.1, DEFAULT_KKT_TOL)
         uniform_reads = len(reads) - cold_reads
         assert 10 * cold_reads <= uniform_reads
         lin = np.diag(g).copy()
@@ -372,8 +387,9 @@ class TestSvddDistance:
         rng = np.random.default_rng(28)
         pts = rng.standard_normal((2, 20))
         desc = svdd_solve(pts, 0.25, kkt_tol=1e-8)
-        assert desc.boundary_indices.size > 0
-        dists = svdd_score(desc, pts[:, desc.boundary_indices])[0]
+        boundary = support_masks(desc.alphas, 0.25)[1]
+        assert np.any(boundary)
+        dists = svdd_score(desc, pts[:, boundary])[0]
         np.testing.assert_allclose(dists, desc.radius_sq, atol=1e-6)
 
     @FORM_RATIOS
@@ -404,8 +420,9 @@ class TestSvddDistance:
             )[:, :400]
             descs += [svdd_solve(fused, 0.01), svdd_solve(fused[:3], 0.01)]
         for desc in descs:
-            assert desc.boundary_indices.size > 0
-            sv = desc.train_points[:, desc.boundary_indices]
+            boundary = support_masks(desc.alphas, desc.c_penalty)[1]
+            assert np.any(boundary)
+            sv = desc.train_points[:, boundary]
             np.testing.assert_array_equal(svdd_score(desc, sv)[1], 1)
 
     def test_boundary_inclusive_classification(self):
@@ -508,8 +525,9 @@ class TestOcsvm:
         for d, m, nu, seed in cases:
             pts = np.random.default_rng(seed).standard_normal((d, m)) + 5.0
             desc = ocsvm_solve(pts, nu)
-            assert desc.boundary_indices.size > 0
-            sv = pts[:, desc.boundary_indices]
+            boundary = support_masks(desc.alphas, 1.0 / (nu * m))[1]
+            assert np.any(boundary)
+            sv = pts[:, boundary]
             np.testing.assert_array_equal(ocsvm_score(desc, sv)[1], 1)
 
     def test_infeasible_nu(self):
