@@ -213,10 +213,8 @@ def pca_init(f: ArrayLike, d: int) -> ProjectionMatrix:
 
 def _fix_row_signs(rows: np.ndarray) -> np.ndarray:
     rows = np.array(rows, dtype=np.float64)
-    for i in range(rows.shape[0]):
-        pivot = int(np.argmax(np.abs(rows[i])))
-        if rows[i, pivot] < 0:
-            rows[i] = -rows[i]
+    pivots = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    rows[pivots < 0] *= -1.0
     return rows
 
 
@@ -412,9 +410,9 @@ class FoldMemo:
     stage's key (see _stage_keys), and predict() the centered test kernel
     of each kernel state, keyed by the state itself (a KernelState hashes
     by identity). These are the stages whose sharing pays across a grid's
-    cells; cheaper ones, such as the start projections, are recomputed. A
-    stage that raises keeps nothing, so every caller computes it and raises
-    the same error. Every kept output is immutable. A memo serves the one
+    cells; each fit cuts its start from the embedding (_start). A stage
+    that raises keeps nothing, so every caller computes it and raises the
+    same error. Every kept output is immutable. A memo serves the one
     training set and the one test set it was made for, compared by
     identity, so no key names the data; it lives as long as its owner
     keeps it, one fold of a cross-validation.
@@ -444,8 +442,9 @@ def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple]:
 
     Each key holds the config fields its stage reads, and the fields of the
     stage before it: the embedding reads the resolved kernel params when
-    kernelized, and the first solve adds d, which sets its start
-    projections (_start), C and kkt_tol. The update strategy, eta, beta and
+    kernelized (a linear one, with all its principal directions, reads no
+    field), and the first solve adds d, which sets its start projections
+    (_start), C and kkt_tol. The update strategy, eta, beta and
     the regularizer enter only after the first solve; the iterations after
     it read the whole training_key.
     """
@@ -459,16 +458,20 @@ def _stage_keys(config: TrainConfig) -> tuple[tuple, tuple]:
 @dataclass(frozen=True)
 class _Embedding:
     """Per-modality training inputs: the target samples, embedded when
-    kernelized, with the kernel states that embedded them."""
+    kernelized, with the kernel states that embedded them. A linear
+    embedding also holds each input's min(D, N) principal directions, of
+    which every start takes the first d."""
 
     inputs: tuple[np.ndarray, ...]
     npt_states: Optional[tuple[NptState, ...]]
+    principal: Optional[tuple[ProjectionMatrix, ...]] = None
 
 
 def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
     train_data = data.target_subset() if data.labels is not None else data
     if not config.kernelized:
-        return _Embedding(tuple(mod.values for mod in train_data.modalities), None)
+        inputs = tuple(mod.values for mod in train_data.modalities)
+        return _Embedding(inputs, None, tuple(pca_init(x, min(x.shape)) for x in inputs))
     kp = config.resolved_kernel_params()
     states = tuple(npt_fit(mod, kp) for mod in train_data.modalities)
     return _Embedding(tuple(s.embedded for s in states), states)
@@ -477,16 +480,26 @@ def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
 def _start(embedding: _Embedding, d: int) -> tuple[ProjectionMatrix, ...]:
     """The start projections: the top-d principal directions of each input.
 
-    An NPT embedding is already in those coordinates: its rows are
-    sqrt(lambda_i) u_i' for the centered kernel's eigenpairs, in descending
-    order of lambda_i, and every u_i of a positive lambda_i is orthogonal to
-    the ones vector. So its rows have zero mean, its covariance is
-    diag(lambda) / (N - 1), and pca_init would return the first d identity
-    rows, up to rounding.
+    pca_init orders its rows by eigenvalue, so the first d of a linear
+    embedding's principal rows are pca_init(x, d). An NPT embedding is
+    already in those coordinates: its rows are sqrt(lambda_i) u_i' for the
+    centered kernel's eigenpairs, in descending order of lambda_i, and
+    every u_i of a positive lambda_i is orthogonal to the ones vector. So
+    its rows have zero mean, its covariance is diag(lambda) / (N - 1), and
+    pca_init would return the first d identity rows, up to rounding.
     """
-    if embedding.npt_states is None:
-        return tuple(pca_init(x, d) for x in embedding.inputs)
-    return tuple(ProjectionMatrix(np.eye(d, x.shape[0])) for x in embedding.inputs)
+    starts = []
+    for v, x in enumerate(embedding.inputs):
+        kernelized = embedding.principal is None
+        if d > min(x.shape):
+            raise ConfigError(
+                f"subspace dim {d} too large for modality {v} ({x.shape[0]} "
+                f"{'embedded ' if kernelized else ''}dims, {x.shape[1]} samples)"
+            )
+        starts.append(ProjectionMatrix(
+            np.eye(d, x.shape[0]) if kernelized else embedding.principal[v].q[:d].copy()
+        ))
+    return tuple(starts)
 
 
 def train(
@@ -507,9 +520,11 @@ def train(
     previous description's alphas. A failing solve or step ends the loop
     and keeps the last projections and description that were solved
     together, with the reason in the model's warning; a fit whose first
-    solve fails raises. memo, made for data, shares the
-    embedding and first solve with the other fits on data that use the same
-    memo; the model is the same with or without it.
+    solve fails raises, and so does a d above a modality's feature count,
+    sample count or kernel embedding rank, before any solve. memo, made for
+    data, shares the embedding (a linear fit's PCA included) and first
+    solve with the other fits on data that use the same memo; the model is
+    the same with or without it.
     """
     validate_train_config(config, data.n_modalities)
     signs = strategy_signs(config.update_strategy, data.n_modalities)

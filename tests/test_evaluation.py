@@ -454,6 +454,31 @@ class TestGroupedGridSearch:
         assert stage_calls == {"npt_fit": 10, "pca_init": 0, "npt_embed_test": 10}
         assert (len(solves), sum(solves)) == (70, 10)
 
+    def test_linear_grid_takes_pca_once_per_fold_and_modality(self, monkeypatch):
+        calls = []
+        real = mssvdd.subspace.pca_init
+
+        def counting(f, d):
+            calls.append(d)
+            return real(f, d)
+
+        monkeypatch.setattr(mssvdd.subspace, "pca_init", counting)
+        data = synth_multimodal(20, 20, 2, [5, 5], 3.0, seed=62)
+        grid = GridSpec(
+            sigma_grid=(1.0,),
+            eta_grid=(1e-3,),
+            beta_grid=(1e-2,),
+            c_grid=(0.1, 0.3),
+            d_grid=(2, 3),
+            update_strategies=("SD-",),
+            regularizers=("w4",),
+            decision_strategies=("ds1",),
+        )
+        grid_search(data, grid, TrainConfig(max_iter=1), inner_k=5, seed=63)
+        # Each fold's one linear embedding takes all min(D, N) = 5 principal
+        # directions of each modality, and every d starts from its first d.
+        assert calls == [5] * 10
+
     def test_test_kernel_evaluated_once_per_state_and_fold(self, monkeypatch):
         # 12 distinct fits per fold share one kernel state per modality; each
         # test fold evaluates that state's test kernel once.

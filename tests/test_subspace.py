@@ -474,6 +474,60 @@ class TestTrain:
         with pytest.raises(ConfigError, match="another test set"):
             predict(models[0], data, memo=memo)
 
+    def test_linear_fold_memo_computes_pca_once(self, monkeypatch):
+        data = synth_multimodal(12, 8, 2, [4, 3], 3.0, seed=20)
+        calls = []
+        real = pca_init
+
+        def counting(f, d):
+            calls.append(d)
+            return real(f, d)
+
+        monkeypatch.setattr("mssvdd.subspace.pca_init", counting)
+        memo = FoldMemo(data, data)
+        for d in (1, 2, 3):
+            config = TrainConfig(d=d, eta=0.01, c_penalty=0.3, max_iter=3)
+            shared = train(data, config, memo=memo)
+            plain = train(data, config)
+            for qs, qp in zip(shared.projections, plain.projections):
+                np.testing.assert_array_equal(qs.q, qp.q)
+            np.testing.assert_array_equal(
+                shared.description.alphas, plain.description.alphas
+            )
+        # The memo's one embedding takes all min(D, N) principal directions
+        # of each modality, (4, 3); each plain fit takes them again.
+        assert calls == [4, 3] * 4
+        embedding = _embed(data, TrainConfig())
+        for d in (1, 2, 3):
+            for start, mod in zip(_start(embedding, d), data.target_subset().modalities):
+                np.testing.assert_array_equal(start.q, real(mod, d).q)
+
+    @pytest.mark.parametrize(
+        "dims, n_target, config, message",
+        [
+            ([4, 2], 12, TrainConfig(d=3), r"modality 1 \(2 dims, 12 samples\)"),
+            ([4, 4], 3, TrainConfig(d=4), r"modality 0 \(4 dims, 3 samples\)"),
+            (
+                [4, 4],
+                3,
+                TrainConfig(d=3, kernelized=True),
+                r"modality 0 \(2 embedded dims, 3 samples\)",
+            ),
+        ],
+        ids=["d>D", "d>N", "d>rank"],
+    )
+    def test_d_too_large_rejected_before_any_solve(
+        self, monkeypatch, dims, n_target, config, message
+    ):
+        data = synth_multimodal(n_target, 4, 2, dims, 3.0, seed=30)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("svdd_solve ran before d was rejected")
+
+        monkeypatch.setattr("mssvdd.subspace.svdd_solve", no_solve)
+        with pytest.raises(ConfigError, match=f"subspace dim {config.d} too large for {message}"):
+            train(data, config)
+
     def test_ad_strategy_requires_two_modalities(self, monkeypatch):
         data = synth_multimodal(8, 4, 1, [3], 2.0, seed=19)
         config = TrainConfig(
