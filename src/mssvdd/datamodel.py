@@ -385,10 +385,16 @@ def load_fold_plan(path: str, k: int, seed: int = 0) -> FoldPlan:
     path = str(path)
     assignment = []
     for i, row in enumerate(_data_rows(path)):
+        if len(row) != 1:
+            raise DataError(f"{path}: fold row {i + 1} must have exactly one value")
         value = _parse_cell(row[0], path, i, 0)
         if not value.is_integer():
             raise DataError(
                 f"{path}: non-integral fold index at row {i + 1}: {row[0]!r}"
+            )
+        if not -(2**63) <= value < 2**63:
+            raise DataError(
+                f"{path}: fold index at row {i + 1} is out of range: {row[0]!r}"
             )
         assignment.append(int(value))
     return FoldPlan(k=k, assignment=np.array(assignment, dtype=np.int64), seed=seed)

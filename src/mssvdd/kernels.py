@@ -57,44 +57,68 @@ class KernelParams:
 _KERNEL_FIELD_TYPES = field_types(KernelParams)
 
 
+# Bytes of kernel values per row block: a block and its two scratch buffers
+# stay in L2 while the elementwise chain makes its passes over them.
+_BLOCK_BYTES = 128 * 1024
+
+
 def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Kernel values between the columns of a (D x N) and b (D x M).
 
-    a.T @ b is computed once and its buffer reused for the distances, so
-    a Gaussian kernel allocates two N x M arrays and a composite one
-    three. Every step runs in place, in the order of the plain formula
+    The result is the only N x M array: inner = a.T @ b is computed once,
+    whole, and the elementwise chain then runs over blocks of its rows,
+    each about _BLOCK_BYTES and at least one row, in block-sized scratch
+    (one buffer, or two for the composite kernel's sigmoid part), writing
+    each finished block back into inner. Each
+    element goes through the steps of the plain formula
 
         gamma * exp(-max(|a_i|^2 + |b_j|^2 - 2 a_i'b_j, 0) / (2 sigma^2))
             + (1 - gamma) * tanh(kappa * a_i'b_j + theta),
 
-    so the result is bit-identical to it.
+    in its order, so the result is bit-identical to it; blocking rows of
+    an elementwise chain changes no operation, and dividing by -2 sigma^2
+    instead of negating first rounds the same. The gemm and the squared
+    norms are not blocked, so numpy's symmetric rank-k update keeps
+    kernel_matrix exactly symmetric.
     """
     if a.shape[0] != b.shape[0]:
         raise KernelError(
             f"dimensionality mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
+    composite = params.kind == "composite"
+    if composite and params.kappa is None:
+        raise KernelError("composite kernel needs kappa resolved to a number")
     inner = a.T @ b
     if params.kind == "linear":
         return inner
-    sigm = None
-    if params.kind == "composite":
-        if params.kappa is None:
-            raise KernelError("composite kernel needs kappa resolved to a number")
-        sigm = params.kappa * inner
-        sigm += params.theta
-        np.tanh(sigm, out=sigm)
-    k = np.add.outer(np.sum(a * a, axis=0), np.sum(b * b, axis=0))
-    inner *= 2.0
-    k -= inner
-    np.maximum(k, 0.0, out=k)
-    np.negative(k, out=k)
-    k /= 2.0 * params.sigma**2
-    np.exp(k, out=k)
-    if sigm is not None:
-        k *= params.gamma
-        sigm *= 1.0 - params.gamma
-        k += sigm
-    return k
+    a_sq = np.sum(a * a, axis=0)
+    b_sq = np.sum(b * b, axis=0)
+    n, m = inner.shape
+    rows = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+    gauss_buf = np.empty((min(rows, n), m))
+    sigm_buf = np.empty_like(gauss_buf) if composite else None
+    neg_divisor = -(2.0 * params.sigma**2)
+    for lo in range(0, n, rows):
+        x = inner[lo:lo + rows]
+        k = gauss_buf[: x.shape[0]]
+        if composite:
+            sigm = sigm_buf[: x.shape[0]]
+            np.multiply(params.kappa, x, out=sigm)
+            sigm += params.theta
+            np.tanh(sigm, out=sigm)
+        np.add.outer(a_sq[lo:lo + rows], b_sq, out=k)
+        x *= 2.0
+        k -= x
+        np.maximum(k, 0.0, out=k)
+        k /= neg_divisor
+        if composite:
+            np.exp(k, out=k)
+            k *= params.gamma
+            sigm *= 1.0 - params.gamma
+            np.add(k, sigm, out=x)
+        else:
+            np.exp(k, out=x)
+    return inner
 
 
 def kernel_matrix(f: FeatureMatrix, params: KernelParams) -> np.ndarray:

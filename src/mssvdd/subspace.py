@@ -673,8 +673,11 @@ def predict(
         feats = data.modalities[v]
         if model.kernel_maps is not None:
             state = model.kernel_maps[v].state
-            kx = _stage(memo, state, lambda: npt_embed_test(state, feats))
-            y = model.kernel_maps[v].map @ kx
+            # The N x M test kernel is not bound to a name, so without a
+            # memo it is freed here, before the next modality's is built.
+            y = model.kernel_maps[v].map @ _stage(
+                memo, state, lambda: npt_embed_test(state, feats)
+            )
         else:
             y = project(model.projections[v], feats)
         distances[v], per_modality[v] = svdd_score(model.description, y)

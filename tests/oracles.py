@@ -8,6 +8,9 @@ oracle differentiates an objective written directly from its definition.
 
 from __future__ import annotations
 
+import tracemalloc
+from typing import Any, Callable
+
 import numpy as np
 
 ALPHA_TOL = 1e-8
@@ -250,6 +253,17 @@ def random_box_simplex(rng: np.random.Generator, m: int, upper: float) -> np.nda
         alpha[idx] += share / idx.size
         deficit = 1.0 - alpha.sum()
     return alpha
+
+
+def traced_peak(fn: Callable[[], Any]) -> int:
+    """Peak bytes that Python and numpy allocations reach while fn() runs,
+    counted from the call; fn's result is dropped."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def kernel_formula(a: np.ndarray, b: np.ndarray, params) -> np.ndarray:

@@ -229,6 +229,20 @@ class TestStratifiedFolds:
         with pytest.raises(DataError, match="non-integral fold index at row 3: '1.7'"):
             load_fold_plan(path, k=2)
 
+    @pytest.mark.parametrize("bad", ["0,5", "1,x"])
+    def test_fold_plan_csv_rejects_extra_cells(self, tmp_path, bad):
+        path = tmp_path / "folds.csv"
+        _write_csv(path, [[0], [bad], [1], [0]])
+        with pytest.raises(DataError, match="fold row 2 must have exactly one value"):
+            load_fold_plan(path, k=2)
+
+    @pytest.mark.parametrize("big", ["1e300", "-1e300", "9223372036854775808"])
+    def test_fold_plan_csv_rejects_index_beyond_int64(self, tmp_path, big):
+        path = tmp_path / "folds.csv"
+        _write_csv(path, [[0], [big], [1]])
+        with pytest.raises(DataError, match=f"fold index at row 2 is out of range: '{big}'"):
+            load_fold_plan(path, k=2)
+
 
 class TestSynthMultimodal:
     def test_deterministic_per_seed(self):

@@ -10,9 +10,23 @@ from mssvdd import (
     npt_embed_test,
     npt_fit,
 )
-from mssvdd.kernels import KERNEL_KINDS, kernel_cross
+from mssvdd.kernels import _BLOCK_BYTES, KERNEL_KINDS, kernel_cross
 
-from oracles import center_formula, centered_test_kernel_formula, kernel_formula
+from oracles import (
+    center_formula,
+    centered_test_kernel_formula,
+    kernel_formula,
+    traced_peak,
+)
+
+# Shapes at the edges of kernel_cross's row blocks, as (d, n, m); a square
+# case uses n x n. One row per block, with m filling the block budget or
+# overflowing it; a single full block (n = m = 128); and n = 181, whose
+# square kernel runs in blocks of 90, 90 and 1 rows.
+_ROW_BUDGET = _BLOCK_BYTES // 8
+BLOCK_EDGE_SHAPES = [
+    (3, 5, _ROW_BUDGET), (2, 3, _ROW_BUDGET + 1000), (4, 128, 128), (4, 181, 90)
+]
 
 
 def _random_features(rng, d, n):
@@ -107,7 +121,8 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("square", [False, True])
     @pytest.mark.parametrize(
         "d,n,m",
-        [(20, 200, 1000), (20, 1500, 1500), (5, 64, 16), (1, 9, 9), (40, 257, 700)],
+        [(20, 200, 1000), (20, 1500, 1500), (5, 64, 16), (1, 9, 9), (40, 257, 700)]
+        + BLOCK_EDGE_SHAPES,
     )
     def test_matches_two_gemm_formula(self, d, n, m, square, kind):
         rng = np.random.default_rng(4)
@@ -136,7 +151,7 @@ class TestKernelMatrix:
 # kernel_cross and the test-kernel centering work in place; pin them bit
 # for bit against the same formulas written out of place.
 class TestInPlaceKernel:
-    SHAPES = [(20, 200, 1000), (5, 64, 16), (1, 9, 9), (40, 257, 700)]
+    SHAPES = [(20, 200, 1000), (5, 64, 16), (1, 9, 9), (40, 257, 700)] + BLOCK_EDGE_SHAPES
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @pytest.mark.parametrize("square", [False, True])
@@ -172,6 +187,45 @@ class TestInPlaceKernel:
         assert npt_embed_test(state.kernel, test).tobytes() == want.tobytes()
         embedded = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ want)
         assert npt_embed_test(state, test).tobytes() == embedded.tobytes()
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("layout", ["fortran", "column_step", "row_slice"])
+    def test_strided_b_matches_formula(self, layout, kind):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((6, 181))
+        wide = rng.standard_normal((8, 2 * 300))
+        b = {
+            "fortran": np.asfortranarray(wide[:6, :300]),
+            "column_step": wide[:6, ::2],
+            "row_slice": wide[2:, :300],
+        }[layout]
+        assert not b.flags.c_contiguous
+        params = KernelParams(kind=kind, gamma=0.3, sigma=2.0, kappa=0.2, theta=0.1)
+        got = kernel_cross(a, b, params)
+        assert got.tobytes() == kernel_formula(a, b, params).tobytes()
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_empty_test_set(self, kind):
+        rng = np.random.default_rng(17)
+        f = FeatureMatrix(rng.standard_normal((4, 30)))
+        test = np.empty((4, 0))
+        params = KernelParams(kind=kind, gamma=0.3, sigma=2.0, kappa=0.2, theta=0.1)
+        state = npt_fit(f, params)
+        want = centered_test_kernel_formula(f.values, state.kernel.row_means, test, params)
+        got = npt_embed_test(state.kernel, test)
+        assert got.shape == (30, 0)
+        assert got.tobytes() == want.tobytes()
+        assert npt_embed_test(state, test).shape == (state.rank, 0)
+
+
+class TestKernelMemory:
+    def test_composite_holds_one_kernel_array(self):
+        n = 1500
+        a = np.random.default_rng(18).standard_normal((40, n))
+        params = KernelParams(kind="composite", gamma=0.5, sigma=3.0, kappa=0.2, theta=0.1)
+        # The N x N result is the only kernel-sized array; the elementwise
+        # chain runs in two row-block buffers of _BLOCK_BYTES each.
+        assert traced_peak(lambda: kernel_cross(a, a, params)) < 1.2 * n * n * 8
 
 
 class TestCenterKernel:

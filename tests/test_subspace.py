@@ -32,7 +32,13 @@ from mssvdd.subspace import (
 )
 from mssvdd.svdd import _FactorHessian, support_masks
 
-from oracles import fd_gradient, kkt_violation, random_box_simplex, sphere_objective
+from oracles import (
+    fd_gradient,
+    kkt_violation,
+    random_box_simplex,
+    sphere_objective,
+    traced_peak,
+)
 
 # W1: the kernelized two-modality fit whose 20 warm solves the benchmark times.
 W1_CONFIG = TrainConfig(
@@ -657,6 +663,18 @@ class TestW1Fit:
 
 
 class TestPredict:
+    def test_kernelized_predict_holds_one_test_kernel(self):
+        model = train(w1_data(1), W1_CONFIG)
+        n = model.kernel_maps[0].state.train_data.n_samples
+        m = 1000
+        rng = np.random.default_rng(25)
+        batch = MultiModalDataset(
+            tuple(FeatureMatrix(rng.standard_normal((20, m))) for _ in range(2))
+        )
+        # One modality's N x M test kernel at a time: each is freed once
+        # its map is applied, before the next one is built.
+        assert traced_peak(lambda: predict(model, batch)) < 1.5 * n * m * 8
+
     def test_decision_strategies_change_fusion(self):
         data = synth_multimodal(10, 6, 2, [3, 3], 3.0, seed=22)
         base = TrainConfig(d=2, eta=0.0, c_penalty=0.5, max_iter=1)

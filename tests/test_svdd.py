@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -42,6 +41,7 @@ from oracles import (
     simplex_grid_best,
     sphere_objective,
     sphere_score_formula,
+    traced_peak,
 )
 
 
@@ -244,12 +244,7 @@ class TestHessianForms:
         pts = rng.standard_normal((3, 4000))
         alpha0 = svdd_solve(pts, 0.01).alphas
         moved = pts + 1e-3 * rng.standard_normal(pts.shape)
-        tracemalloc.start()
-        try:
-            svdd_solve(moved, 0.01, alpha0=alpha0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: svdd_solve(moved, 0.01, alpha0=alpha0))
         # One 4000 x 4000 float64 array is 128 MB.
         assert peak < 8 * 2**20
 
@@ -258,12 +253,7 @@ class TestHessianForms:
         m = 1000
         pts = np.random.default_rng(42).standard_normal((40, m))
         assert 40 * LOW_RANK_RATIO > m
-        tracemalloc.start()
-        try:
-            svdd_solve(pts, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: svdd_solve(pts, 0.01))
         # H = 2G is the only M x M array: no separate Gram beside it.
         assert peak < 1.5 * m * m * 8
 
