@@ -7,6 +7,12 @@ the mean geometric mean over an inner stratified CV; the default protocol
 nests that search inside each outer fold so model selection never sees
 outer test data. A non-nested "global" mode (select once on the full
 dataset, then cross-validate the winner) is available behind a flag.
+
+Every protocol scores its outer folds with one task, _outer_fold: a
+fixed-config run, each global fold and each nested fold (after its inner
+search) fit their config on the fold's training split and score it on
+the fold's test split. nested_cv runs the outer folds of either selection
+mode in parallel when given workers > 1; run_cv runs them in order.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .datamodel import (
     stratified_folds,
 )
 from .errors import (
-    ConfigError, DataError, SolverError, ToolkitError, field_types, typed
+    ConfigError, DataError, SolverError, ToolkitError, coerce_fields, field_types, typed
 )
 from .subspace import (
     DECISION_STRATEGIES,
@@ -65,9 +71,10 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self):
-        for name in ("tp", "fn", "fp", "tn"):
+        coerce_fields(self, _COUNT_TYPES, DataError)
+        for name in _COUNT_TYPES:
             v = getattr(self, name)
-            if int(v) != v or v < 0:
+            if v < 0:
                 raise DataError(f"{name} must be a non-negative integer, got {v}")
 
     @property
@@ -81,6 +88,10 @@ class ConfusionMatrix:
             self.fp + other.fp,
             self.tn + other.tn,
         )
+
+
+# Each count of a ConfusionMatrix and the type it takes.
+_COUNT_TYPES = field_types(ConfusionMatrix)
 
 
 @dataclass(frozen=True)
@@ -168,6 +179,13 @@ def _fit_scaler(data: MultiModalDataset) -> list[tuple[np.ndarray, np.ndarray]]:
 def _apply_scaler(
     data: MultiModalDataset, scaler: list[tuple[np.ndarray, np.ndarray]]
 ) -> MultiModalDataset:
+    """data z-scored per modality; its modality dims must be the scaler's."""
+    dims = [m.dim for m in data.modalities]
+    scaled = [mean.shape[0] for mean, _ in scaler]
+    if dims != scaled:
+        raise ConfigError(
+            f"the scaler z-scores modalities of dims {scaled}, data has dims {dims}"
+        )
     mods = tuple(
         FeatureMatrix((m.values - mean[:, None]) / std[:, None])
         for m, (mean, std) in zip(data.modalities, scaler)
@@ -297,15 +315,9 @@ def _pmap(fn: Callable, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-# Confusion matrices of a group's configs and the model's max ortho error,
-# on one fold (_FoldScores) or per config over every fold (_GroupScores).
-_FoldScores = tuple[list[ConfusionMatrix], Optional[float]]
-_GroupScores = tuple[list[list[ConfusionMatrix]], Optional[float]]
-
-
 def _fold_outcomes(
     args: tuple[MultiModalDataset, FoldPlan, int, list[list[TrainConfig]], bool]
-) -> list[Union[_FoldScores, ToolkitError]]:
+) -> list[Union[tuple[list[ConfusionMatrix], Optional[float]], ToolkitError]]:
     """Each group's confusion matrices and max ortho error on one fold.
 
     The fold subsets the data, and z-scores it when normalize is set, once
@@ -325,7 +337,7 @@ def _fold_outcomes(
         train_set = _apply_scaler(train_set, scaler)
         test_set = _apply_scaler(test_set, scaler)
     memo = FoldMemo(train_set, test_set)
-    outcomes: list[Union[_FoldScores, ToolkitError]] = []
+    outcomes: list = []
     for configs in groups:
         try:
             model = fit_model(train_set, configs[0], memo=memo)
@@ -343,31 +355,63 @@ def _fold_outcomes(
     return outcomes
 
 
-def _cv_confusions(
+# An outer fold's config: fixed, or chosen by an inner grid search on the
+# fold's training split with (grid, base config, inner folds).
+_Choice = Union[TrainConfig, tuple["GridSpec", TrainConfig, int]]
+
+
+def _outer_fold(
+    args: tuple[MultiModalDataset, FoldPlan, int, _Choice, bool]
+) -> tuple[TrainConfig, ConfusionMatrix, Optional[float]]:
+    """One outer fold: its config, that config's confusion matrix on the
+    fold's test split and the max ortho error of every fit made.
+
+    A searched fold's inner folds use the outer plan's seed.
+    """
+    data, plan, fold, choice, normalize = args
+    config, orthos = choice, []
+    if not isinstance(choice, TrainConfig):
+        grid, base, inner_k = choice
+        search = grid_search(
+            data.subset(plan.train_indices(fold)), grid, base,
+            inner_k=inner_k, seed=plan.seed, normalize=normalize,
+        )
+        config, orthos = search.best_config, [c.max_ortho_error for c in search.cells]
+    (outcome,) = _fold_outcomes((data, plan, fold, [[config]], normalize))
+    if isinstance(outcome, ToolkitError):
+        raise outcome
+    (cm,), fit_ortho = outcome
+    return config, cm, _max_known([*orthos, fit_ortho])
+
+
+def _outer_cv(
     data: MultiModalDataset,
     plan: FoldPlan,
-    groups: list[list[TrainConfig]],
+    config: TrainConfig,
+    choice: _Choice,
     normalize: bool,
     workers: int = 1,
-) -> list[Union[_GroupScores, ToolkitError]]:
-    """Per group: each config's per-fold confusion matrices and the max
-    ortho error, or the error of the group's first failing fold.
+    selection: Optional[str] = None,
+    search_orthos: Sequence[Optional[float]] = (),
+) -> EvalReport:
+    """The report of config under selection, every fold of plan scored by
+    _outer_fold; workers > 1 runs the folds in parallel processes.
 
-    The configs of a group must share one training_key. The folds are the
-    units of work (_fold_outcomes); workers > 1 runs them in parallel.
+    A fixed config (selection None) records no fold configs. search_orthos
+    are the max ortho errors of a search made before the folds, which the
+    report's max counts too.
     """
-    tasks = [(data, plan, fold, groups, normalize) for fold in range(plan.k)]
-    by_fold = _pmap(_fold_outcomes, tasks, workers)
-    results: list[Union[_GroupScores, ToolkitError]] = []
-    for g, configs in enumerate(groups):
-        outcomes = [fold_outcomes[g] for fold_outcomes in by_fold]
-        failed = [o for o in outcomes if isinstance(o, ToolkitError)]
-        if failed:
-            results.append(failed[0])
-            continue
-        confusions = [[o[0][i] for o in outcomes] for i in range(len(configs))]
-        results.append((confusions, _max_known(o[1] for o in outcomes)))
-    return results
+    tasks = [(data, plan, fold, choice, normalize) for fold in range(plan.k)]
+    folds = _pmap(_outer_fold, tasks, workers)
+    return EvalReport(
+        config=config,
+        fold_confusions=[cm for _, cm, _ in folds],
+        fold_plan=plan,
+        normalize=normalize,
+        max_ortho_error=_max_known([*search_orthos, *(o for _, _, o in folds)]),
+        fold_configs=None if selection is None else [c for c, _, _ in folds],
+        selection=selection,
+    )
 
 
 def run_cv(
@@ -382,18 +426,7 @@ def run_cv(
     Each fold trains on the target-class samples of its training split and
     predicts every test sample, both classes included.
     """
-    plan = _cv_plan(data, k, seed)
-    (outcome,) = _cv_confusions(data, plan, [[config]], normalize)
-    if isinstance(outcome, ToolkitError):
-        raise outcome
-    (fold_confusions,), max_ortho = outcome
-    return EvalReport(
-        config=config,
-        fold_confusions=fold_confusions,
-        fold_plan=plan,
-        normalize=normalize,
-        max_ortho_error=max_ortho,
-    )
+    return _outer_cv(data, _cv_plan(data, k, seed), config, config, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -529,27 +562,6 @@ def _nu_from_c(c: float) -> float:
     return min(max(c, 1e-4), 1.0)
 
 
-_CellRow = tuple[str, str, float, tuple[float, ...], Optional[float]]
-
-
-def _failed_row(exc: ToolkitError) -> _CellRow:
-    return "failed", str(exc), float("-inf"), (), None
-
-
-def _group_rows(
-    outcome: Union[_GroupScores, ToolkitError], size: int
-) -> list[_CellRow]:
-    """(status, message, mean gm, fold gms, max ortho error) of each config."""
-    if isinstance(outcome, ToolkitError):
-        return [_failed_row(outcome)] * size
-    confusions, max_ortho = outcome
-    rows = []
-    for fold_confusions in confusions:
-        fold_gms = tuple(compute_metrics(cm).gm for cm in fold_confusions)
-        rows.append(("ok", "", float(np.mean(fold_gms)), fold_gms, max_ortho))
-    return rows
-
-
 def grid_search(
     data: MultiModalDataset,
     grid: GridSpec,
@@ -571,11 +583,12 @@ def grid_search(
     cell order, so the result is deterministic.
     """
     configs = expand_grid(grid, base)
-    rows: list[Optional[_CellRow]] = [None] * len(configs)
+    # Each cell's fold gms and max ortho error, or the error it failed with.
+    outcomes: list = [None] * len(configs)
     try:
         plan = _cv_plan(data, inner_k, seed)
     except DataError as exc:
-        rows = [_failed_row(exc)] * len(configs)
+        outcomes = [exc] * len(configs)
     else:
         groups: dict[TrainConfig, list[int]] = {}
         for i, config in enumerate(configs):
@@ -583,30 +596,24 @@ def grid_search(
                 if config.model_kind == "subspace":
                     validate_train_config(config, data.n_modalities)
             except ConfigError as exc:
-                rows[i] = _failed_row(exc)
+                outcomes[i] = exc
                 continue
             groups.setdefault(training_key(config), []).append(i)
-        outcomes = _cv_confusions(
-            data,
-            plan,
-            [[configs[i] for i in members] for members in groups.values()],
-            normalize,
-            workers,
-        )
-        for members, outcome in zip(groups.values(), outcomes):
-            for i, row in zip(members, _group_rows(outcome, len(members))):
-                rows[i] = row
+        group_configs = [[configs[i] for i in members] for members in groups.values()]
+        tasks = [(data, plan, fold, group_configs, normalize) for fold in range(plan.k)]
+        by_fold = _pmap(_fold_outcomes, tasks, workers)
+        for members, folds in zip(groups.values(), zip(*by_fold)):
+            failed = [f for f in folds if isinstance(f, ToolkitError)]
+            for j, i in enumerate(members):
+                outcomes[i] = failed[0] if failed else (
+                    tuple(compute_metrics(f[0][j]).gm for f in folds),
+                    _max_known(f[1] for f in folds),
+                )
     cells = [
-        GridCell(
-            index=i,
-            config=configs[i],
-            status=status,
-            message=message,
-            mean_gm=gm,
-            fold_gms=fold_gms,
-            max_ortho_error=ortho,
-        )
-        for i, (status, message, gm, fold_gms, ortho) in enumerate(rows)
+        GridCell(i, config, "failed", str(o), float("-inf"), (), None)
+        if isinstance(o, ToolkitError)
+        else GridCell(i, config, "ok", "", float(np.mean(o[0])), *o)
+        for i, (config, o) in enumerate(zip(configs, outcomes))
     ]
     ok = [c for c in cells if c.status == "ok"]
     if not ok:
@@ -645,24 +652,6 @@ def _cell_label(config: TrainConfig) -> str:
 # Nested protocol
 # ---------------------------------------------------------------------------
 
-def _nested_fold_task(
-    args: tuple[MultiModalDataset, FoldPlan, int, GridSpec, TrainConfig, int, int, bool]
-) -> tuple[TrainConfig, ConfusionMatrix, Optional[float]]:
-    """One outer fold: the inner search's winner, its confusion matrix on
-    the fold's test split and the max ortho error of every fit made."""
-    data, plan, fold, grid, base, inner_k, seed, normalize = args
-    search = grid_search(
-        data.subset(plan.train_indices(fold)), grid, base,
-        inner_k=inner_k, seed=seed, normalize=normalize,
-    )
-    (outcome,) = _fold_outcomes((data, plan, fold, [[search.best_config]], normalize))
-    if isinstance(outcome, ToolkitError):
-        raise outcome
-    (cm,), fit_ortho = outcome
-    orthos = [c.max_ortho_error for c in search.cells] + [fit_ortho]
-    return search.best_config, cm, _max_known(orthos)
-
-
 def nested_cv(
     data: MultiModalDataset,
     grid: GridSpec,
@@ -683,33 +672,16 @@ def nested_cv(
     if selection not in ("nested", "global"):
         raise ConfigError(f"selection must be 'nested' or 'global', got {selection!r}")
     plan = _cv_plan(data, outer_k, seed)
-    if selection == "global":
-        search = grid_search(
-            data, grid, base, inner_k=inner_k, seed=seed,
-            normalize=normalize, workers=workers,
+    if selection == "nested":
+        return _outer_cv(
+            data, plan, base, (grid, base, inner_k), normalize, workers, selection
         )
-        report = run_cv(data, search.best_config, k=outer_k, seed=seed,
-                        normalize=normalize)
-        orthos = [c.max_ortho_error for c in search.cells] + [report.max_ortho_error]
-        return replace(
-            report,
-            max_ortho_error=_max_known(orthos),
-            fold_configs=[search.best_config] * outer_k,
-            selection="global",
-        )
-    tasks = [
-        (data, plan, fold, grid, base, inner_k, seed, normalize)
-        for fold in range(outer_k)
-    ]
-    rows = _pmap(_nested_fold_task, tasks, workers)
-    return EvalReport(
-        config=base,
-        fold_confusions=[r[1] for r in rows],
-        fold_plan=plan,
-        normalize=normalize,
-        max_ortho_error=_max_known(r[2] for r in rows),
-        fold_configs=[r[0] for r in rows],
-        selection="nested",
+    search = grid_search(
+        data, grid, base, inner_k=inner_k, seed=seed, normalize=normalize, workers=workers,
+    )
+    return _outer_cv(
+        data, plan, search.best_config, search.best_config, normalize, workers,
+        selection, [c.max_ortho_error for c in search.cells],
     )
 
 

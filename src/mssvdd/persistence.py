@@ -212,10 +212,29 @@ def _scaler_to_jsonable(scaler) -> Optional[list]:
     ]
 
 
-def _scaler_from_jsonable(obj) -> Optional[list]:
-    if obj is None:
+def _scaler_from_jsonable(obj, n_modalities: int) -> Optional[list]:
+    """The scaler obj stores: one (mean, std) per modality of the model,
+    each a 1-D finite pair of one length with every std positive."""
+    if typed("scaler", obj, (list, type(None)), PersistenceError) is None:
         return None
-    return [(_decode_array(s["mean"]), _decode_array(s["std"])) for s in obj]
+    if len(obj) != n_modalities:
+        raise PersistenceError(
+            f"scaler has {len(obj)} entries, but the model has {n_modalities} modalities"
+        )
+    scaler = []
+    for v, entry in enumerate(obj):
+        mean, std = _decode_array(entry["mean"]), _decode_array(entry["std"])
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise PersistenceError(
+                f"scaler[{v}] mean and std must be 1-D of one length, got "
+                f"shapes {mean.shape} and {std.shape}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise PersistenceError(
+                f"scaler[{v}] must hold finite means and finite, positive stds"
+            )
+        scaler.append((mean, std))
+    return scaler
 
 
 def model_to_dict(
@@ -401,30 +420,32 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
     common = {
         "description": description,
         "config": config,
-        "scaler": _scaler_from_jsonable(obj["scaler"]),
         "warning": typed("warning", obj["warning"], (str, type(None)), PersistenceError),
     }
     if model_class == "baseline":
-        return BaselineModel(
+        model = BaselineModel(
             n_modalities=typed("n_modalities", obj["n_modalities"], (int,), PersistenceError),
             kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, None, dim),
             **common,
         )
-    projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
-    for v, p in enumerate(projections):
-        if p.d != config.d:
-            raise PersistenceError(
-                f"projection {v} has {p.d} rows, but the config's d is {config.d}"
-            )
-    return SubspaceModel(
-        projections=projections,
-        kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, projections, dim),
-        ortho_errors=[
-            typed("ortho_errors entry", e, (float,), PersistenceError)
-            for e in obj["ortho_errors"]
-        ],
-        **common,
-    )
+    else:
+        projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
+        for v, p in enumerate(projections):
+            if p.d != config.d:
+                raise PersistenceError(
+                    f"projection {v} has {p.d} rows, but the config's d is {config.d}"
+                )
+        model = SubspaceModel(
+            projections=projections,
+            kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, projections, dim),
+            ortho_errors=[
+                typed("ortho_errors entry", e, (float,), PersistenceError)
+                for e in obj["ortho_errors"]
+            ],
+            **common,
+        )
+    model.scaler = _scaler_from_jsonable(obj["scaler"], model.n_modalities)
+    return model
 
 
 def _dump_json(obj: dict[str, Any]) -> str:
@@ -490,18 +511,10 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
         "k": report.k,
         "seed": report.seed,
         "config": config_to_dict(report.config),
-        "fold_confusions": [
-            {"tp": c.tp, "fn": c.fn, "fp": c.fp, "tn": c.tn}
-            for c in report.fold_confusions
-        ],
+        "fold_confusions": [asdict(c) for c in report.fold_confusions],
         "fold_metrics": [m.as_dict() for m in report.fold_metrics],
         "mean_metrics": report.mean_metrics.as_dict(),
-        "pooled_confusion": {
-            "tp": report.pooled_confusion.tp,
-            "fn": report.pooled_confusion.fn,
-            "fp": report.pooled_confusion.fp,
-            "tn": report.pooled_confusion.tn,
-        },
+        "pooled_confusion": asdict(report.pooled_confusion),
         "pooled_metrics": report.pooled_metrics.as_dict(),
         "fold_assignment": [int(f) for f in report.fold_plan.assignment],
         "normalize": report.normalize,
@@ -527,8 +540,7 @@ def report_from_dict(obj: dict[str, Any]) -> EvalReport:
     )
     k = typed("k", obj["k"], (int,), PersistenceError)
     confusions = [
-        ConfusionMatrix(c["tp"], c["fn"], c["fp"], c["tn"])
-        for c in obj["fold_confusions"]
+        ConfusionMatrix(**_fields_of(ConfusionMatrix, c)) for c in obj["fold_confusions"]
     ]
     if len(confusions) != k:
         raise PersistenceError(

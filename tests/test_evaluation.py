@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mssvdd import (
+    ConfigError,
     ConfusionMatrix,
     DataError,
     GridSpec,
@@ -91,6 +92,16 @@ class TestComputeMetrics:
         with pytest.raises(DataError):
             ConfusionMatrix(-1, 0, 0, 2)
 
+    @pytest.mark.parametrize("count", [2.0, True, float("inf"), "2", None])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(DataError, match="tp must be int"):
+            ConfusionMatrix(count, 0, 0, 2)
+
+    def test_integral_counts_stored_as_int(self):
+        cm = ConfusionMatrix(*np.array([1, 2, 3, 4]))
+        assert cm == ConfusionMatrix(1, 2, 3, 4)
+        assert {type(v) for v in (cm.tp, cm.fn, cm.fp, cm.tn)} == {int}
+
 
 class TestConfusionFromLabels:
     def test_counts(self):
@@ -173,6 +184,21 @@ class TestRunCv:
         ocsvm_cfg = TrainConfig(model_kind="ocsvm", nu=0.3)
         report2 = run_cv(data, ocsvm_cfg, k=5, seed=15)
         assert report2.pooled_confusion.total == 35
+
+
+class TestNormalizedPredict:
+    # A z-scoring model predicts only data whose modalities its scaler fits,
+    # as the same model without a scaler does.
+    @pytest.mark.parametrize("kind", ["subspace", "svdd"])
+    @pytest.mark.parametrize("modalities, dims", [(3, [3, 3, 3]), (2, [3, 4]), (1, [3])])
+    def test_other_modalities_rejected(self, kind, modalities, dims):
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=18)
+        config = TrainConfig(model_kind=kind, d=2, c_penalty=0.5, max_iter=2)
+        model = fit_model(data, config, normalize=True)
+        other = synth_multimodal(6, 4, modalities, dims, 4.0, seed=19)
+        with pytest.raises(ConfigError):
+            predict_model(model, other)
+        assert predict_model(model, data).fused.shape == (20,)
 
 
 class TestGridSearch:
@@ -841,7 +867,8 @@ class TestParallelism:
         assert seq.best_index == par.best_index
         assert seq.cells == par.cells
 
-    def test_parallel_nested_cv_matches_sequential(self):
+    @pytest.mark.parametrize("selection", ["nested", "global"])
+    def test_parallel_nested_cv_matches_sequential(self, selection):
         data = synth_multimodal(15, 12, 2, [3, 3], 4.0, seed=52)
         grid = GridSpec(
             sigma_grid=(1.0,),
@@ -854,10 +881,17 @@ class TestParallelism:
             decision_strategies=("ds1",),
         )
         base = TrainConfig(max_iter=2)
-        seq = nested_cv(data, grid, base, outer_k=3, inner_k=3, seed=53, workers=1)
-        par = nested_cv(data, grid, base, outer_k=3, inner_k=3, seed=53, workers=2)
-        assert seq.fold_metrics == par.fold_metrics
+        seq, par = (
+            nested_cv(
+                data, grid, base, outer_k=3, inner_k=3, seed=53,
+                selection=selection, workers=workers,
+            )
+            for workers in (1, 2)
+        )
+        assert seq.fold_confusions == par.fold_confusions
         assert seq.fold_configs == par.fold_configs
+        assert seq.max_ortho_error == par.max_ortho_error
+        assert seq.selection == par.selection == selection
         assert seq.pooled_confusion == par.pooled_confusion
 
 

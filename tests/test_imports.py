@@ -1,4 +1,5 @@
-"""Every name a package module imports at top level is used or exported."""
+"""Every name a package module imports at top level is used or exported,
+and every private name a module defines at top level is read."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,51 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name of each private function, class or variable a module
+    of sources (module name -> source) defines at top level and no module
+    reads, as a name or as an attribute."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (module, name) for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a": (
+            "from __future__ import annotations\n"
+            "__version__ = '1'\n"
+            "_LIMIT = 3\n_unused: int = 0\n_Pair = tuple[int, int]\n"
+            "class _Dead:\n    pass\n"
+            "def _helper(p: _Pair):\n    return p\n"
+            "def _orphan():\n    return _LIMIT\n"
+        ),
+        "b": "from . import a\ndef g():\n    return a._helper((1, 2))\n",
+    }
+    assert unread_private_names(sources) == ["a:_Dead", "a:_orphan", "a:_unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

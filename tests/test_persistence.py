@@ -347,6 +347,10 @@ class TestModelRoundTrip:
             ("k", 2.9), ("k", "3"), ("seed", "1"), ("seed", 1.5),
             ("fold_assignment", [0, 1, 2, 0.7]),
             ("fold_confusions", [{"tp": 1, "fn": 0, "fp": 0, "tn": 1}] * 2),
+            ("fold_confusions", [{"tp": 2.0, "fn": 0, "fp": 0, "tn": 1}] * 3),
+            ("fold_confusions", [{"tp": True, "fn": 0, "fp": 0, "tn": 1}] * 3),
+            ("fold_confusions", [{"tp": 1e400, "fn": 0, "fp": 0, "tn": 1}] * 3),
+            ("fold_confusions", [{"tp": 1, "fn": 0, "fp": 0}] * 3),
         ],
     )
     def test_edited_report_field_rejected(self, tmp_path, key, value):
@@ -489,6 +493,34 @@ FILE_EDITS = {
     "theta-nan": (
         "linear", ("config", "kernel_params", "theta"), NAN, (4, 5),
         "theta must be finite, got nan",
+    ),
+    # The linear fixture z-scores its two modalities of 3 features each.
+    "scaler-one-entry": (
+        "linear", ("scaler", 1), ..., (4, 5),
+        "scaler has 1 entries, but the model has 2 modalities",
+    ),
+    "scaler-mean-short": (
+        "linear", ("scaler", 0, "mean"), _encode_array(np.zeros(2)), (4, 5),
+        r"scaler\[0\] mean and std must be 1-D of one length, got shapes \(2,\) and \(3,\)",
+    ),
+    "scaler-std-2d": (
+        "linear", ("scaler", 1, "std"), _encode_array(np.ones((3, 1))), (4, 5),
+        r"scaler\[1\] mean and std must be 1-D",
+    ),
+    "scaler-std-0": (
+        "linear", ("scaler", 1, "std"), _encode_array(np.zeros(3)), (4, 5),
+        r"scaler\[1\] must hold finite means and finite, positive stds",
+    ),
+    "scaler-std-negative": (
+        "linear", ("scaler", 0, "std"), _encode_array(-np.ones(3)), (4, 5),
+        r"scaler\[0\] must hold finite means and finite, positive stds",
+    ),
+    "scaler-mean-nan": (
+        "linear", ("scaler", 0, "mean"), _encode_array(np.full(3, NAN)), (4, 5),
+        r"scaler\[0\] must hold finite means",
+    ),
+    "scaler-on-unscaled": (
+        "svdd", ("scaler",), [], (4, 5), "scaler has 0 entries, but the model has 2 modalities",
     ),
 }
 
