@@ -16,7 +16,7 @@ import numpy as np
 from .datamodel import FeatureMatrix, MultiModalDataset
 from .errors import ConfigError
 from .kernels import KernelParams, npt_embed_test, npt_fit
-from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps
+from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps, model_input
 from .svdd import (
     DataDescription,
     HyperplaneDescription,
@@ -61,8 +61,7 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     """Fit an svdd or ocsvm baseline on the target samples of data."""
     if config.model_kind not in ("svdd", "ocsvm"):
         raise ConfigError(f"not a baseline model kind: {config.model_kind!r}")
-    train_data = data.target_subset() if data.labels is not None else data
-    fused = fuse_features(train_data)
+    fused = fuse_features(data.target_subset())
     npt_states = None
     if config.kernelized:
         kp = _resolve_baseline_kernel(config, fused.shape[0])
@@ -86,27 +85,15 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
 
 
 def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> PredictionResult:
-    """Classify samples; scores follow the "target iff score <= radius" convention.
-
-    For the hyperplane baseline the score row holds rho minus the decision
-    value and the radius is 0, so the same comparison applies.
+    """Classify samples of data, passed through model_input; scores follow
+    the "target iff score <= radius" convention. For the hyperplane baseline
+    the score row holds rho minus the decision value and the radius is 0,
+    so the same comparison applies.
     """
-    if data.n_modalities != model.n_modalities:
-        raise ConfigError(
-            f"model was fit on {model.n_modalities} modalities, data has "
-            f"{data.n_modalities}"
-        )
-    fused = fuse_features(data)
+    points = fuse_features(model_input(model, data))
     if model.kernel_maps is not None:
         km = model.kernel_maps[0]
-        points = km.map @ npt_embed_test(km.state, fused)
-    else:
-        expected = model.description.train_points.shape[0]
-        if fused.shape[0] != expected:
-            raise ConfigError(
-                f"fused feature dim {fused.shape[0]} does not match model ({expected})"
-            )
-        points = fused
+        points = km.map @ npt_embed_test(km.state, points)
     if model.kind == "svdd":
         scores, labels = svdd_score(model.description, points)
         radius_sq = model.description.radius_sq

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TARGET_LABEL = 1
 NONTARGET_LABEL = 0
@@ -113,10 +113,41 @@ class MultiModalDataset:
         return MultiModalDataset(mods, labels, ids)
 
     def target_subset(self) -> "MultiModalDataset":
-        """Samples labelled as target class; requires labels."""
+        """The samples a model fits on: the target class, or all when unlabelled."""
         if self.labels is None:
-            raise DataError("dataset has no labels; cannot select target class")
+            return self
         return self.subset(np.flatnonzero(self.labels == TARGET_LABEL))
+
+
+def fit_scaler(data: MultiModalDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-feature mean/std per modality, fit on data.target_subset()."""
+    scaler = []
+    for mod in data.target_subset().modalities:
+        mean = mod.values.mean(axis=1)
+        std = mod.values.std(axis=1)
+        std = np.where(std < 1e-12, 1.0, std)
+        scaler.append((mean, std))
+    return scaler
+
+
+def apply_scaler(
+    data: MultiModalDataset, scaler: Optional[list[tuple[np.ndarray, np.ndarray]]]
+) -> MultiModalDataset:
+    """data z-scored per modality by scaler, whose modality dims it must
+    have, or data itself when scaler is None."""
+    if scaler is None:
+        return data
+    dims = [m.dim for m in data.modalities]
+    scaled = [mean.shape[0] for mean, _ in scaler]
+    if dims != scaled:
+        raise ConfigError(
+            f"the scaler z-scores modalities of dims {scaled}, data has dims {dims}"
+        )
+    mods = tuple(
+        FeatureMatrix((m.values - mean[:, None]) / std[:, None])
+        for m, (mean, std) in zip(data.modalities, scaler)
+    )
+    return MultiModalDataset(mods, data.labels, data.sample_ids)
 
 
 @dataclass(frozen=True)

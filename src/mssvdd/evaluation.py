@@ -27,9 +27,10 @@ import numpy as np
 
 from .baselines import BaselineModel, fit_baseline, predict_baseline
 from .datamodel import (
-    FeatureMatrix,
     FoldPlan,
     MultiModalDataset,
+    apply_scaler,
+    fit_scaler,
     stratified_folds,
 )
 from .errors import (
@@ -164,35 +165,6 @@ def confusion_from_labels(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMa
 # Model fitting with optional feature normalization
 # ---------------------------------------------------------------------------
 
-def _fit_scaler(data: MultiModalDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-feature mean/std per modality, fit on target samples only."""
-    fit_on = data.target_subset() if data.labels is not None else data
-    scaler = []
-    for mod in fit_on.modalities:
-        mean = mod.values.mean(axis=1)
-        std = mod.values.std(axis=1)
-        std = np.where(std < 1e-12, 1.0, std)
-        scaler.append((mean, std))
-    return scaler
-
-
-def _apply_scaler(
-    data: MultiModalDataset, scaler: list[tuple[np.ndarray, np.ndarray]]
-) -> MultiModalDataset:
-    """data z-scored per modality; its modality dims must be the scaler's."""
-    dims = [m.dim for m in data.modalities]
-    scaled = [mean.shape[0] for mean, _ in scaler]
-    if dims != scaled:
-        raise ConfigError(
-            f"the scaler z-scores modalities of dims {scaled}, data has dims {dims}"
-        )
-    mods = tuple(
-        FeatureMatrix((m.values - mean[:, None]) / std[:, None])
-        for m, (mean, std) in zip(data.modalities, scaler)
-    )
-    return MultiModalDataset(mods, data.labels, data.sample_ids)
-
-
 def fit_model(
     data: MultiModalDataset,
     config: TrainConfig,
@@ -203,14 +175,12 @@ def fit_model(
     """Fit whichever model kind the config names, with optional z-scoring.
 
     The scaler, when enabled, is fit on the target-class training samples
-    and stored on the model so prediction applies it consistently. memo,
+    and stored on the model, whose predict applies it (model_input). memo,
     made for data, shares training stages between subspace fits (see
     subspace.train); it cannot be combined with normalize.
     """
-    scaler = None
-    if normalize:
-        scaler = _fit_scaler(data)
-        data = _apply_scaler(data, scaler)
+    scaler = fit_scaler(data) if normalize else None
+    data = apply_scaler(data, scaler)
     if config.model_kind == "subspace":
         model: Model = subspace_train(data, config, memo=memo)
     else:
@@ -223,8 +193,6 @@ def predict_model(
     model: Model, data: MultiModalDataset, *, memo: Optional[FoldMemo] = None
 ) -> PredictionResult:
     """Predict data with a fitted model; memo as in subspace.predict."""
-    if model.scaler is not None:
-        data = _apply_scaler(data, model.scaler)
     if isinstance(model, SubspaceModel):
         return subspace_predict(model, data, memo=memo)
     return predict_baseline(model, data)
@@ -332,10 +300,8 @@ def _fold_outcomes(
     data, plan, fold, groups, normalize = args
     train_set = data.subset(plan.train_indices(fold))
     test_set = data.subset(plan.test_indices(fold))
-    if normalize:
-        scaler = _fit_scaler(train_set)
-        train_set = _apply_scaler(train_set, scaler)
-        test_set = _apply_scaler(test_set, scaler)
+    scaler = fit_scaler(train_set) if normalize else None
+    train_set, test_set = apply_scaler(train_set, scaler), apply_scaler(test_set, scaler)
     memo = FoldMemo(train_set, test_set)
     outcomes: list = []
     for configs in groups:

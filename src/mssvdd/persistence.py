@@ -212,14 +212,15 @@ def _scaler_to_jsonable(scaler) -> Optional[list]:
     ]
 
 
-def _scaler_from_jsonable(obj, n_modalities: int) -> Optional[list]:
-    """The scaler obj stores: one (mean, std) per modality of the model,
-    each a 1-D finite pair of one length with every std positive."""
+def _scaler_from_jsonable(obj, model: Union[SubspaceModel, BaselineModel]) -> Optional[list]:
+    """The scaler obj stores: one (mean, std) per modality of model, each a
+    1-D finite pair of one length with every std positive, of the dims the
+    model reads (a baseline's fused width is their sum)."""
     if typed("scaler", obj, (list, type(None)), PersistenceError) is None:
         return None
-    if len(obj) != n_modalities:
+    if len(obj) != model.n_modalities:
         raise PersistenceError(
-            f"scaler has {len(obj)} entries, but the model has {n_modalities} modalities"
+            f"scaler has {len(obj)} entries, but the model has {model.n_modalities} modalities"
         )
     scaler = []
     for v, entry in enumerate(obj):
@@ -234,6 +235,17 @@ def _scaler_from_jsonable(obj, n_modalities: int) -> Optional[list]:
                 f"scaler[{v}] must hold finite means and finite, positive stds"
             )
         scaler.append((mean, std))
+    dims, subspace = [mean.shape[0] for mean, _ in scaler], isinstance(model, SubspaceModel)
+    reads = (
+        [km.state.train_data.dim for km in model.kernel_maps] if model.kernel_maps
+        else [p.input_dim for p in model.projections] if subspace
+        else [model.description.train_points.shape[0]]
+    )
+    if (dims if subspace else [sum(dims)]) != reads:
+        raise PersistenceError(
+            f"scaler z-scores modalities of dims {dims}, but the model reads "
+            f"{'modality' if subspace else 'fused'} dims {reads}"
+        )
     return scaler
 
 
@@ -444,7 +456,7 @@ def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
             ],
             **common,
         )
-    model.scaler = _scaler_from_jsonable(obj["scaler"], model.n_modalities)
+    model.scaler = _scaler_from_jsonable(obj["scaler"], model)
     return model
 
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
 import numpy as np
 
-from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
+from .datamodel import FeatureMatrix, MultiModalDataset, apply_scaler, frozen_array
 from .errors import ConfigError, SolverError, coerce_fields, field_types
 from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
 from .svdd import (
@@ -34,7 +34,6 @@ MULTI_REGULARIZERS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6")
 UNI_REGULARIZERS = ("psi0", "psi1", "psi2", "psi3")
 MODEL_KINDS = ("subspace", "svdd", "ocsvm")
 
-ORTHO_TOL = 1e-10
 RANK_PIVOT_TOL = 1e-12
 
 # Regularizers with no penalty term, so training never reads beta.
@@ -468,7 +467,7 @@ class _Embedding:
 
 
 def _embed(data: MultiModalDataset, config: TrainConfig) -> _Embedding:
-    train_data = data.target_subset() if data.labels is not None else data
+    train_data = data.target_subset()
     if not config.kernelized:
         inputs = tuple(mod.values for mod in train_data.modalities)
         return _Embedding(inputs, None, tuple(pca_init(x, min(x.shape)) for x in inputs))
@@ -644,31 +643,36 @@ def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:
     raise ConfigError(f"unknown decision strategy {decision_strategy!r}")
 
 
+def model_input(model: Any, data: MultiModalDataset) -> MultiModalDataset:
+    """data as a subspace or baseline model reads it, z-scored by the model's
+    scaler (apply_scaler); every model's predict checks its data here first."""
+    if data.n_modalities != model.n_modalities:
+        raise ConfigError(
+            f"model has {model.n_modalities} modalities, data has {data.n_modalities}"
+        )
+    return apply_scaler(data, model.scaler)
+
+
 def predict(
     model: SubspaceModel,
     data: MultiModalDataset,
     *,
     memo: Optional[FoldMemo] = None,
 ) -> PredictionResult:
-    """Classify every sample of data with a trained subspace model.
+    """Classify every sample of data with a subspace model, after model_input.
 
     A kernelized model maps each modality's centered test kernel through
     its composed map. memo, made for data as its test set, shares the
     centered test kernel of each kernel state with the other models that
     hold that state.
     """
-    if data.n_modalities != model.n_modalities:
-        raise ConfigError(
-            f"model has {model.n_modalities} modalities, data has "
-            f"{data.n_modalities}"
-        )
+    data = model_input(model, data)
     if memo is not None and data is not memo.test_data:
         raise ConfigError("memo was made for another test set")
     n = data.n_samples
     v_count = model.n_modalities
     per_modality = np.zeros((v_count, n), dtype=np.int64)
     distances = np.zeros((v_count, n))
-    radius_sq = model.description.radius_sq
     for v in range(v_count):
         feats = data.modalities[v]
         if model.kernel_maps is not None:
@@ -681,10 +685,9 @@ def predict(
         else:
             y = project(model.projections[v], feats)
         distances[v], per_modality[v] = svdd_score(model.description, y)
-    fused = fuse_labels(per_modality, model.config.decision_strategy)
     return PredictionResult(
-        fused=fused,
+        fused=fuse_labels(per_modality, model.config.decision_strategy),
         per_modality=per_modality,
         distances=distances,
-        radius_sq=radius_sq,
+        radius_sq=model.description.radius_sq,
     )

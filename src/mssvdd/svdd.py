@@ -102,8 +102,8 @@ class _DenseHessian:
     """H = scale * G from the M x M Gram G = P'P of the d x M points P.
 
     numpy evaluates P.T @ P as one symmetric rank-k update and copies its
-    triangle onto the other, so the Gram is exactly symmetric; it is scaled
-    in place, so H is the solve's only M x M array. Columns are views of H.
+    triangle onto the other: the Gram is exactly symmetric, so column i is
+    read as the contiguous row i. Scaled in place, H is the only M x M array.
     """
 
     def __init__(self, points: np.ndarray, scale: float):
@@ -115,7 +115,7 @@ class _DenseHessian:
         self.diag = np.diag(self.h)
 
     def column(self, i: int) -> np.ndarray:
-        return self.h[:, i]
+        return self.h[i]
 
     def block(self, free: np.ndarray) -> np.ndarray:
         return self.h[np.ix_(free, free)]

@@ -5,6 +5,7 @@ from mssvdd import (
     ConfigError,
     KernelParams,
     MultiModalDataset,
+    ToolkitError,
     TrainConfig,
     fit_baseline,
     predict_baseline,
@@ -58,6 +59,15 @@ class TestSvddBaseline:
         v1 = MultiModalDataset((data.modalities[0],), data.labels, data.sample_ids)
         with pytest.raises(ConfigError):
             predict_baseline(model, v1)
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    @pytest.mark.parametrize("kernelized", [False, True])
+    def test_wrong_fused_width_at_predict(self, kind, kernelized):
+        data = synth_multimodal(10, 5, 2, [3, 3], 2.0, seed=4)
+        model = fit_baseline(data, TrainConfig(model_kind=kind, kernelized=kernelized))
+        wide = synth_multimodal(10, 5, 2, [3, 4], 2.0, seed=4)
+        with pytest.raises(ToolkitError):
+            predict_baseline(model, wide)
 
 
 class TestOcsvmBaseline:

@@ -74,6 +74,9 @@ class TestMultiModalDataset:
         targets = data.target_subset()
         assert targets.n_samples == 4
         assert np.all(targets.labels == 1)
+        # Unlabelled data is taken as all-target.
+        unlabelled = MultiModalDataset(data.modalities)
+        assert unlabelled.target_subset() is unlabelled
 
 
 class TestLoadDataset:

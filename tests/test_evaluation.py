@@ -7,16 +7,20 @@ from mssvdd import (
     ConfigError,
     ConfusionMatrix,
     DataError,
+    FeatureMatrix,
     GridSpec,
     KernelParams,
     MultiModalDataset,
     SolverError,
+    SubspaceModel,
     ToolkitError,
     TrainConfig,
     compute_metrics,
     default_grid,
     grid_search,
     nested_cv,
+    predict,
+    predict_baseline,
     run_cv,
     synth_multimodal,
 )
@@ -186,6 +190,9 @@ class TestRunCv:
         assert report2.pooled_confusion.total == 35
 
 
+KERNEL = {"kernelized": True, "kernel_params": KernelParams(kind="composite", sigma=3.0)}
+
+
 class TestNormalizedPredict:
     # A z-scoring model predicts only data whose modalities its scaler fits,
     # as the same model without a scaler does.
@@ -199,6 +206,39 @@ class TestNormalizedPredict:
         with pytest.raises(ConfigError):
             predict_model(model, other)
         assert predict_model(model, data).fused.shape == (20,)
+
+    # A model's own predict function z-scores its data as predict_model does,
+    # here on features whose scale z-scoring changes.
+    @pytest.mark.parametrize("config", [
+        TrainConfig(d=2, eta=0.01, c_penalty=0.5, max_iter=2),
+        TrainConfig(d=2, eta=0.001, c_penalty=0.5, max_iter=2, **KERNEL),
+        TrainConfig(model_kind="svdd", c_penalty=0.5, **KERNEL),
+        TrainConfig(model_kind="ocsvm", nu=0.3),
+    ], ids=["linear", "kernelized", "svdd", "ocsvm"])
+    def test_predict_functions_apply_scaler(self, config):
+        data = synth_multimodal(40, 40, 2, [3, 4], 3.0, seed=20)
+        data = MultiModalDataset(
+            tuple(FeatureMatrix(100.0 * m.values + 50.0) for m in data.modalities), data.labels
+        )
+        model = fit_model(data, config, normalize=True)
+        own = predict if isinstance(model, SubspaceModel) else predict_baseline
+        got, want = own(model, data), predict_model(model, data)
+        np.testing.assert_array_equal(got.fused, want.fused)
+        np.testing.assert_array_equal(got.per_modality, want.per_modality)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert got.radius_sq == want.radius_sq
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_one_modality_count_message(self, normalize):
+        data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=18)
+        one = MultiModalDataset(data.modalities[:1], data.labels)
+        for config, own in [
+            (TrainConfig(d=2, c_penalty=0.5, max_iter=2), predict),
+            (TrainConfig(model_kind="svdd", c_penalty=0.5), predict_baseline),
+        ]:
+            model = fit_model(data, config, normalize=normalize)
+            with pytest.raises(ConfigError, match=r"^model has 2 modalities, data has 1$"):
+                own(model, one)
 
 
 class TestGridSearch:

@@ -1,5 +1,6 @@
 """Every name a package module imports at top level is used or exported,
-and every private name a module defines at top level is read."""
+and every private name or UPPER_CASE constant a module defines at top
+level is read."""
 
 import ast
 from pathlib import Path
@@ -44,10 +45,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """module:name of each private function, class or variable a module
-    of sources (module name -> source) defines at top level and no module
-    reads, as a name or as an attribute."""
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """module:name of each private function, class or variable, and each
+    UPPER_CASE constant, a module of sources (module name -> source)
+    defines at top level and no module reads, as a name or as an attribute."""
     defined = []
     read = set()
     for module, source in sources.items():
@@ -62,7 +63,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [
                 (module, name) for name in names
-                if name.startswith("_") and not name.endswith("__")
+                if name.isupper() or name.startswith("_") and not name.endswith("__")
             ]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -78,15 +79,19 @@ def test_checker_finds_unread_private_names():
             "from __future__ import annotations\n"
             "__version__ = '1'\n"
             "_LIMIT = 3\n_unused: int = 0\n_Pair = tuple[int, int]\n"
+            "TOL = 1e-8\nDEAD_TOL = 1e-10\nSCALE: float = 2.0\nPublic = 1\n"
             "class _Dead:\n    pass\n"
             "def _helper(p: _Pair):\n    return p\n"
             "def _orphan():\n    return _LIMIT\n"
         ),
-        "b": "from . import a\ndef g():\n    return a._helper((1, 2))\n",
+        "b": (
+            "from . import a\nfrom .a import TOL\n"
+            "def g():\n    return a._helper((1, 2)), a.SCALE, TOL\n"
+        ),
     }
-    assert unread_private_names(sources) == ["a:_Dead", "a:_orphan", "a:_unused"]
+    assert unread_names(sources) == ["a:DEAD_TOL", "a:_Dead", "a:_orphan", "a:_unused"]
 
 
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources) == []

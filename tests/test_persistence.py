@@ -432,6 +432,13 @@ def _edited(obj, key_path, value):
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def _scaler(*dims):
+    """A scaler file entry per modality of dims: valid, but for dims."""
+    return [{"mean": _encode_array(np.zeros(n)), "std": _encode_array(np.ones(n))} for n in dims]
+
+
 # Single-field edits of a fixture's file: case -> (model, field path, new
 # value, versions it applies to, what the error says). Version 4 files hold
 # copies of the kernel params and of the description's C or nu, which
@@ -521,6 +528,21 @@ FILE_EDITS = {
     ),
     "scaler-on-unscaled": (
         "svdd", ("scaler",), [], (4, 5), "scaler has 0 entries, but the model has 2 modalities",
+    ),
+    # Every fixture's model reads two modalities of 3 features each.
+    "scaler-dims": (
+        "linear", ("scaler", 0), _scaler(4)[0], (4, 5),
+        r"scaler z-scores modalities of dims \[4, 3\], but the model reads modality dims \[3, 3\]",
+    ),
+    "scaler-kernel-dims": (
+        "kernelized", ("scaler",), _scaler(3, 4), (4, 5),
+        r"dims \[3, 4\], but the model reads modality dims \[3, 3\]",
+    ),
+    "scaler-fused-width": (
+        "svdd", ("scaler",), _scaler(3, 4), (4, 5), r"dims \[3, 4\], but the model reads fused dims \[6\]",
+    ),
+    "scaler-fused-width-linear": (
+        "ocsvm", ("scaler",), _scaler(4, 4), (4, 5), r"dims \[4, 4\], but the model reads fused dims \[6\]",
     ),
 }
 

@@ -164,8 +164,9 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 class TestGram:
-    # The dense Hessian form does not mirror its Gram, so this fails if numpy
-    # ever stops returning x.T @ x exactly symmetric.
+    # The dense Hessian form does not mirror its Gram and reads column i as
+    # row i, so this fails if numpy ever stops returning x.T @ x exactly
+    # symmetric, or if scaling H in place breaks the symmetry.
     @pytest.mark.parametrize("m", [2, 9, 257, 800])
     def test_exactly_symmetric(self, m):
         rng = np.random.default_rng(m)
@@ -179,8 +180,10 @@ class TestGram:
             KernelParams(kind="gaussian", sigma=2.0),
         ).embedded
         for points in (pooled, embedded, np.asfortranarray(embedded)):
-            g = _DenseHessian(points, 1.0).h
-            assert np.array_equal(g, g.T)
+            for scale in (1.0, 2.0):
+                h = _DenseHessian(points, scale)
+                assert np.array_equal(h.h, h.h.T)
+                assert all(np.array_equal(h.column(i), h.h[:, i]) for i in range(m))
 
 
 # Hypersphere (H = 2G) and hyperplane (H = G) problems with d * ratio <= M,
