@@ -3,7 +3,13 @@
 The hypersphere and hyperplane baselines operate on a single feature
 representation; multi-modal inputs are early-fused by stacking modality
 features. The kernelized variants embed the fused features through the
-kernel feature map first and describe the embedded points.
+kernel feature map first and describe the embedded points, solving on the
+Gram the embedding gives (kernels.npt_fit). The hypersphere embeds through
+the centered kernel. The hyperplane separates the data from the origin of
+feature space (Schoelkopf et al., 2001), which centering would move into
+the data, so it embeds through the uncentered kernel; its weight w is
+folded into its kernel map, so it scores beta'k(x) - rho with the
+N-vector beta = U Lambda^-1/2 w.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .datamodel import FeatureMatrix, MultiModalDataset
+from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
 from .errors import ConfigError
 from .kernels import KernelParams, npt_embed_test, npt_fit
 from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps, model_input
@@ -27,9 +33,26 @@ from .svdd import (
 )
 
 
+def centers_kernel(model_kind: str) -> bool:
+    """Whether a kernelized model of model_kind embeds through the centered
+    kernel: every kind but the ocsvm, whose hyperplane must separate the
+    data from the origin of the uncentered feature space. On centered
+    points, which sum to 0, its weight would be at rounding level."""
+    return model_kind != "ocsvm"
+
+
+# The one weight, and the one-column points, of a hyperplane whose weight
+# is folded into its kernel map.
+_UNIT = frozen_array(np.ones((1, 1)))
+
+
 @dataclass
 class BaselineModel:
-    """Trained hypersphere or hyperplane baseline over fused features."""
+    """Trained hypersphere or hyperplane baseline over fused features.
+
+    description is the solved one. A kernelized ocsvm folds its weight into
+    its 1 x N kernel map and scores through scored_description.
+    """
 
     description: Union[DataDescription, HyperplaneDescription]
     config: TrainConfig
@@ -42,6 +65,16 @@ class BaselineModel:
     def kind(self) -> str:
         """The config's model kind, "svdd" or "ocsvm"."""
         return self.config.model_kind
+
+    @property
+    def scored_description(self) -> Union[DataDescription, HyperplaneDescription]:
+        """The description predict scores the kernel map's output with: the
+        solved one, or for a kernelized ocsvm, whose map holds its weight,
+        the hyperplane of weight [1] with the same rho and nu."""
+        desc = self.description
+        if self.kernel_maps is None or self.kind != "ocsvm":
+            return desc
+        return HyperplaneDescription(alphas=_UNIT[0], rho=desc.rho, nu=desc.nu, train_points=_UNIT)
 
 
 def fuse_features(data: MultiModalDataset) -> np.ndarray:
@@ -62,24 +95,35 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     if config.model_kind not in ("svdd", "ocsvm"):
         raise ConfigError(f"not a baseline model kind: {config.model_kind!r}")
     fused = fuse_features(data.target_subset())
-    npt_states = None
+    state = gram = None
     if config.kernelized:
         kp = _resolve_baseline_kernel(config, fused.shape[0])
-        npt_states = [npt_fit(FeatureMatrix(fused), kp)]
-        points = npt_states[0].embedded
+        state, gram = npt_fit(
+            FeatureMatrix(fused), kp, centered=centers_kernel(config.model_kind), with_gram=True
+        )
+        points = state.embedded
     else:
         points = fused
     if config.model_kind == "svdd":
         description: Union[DataDescription, HyperplaneDescription] = svdd_solve(
-            points, config.c_penalty, config.kkt_tol
+            points, config.c_penalty, config.kkt_tol, gram=gram
         )
     else:
-        description = ocsvm_solve(points, config.nu, config.kkt_tol)
-    # Composed after the solve, so the solver's Gram is freed by then.
+        description = ocsvm_solve(points, config.nu, config.kkt_tol, gram=gram)
+    # The solver took the Gram over as its Hessian; freed here, before the
+    # map is made.
+    del gram
+    kernel_maps = None
+    if state is not None and config.model_kind == "ocsvm":
+        beta = state.eigvecs @ (description.weight / np.sqrt(state.eigvals))
+        beta.setflags(write=False)
+        kernel_maps = [KernelMap(state.kernel, beta[None, :])]
+    elif state is not None:
+        kernel_maps = compose_kernel_maps(None, [state])
     return BaselineModel(
         description=description,
         config=config,
-        kernel_maps=compose_kernel_maps(None, npt_states),
+        kernel_maps=kernel_maps,
         n_modalities=data.n_modalities,
     )
 
@@ -88,17 +132,19 @@ def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> Predictio
     """Classify samples of data, passed through model_input; scores follow
     the "target iff score <= radius" convention. For the hyperplane baseline
     the score row holds rho minus the decision value and the radius is 0,
-    so the same comparison applies.
+    so the same comparison applies. A kernelized model scores its map's
+    output with its scored_description.
     """
     points = fuse_features(model_input(model, data))
     if model.kernel_maps is not None:
         km = model.kernel_maps[0]
         points = km.map @ npt_embed_test(km.state, points)
+    description = model.scored_description
     if model.kind == "svdd":
-        scores, labels = svdd_score(model.description, points)
-        radius_sq = model.description.radius_sq
+        scores, labels = svdd_score(description, points)
+        radius_sq = description.radius_sq
     else:
-        decision, labels = ocsvm_score(model.description, points)
+        decision, labels = ocsvm_score(description, points)
         scores = -decision
         radius_sq = 0.0
     return PredictionResult(

@@ -2,17 +2,20 @@
 
 The composite kernel mixes a Gaussian kernel with a hyperbolic-tangent
 sigmoid kernel through a convex weight gamma. Because the sigmoid part is
-indefinite, the centered kernel may have negative eigenvalues; the
-embedding keeps only the strictly positive part of the spectrum, giving a
+indefinite, the kernel may have negative eigenvalues; the embedding keeps
+only the strictly positive part of the spectrum, giving a
 finite-dimensional representation whose Gram matrix approximates the
-centered kernel. Linear methods applied to that representation then behave
-like their kernelized counterparts.
+kernel. Linear methods applied to that representation then behave like
+their kernelized counterparts. The embedding is of the centered kernel by
+default, or of the uncentered one for a method that needs the origin of
+feature space, such as the one-class hyperplane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,6 +55,17 @@ class KernelParams:
             raise KernelError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.sigma <= 0.0:
             raise KernelError(f"sigma must be positive, got {self.sigma}")
+        # The Gaussian part divides by 2 sigma^2: 1e300 overflows it and
+        # 1e-300 rounds it to 0, which makes every kernel diagonal 0 / 0.
+        try:
+            two_sigma_sq = 2.0 * self.sigma**2
+        except OverflowError:
+            two_sigma_sq = math.inf
+        if not (math.isfinite(two_sigma_sq) and two_sigma_sq > 0.0):
+            raise KernelError(
+                f"sigma {self.sigma!r} is out of range: 2 sigma^2 = {two_sigma_sq!r} "
+                "must be finite and positive"
+            )
 
 
 _KERNEL_FIELD_TYPES = field_types(KernelParams)
@@ -60,6 +74,10 @@ _KERNEL_FIELD_TYPES = field_types(KernelParams)
 # Bytes of kernel values per row block: a block and its two scratch buffers
 # stay in L2 while the elementwise chain makes its passes over them.
 _BLOCK_BYTES = 128 * 1024
+# Rows per block of _gram_in_place. At N = 1,500 with one dropped pair,
+# blocks of 32 to 128 rows took 5.3-5.6 ms and blocks of 10 rows 7.3 ms:
+# the mirrored copy reads a column strip of the rows above per block.
+_GRAM_ROWS = 64
 
 
 def kernel_cross(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -161,19 +179,23 @@ def center_kernel(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class KernelState:
-    """The training side of a fitted kernel: what centering the kernel
-    vectors of new points reads.
+    """The training side of a fitted kernel: what the kernel vectors of new
+    points are computed, and centered, against.
 
     Holds the raw training features, the row means of their raw kernel and
-    the kernel params. row_means is read-only, so models may share a state.
-    A state equals and hashes as itself only, so it can key a memo.
+    the kernel params. row_means is None for an uncentered kernel, whose
+    test kernel vectors are used as they are. row_means is read-only, so
+    models may share a state. A state equals and hashes as itself only, so
+    it can key a memo.
     """
 
-    row_means: np.ndarray
+    row_means: Optional[np.ndarray]
     train_data: FeatureMatrix
     params: KernelParams
 
     def __post_init__(self):
+        if self.row_means is None:
+            return
         object.__setattr__(self, "row_means", frozen_array(self.row_means))
         if self.row_means.shape != (self.train_data.n_samples,):
             raise KernelError(
@@ -190,7 +212,7 @@ class KernelState:
 @dataclass(frozen=True)
 class NptState:
     """Fitted embedding state for one modality: its kernel state and the
-    kept eigenpairs of the centered kernel.
+    kept eigenpairs of the kernel, centered or not as the state says.
 
     The embedded training data is derived from these on demand. The arrays
     are read-only, so models may share a state.
@@ -225,36 +247,91 @@ def npt_fit(
     f: FeatureMatrix,
     params: KernelParams,
     eig_rel_tol: float = DEFAULT_EIG_REL_TOL,
-) -> NptState:
+    *,
+    centered: bool = True,
+    with_gram: bool = False,
+) -> Union[NptState, tuple[NptState, np.ndarray]]:
     """Fit the kernel feature embedding on training data.
 
-    Eigendecomposes the centered kernel and keeps eigenvalues that are
-    strictly positive and above eig_rel_tol times the largest one;
-    negative eigenvalues (possible with the indefinite sigmoid component)
-    are discarded so the embedded Gram matrix stays positive semidefinite.
-    The kernel is centered in place without center_kernel's symmetry
-    check: kernel_matrix returns it exactly symmetric.
+    Eigendecomposes the kernel, double-centered unless centered is False,
+    and keeps eigenvalues that are strictly positive and above eig_rel_tol
+    times the largest one; negative eigenvalues (possible with the
+    indefinite sigmoid component) are discarded so the embedded Gram matrix
+    stays positive semidefinite. A kernel with a non-finite entry is
+    rejected before the eigendecomposition. The kernel is centered in place
+    without center_kernel's symmetry check: kernel_matrix returns it
+    exactly symmetric.
+
+    with_gram also returns the Gram of the embedded training data,
+    U_k Lambda_k U_k', built in the kernel's own buffer (_gram_in_place),
+    so a solver on the embedding need not form it from the points.
     """
     if f.n_samples < 2:
         raise KernelError("embedding requires at least 2 training samples")
-    centered = kernel_matrix(f, params)
-    row_means, _ = _center_in_place(centered)
-    w, u = np.linalg.eigh(centered)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    if w[0] <= 0.0:
+    kernel = kernel_matrix(f, params)
+    if not np.isfinite(kernel).all():
         raise KernelError(
-            "degenerate kernel: centered kernel has no positive eigenvalue"
+            f"{params.kind} kernel has non-finite entries at sigma={params.sigma!r} "
+            f"(largest |feature| {np.max(np.abs(f.values)):.3g})"
         )
-    keep = w > max(eig_rel_tol * w[0], 0.0)
+    row_means = _center_in_place(kernel)[0] if centered else None
+    w, u = np.linalg.eigh(kernel)
+    order = np.argsort(w)[::-1]
+    top = w[order[0]]
+    if top <= 0.0:
+        raise KernelError(
+            f"degenerate kernel: {'centered ' if centered else ''}kernel has no "
+            "positive eigenvalue"
+        )
+    keep = w > max(eig_rel_tol * top, 0.0)
+    # eigh's columns of the kept eigenpairs, by descending eigenvalue.
+    kept = order[keep[order]]
     # Frozen here, so NptState keeps it in eigh's column-major layout.
-    eigvecs = u[:, order[keep]]
+    eigvecs = u[:, kept]
     eigvecs.setflags(write=False)
-    return NptState(
+    state = NptState(
         kernel=KernelState(row_means=row_means, train_data=f, params=params),
         eigvecs=eigvecs,
-        eigvals=w[keep],
+        eigvals=w[kept],
     )
+    if not with_gram:
+        return state
+    _gram_in_place(kernel, u, w, keep)
+    return state, kernel
+
+
+def _gram_in_place(
+    k: np.ndarray, u: np.ndarray, w: np.ndarray, keep: np.ndarray
+) -> None:
+    """Turn the symmetric k = U diag(w) U', eigh's eigenpairs of it, into
+    U_k diag(w_k) U_k', the Gram of the embedding that keeps the pairs
+    marked by keep.
+
+    When no more pairs are dropped than kept, the dropped ones are
+    subtracted from k (2 n_d N^2 flops); otherwise k is rebuilt from the
+    kept ones. Either way the outer products run over blocks of _GRAM_ROWS
+    rows, so no second N x N array is made, and only on and above the
+    diagonal: each block's part below it is copied from the rows above, so
+    k stays exactly symmetric.
+    """
+    n = k.shape[0]
+    dropped = ~keep
+    if np.count_nonzero(dropped) <= np.count_nonzero(keep):
+        vecs, vals = u[:, dropped], -w[dropped]
+    else:
+        vecs, vals = u[:, keep], w[keep]
+        k.fill(0.0)
+    if not vals.size:
+        return
+    scaled = vecs * vals
+    for lo in range(0, n, _GRAM_ROWS):
+        hi = min(lo + _GRAM_ROWS, n)
+        # Rows above lo are final, so this block's left part is their mirror.
+        k[lo:hi, lo:] += scaled[lo:hi] @ vecs[lo:].T
+        k[lo:hi, :lo] = k[:lo, lo:hi].T
+        block = k[lo:hi, lo:hi]
+        lower = np.tril_indices(hi - lo, -1)
+        block[lower] = block.T[lower]
 
 
 def npt_embed_test(
@@ -265,11 +342,12 @@ def npt_embed_test(
     """Embed test points through a fitted kernel state.
 
     Each test point's kernel vector against the training set is centered
-    with the training statistics, in place. An NptState projects the
-    centered vectors through its kept eigenpairs and returns rank x M; a
-    test point equal to a training sample then reproduces that sample's
-    training embedding. A plain KernelState returns the centered vectors
-    themselves, N x M, for a caller that applies its own map to them.
+    with the training statistics, in place, unless the state is uncentered
+    (row_means None). An NptState projects these vectors through its kept
+    eigenpairs and returns rank x M; a test point equal to a training
+    sample then reproduces that sample's training embedding. A plain
+    KernelState returns the vectors themselves, N x M, for a caller that
+    applies its own map to them.
     f_test may be a raw D x M array, M = 0 included. The result is
     read-only, so callers may share it.
     """
@@ -280,12 +358,12 @@ def npt_embed_test(
     )
     if values.ndim != 2:
         raise KernelError(f"test points must be a D x M matrix, got shape {values.shape}")
-    centered = kernel_cross(kernel.train_data.values, values, params)
-    centered -= kernel.row_means[:, None]
-    centered -= centered.mean(axis=0, keepdims=True)
-    out = centered
+    out = kernel_cross(kernel.train_data.values, values, params)
+    if kernel.row_means is not None:
+        out -= kernel.row_means[:, None]
+        out -= out.mean(axis=0, keepdims=True)
     if state is not kernel:
-        out = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ centered)
+        out = (1.0 / np.sqrt(state.eigvals))[:, None] * (state.eigvecs.T @ out)
     out.setflags(write=False)
     return out
 

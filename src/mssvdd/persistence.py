@@ -6,8 +6,11 @@ models predict identically to the originals. A model file states each
 fact once and stores only what prediction reads: the config, the
 description's center and radius (or weight and offset), the projections,
 and for a kernelized model each kernel's state and composed map
-(subspace.compose_kernel_maps). The kernel params and the description's
-box bound (C or nu) come from the config.
+(subspace.compose_kernel_maps). The kernel params, the description's box
+bound (C or nu) and whether the kernel is centered
+(baselines.centers_kernel) come from the config. A kernelized ocsvm's
+weight is folded into its 1 x N map, so its description stores the weight
+[1] (BaselineModel.scored_description) and its kernel no row means.
 
 Model files of every earlier format version still load: _upgrade takes a
 file one version at a time to the current layout, and only the current
@@ -15,7 +18,10 @@ layout is read. The steps that need arrays compose the maps from stored
 eigenpairs with the function training uses, and take the description's
 center or weight from its stored alphas and training points as the
 description does, so an old file predicts bit for bit as it did when it
-was saved. Files with an unknown format version are rejected outright.
+was saved. The one exception is a kernelized ocsvm file before format 6:
+it was fit on the centered kernel, where its labels are rounding noise, so
+it is rejected with a request to re-fit. Files with an unknown format
+version are rejected outright.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .baselines import BaselineModel, _resolve_baseline_kernel
+from .baselines import BaselineModel, _resolve_baseline_kernel, centers_kernel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset, frozen_array
 from .errors import ConfigError, PersistenceError, ToolkitError, typed
 from .evaluation import ConfusionMatrix, EvalReport
@@ -44,7 +50,7 @@ from .subspace import (
 )
 from .svdd import DataDescription, HyperplaneDescription
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 REPORT_FORMAT_VERSION = 1
 
 
@@ -105,14 +111,14 @@ def _kernel_maps_to_dict(
 ) -> Optional[list[dict[str, Any]]]:
     if kernel_maps is None:
         return None
-    return [
-        {
-            "row_means": _encode_array(km.state.row_means),
-            "train_data": _encode_array(km.state.train_data.values),
-            "map": _encode_array(km.map),
-        }
-        for km in kernel_maps
-    ]
+    entries = []
+    for km in kernel_maps:
+        row_means = km.state.row_means
+        entry = {} if row_means is None else {"row_means": _encode_array(row_means)}
+        entry["train_data"] = _encode_array(km.state.train_data.values)
+        entry["map"] = _encode_array(km.map)
+        entries.append(entry)
+    return entries
 
 
 def _kernel_maps_from_dict(
@@ -123,7 +129,8 @@ def _kernel_maps_from_dict(
 ) -> Optional[list[KernelMap]]:
     """A model's kernel maps: one per projection, or one for a baseline's
     fused features (projections None), each dim x N for the description's
-    dimension dim and the kernel's N training samples."""
+    dimension dim and the kernel's N training samples. An entry holds
+    row_means exactly when the config's model kind centers its kernel."""
     if projections is None:
         count, what = 1, "fused feature set"
     else:
@@ -137,11 +144,17 @@ def _kernel_maps_from_dict(
         return None
     if len(entries) != count:
         raise ValueError(f"{len(entries)} kernel_maps entries for {count} {what}")
+    centered = centers_kernel(config.model_kind)
     maps = []
     for v, entry in enumerate(entries):
+        if not centered and "row_means" in entry:
+            raise PersistenceError(
+                f"kernel_maps[{v}] holds row_means, but the {config.model_kind} "
+                "kernel is uncentered"
+            )
         train_data = FeatureMatrix(_decode_array(entry["train_data"]))
         state = KernelState(
-            row_means=_decode_array(entry["row_means"]),
+            row_means=_decode_array(entry["row_means"]) if centered else None,
             train_data=train_data,
             params=_kernel_params(config, train_data),
         )
@@ -254,12 +267,13 @@ def model_to_dict(
     provenance: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     model_class, description_kind = _KIND_TAGS[model.config.model_kind]
+    scored = model.description if isinstance(model, SubspaceModel) else model.scored_description
     common = {
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": _tool_version(),
         "model_class": model_class,
         "config": config_to_dict(model.config),
-        "description": _description_to_dict(model.description, description_kind),
+        "description": _description_to_dict(scored, description_kind),
         "scaler": _scaler_to_jsonable(model.scaler),
         "provenance": provenance or {},
         "warning": model.warning,
@@ -391,8 +405,24 @@ def _v4_to_v5(obj: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def _v5_to_v6(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 6 fits a kernelized ocsvm on the uncentered kernel and folds
+    its weight into a 1 x N map. An earlier kernelized ocsvm was fit on the
+    centered kernel, whose embedded points sum to 0: its weight is at
+    rounding level and its labels are rounding noise, which no step can
+    repair. Every other file is the same in version 6."""
+    config = config_from_dict(obj["config"])
+    if config.kernelized and config.model_kind == "ocsvm":
+        raise PersistenceError(
+            "kernelized ocsvm file before format 6: its hyperplane was fit on the "
+            "centered kernel, so its weight is at rounding level and its labels "
+            "are rounding noise; re-fit the model"
+        )
+    return obj
+
+
 # Version -> the step that upgrades a model file of that version to the next.
-_UPGRADES = {1: _v1_to_v2, 2: _v2_to_v3, 3: _v3_to_v4, 4: _v4_to_v5}
+_UPGRADES = {1: _v1_to_v2, 2: _v2_to_v3, 3: _v3_to_v4, 4: _v4_to_v5, 5: _v5_to_v6}
 
 
 def _upgrade(obj: dict[str, Any]) -> dict[str, Any]:

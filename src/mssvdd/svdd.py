@@ -34,9 +34,12 @@ d * LOW_RANK_RATIO <= M, as the pooled subspace problems are (d <= 5, M
 in the hundreds); its factor form never forms an M x M array and reads
 columns and products through P in O(dM) time and memory. Every other
 problem, such as a kernelized baseline with d close to M, uses the dense
-form, which builds H once with one syrk and holds no other M x M array:
-there the pair loop's many column reads cost more through P than the one
-Gram does.
+form, which holds H as its only M x M array: there the pair loop's many
+column reads cost more through P than the one Gram does. The dense form
+builds G with one syrk, or takes it from the caller through the Gram
+entry (gram=, next to the points): a kernelized baseline passes the Gram
+kernels.npt_fit makes from the kernel it already holds, at the cost of
+the dropped eigenpairs only.
 
 A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
@@ -51,8 +54,11 @@ hypersphere solve starts with floor(1/C) coordinates on their bound C
 choosing the points farthest from the uniform-weight center, the likely
 bounded support vectors (Tax & Duin, 2004): with C = 0.1 and M = 400 the
 optimum has about 10 nonzero coordinates, and from the uniform vector
-about 390 pair steps would go to zeroing the rest. That start has at most
-one free coordinate, so it has no face to step on.
+about 390 pair steps would go to zeroing the rest. A cold hyperplane
+solve likewise starts with floor(nu M) coordinates on their bound
+1/(nu M), on the columns with the lowest Gram row mean, those whose
+gradient is steepest at the uniform vector. Either start has at most one
+free coordinate, so it has no face to step on.
 """
 
 from __future__ import annotations
@@ -82,10 +88,11 @@ FACE_CONSISTENCY_TOL = 1e-10
 # allowance absorbs rounding only. A free support vector lies on the
 # boundary only to within the solve's kkt_tol, so it may classify as an
 # outlier: a full-rank svdd (200 x 300 Gaussian points, C = 0.01) put 8 of
-# its 24 free SVs outside. A kernel-embedded ocsvm (600 targets, composite
-# sigma = 3, nu = 0.1) put 297 of its 600 outside, but not because of this
-# allowance: its embedded points sum to 0, so its weight is at rounding
-# level and every decision value is rounding noise.
+# its 24 free SVs outside. A hyperplane whose weight is at rounding level
+# has decision values that are rounding noise, which no allowance mends:
+# that is what an ocsvm on centered points gets, as they sum to 0 and the
+# uniform alphas then give w = 0. So a kernelized ocsvm embeds through the
+# uncentered kernel (baselines.centers_kernel).
 BOUNDARY_RTOL = 1024 * np.finfo(np.float64).eps
 
 
@@ -101,15 +108,17 @@ LOW_RANK_RATIO = 40
 class _DenseHessian:
     """H = scale * G from the M x M Gram G = P'P of the d x M points P.
 
-    numpy evaluates P.T @ P as one symmetric rank-k update and copies its
-    triangle onto the other: the Gram is exactly symmetric, so column i is
-    read as the contiguous row i. Scaled in place, H is the only M x M array.
+    G is gram when given, and P.T @ P otherwise. It must be exactly
+    symmetric, so column i is read as the contiguous row i. P.T @ P is:
+    numpy evaluates it as one symmetric rank-k update and copies its
+    triangle onto the other. G is scaled in place, so H is the only M x M
+    array.
     """
 
-    def __init__(self, points: np.ndarray, scale: float):
+    def __init__(self, points: np.ndarray, scale: float, gram: Optional[np.ndarray] = None):
         self.rank_bound = points.shape[0]
         self.scale = scale
-        self.h = points.T @ points
+        self.h = points.T @ points if gram is None else gram
         if scale != 1.0:
             self.h *= scale
         self.diag = np.diag(self.h)
@@ -163,13 +172,19 @@ _Hessian = Union[_DenseHessian, _FactorHessian]
 
 
 def _solver_inputs(
-    points: np.ndarray, scale: float, kkt_tol: float
+    points: np.ndarray,
+    scale: float,
+    kkt_tol: float,
+    gram: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, _Hessian]:
     """Check the d x M training columns and kkt_tol; return them and H = scale * G.
 
     G = P'P is the Gram of the columns. A low-rank problem
     (d * LOW_RANK_RATIO <= M) gets the factor form, which reads H through
-    P in O(dM) memory; any other gets the dense form, which builds G.
+    P in O(dM) memory and ignores gram; any other gets the dense form,
+    which takes over gram as G when given, scaling it in place, and builds
+    G otherwise. gram must be M x M, finite and exactly symmetric, and
+    equal P'P up to rounding.
     """
     points = frozen_array(points)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -179,8 +194,11 @@ def _solver_inputs(
     if not kkt_tol > 0.0:
         raise SolverError("kkt_tol must be positive")
     d, m = points.shape
-    form = _FactorHessian if d * LOW_RANK_RATIO <= m else _DenseHessian
-    return points, form(points, scale)
+    if d * LOW_RANK_RATIO <= m:
+        return points, _FactorHessian(points, scale)
+    if gram is not None and (gram.shape != (m, m) or not np.all(np.isfinite(gram))):
+        raise SolverError(f"gram must be a finite {m} x {m} matrix, got shape {gram.shape}")
+    return points, _DenseHessian(points, scale, gram)
 
 
 def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
@@ -205,11 +223,16 @@ def _cold_start(points: np.ndarray, upper: float) -> np.ndarray:
     uniform-weight center, ties going to the lower index; the remaining
     mass 1 - floor(1/upper) * upper goes on the next farthest column.
     """
-    m = points.shape[1]
     center = points.mean(axis=1)
     # |p_i - center|^2 less the constant |center|^2.
     far = np.einsum("ij,ij->j", points, points) - 2.0 * (center @ points)
-    order = np.argsort(-far, kind="stable")
+    return _bound_start(np.argsort(-far, kind="stable"), upper)
+
+
+def _bound_start(order: np.ndarray, upper: float) -> np.ndarray:
+    """Tidy feasible start: upper on the first floor(1/upper) columns of
+    order, and the remaining mass 1 - floor(1/upper) * upper on the next."""
+    m = order.size
     full = min(int(1.0 / upper), m)
     alpha = np.zeros(m)
     alpha[order[:full]] = upper
@@ -287,11 +310,11 @@ def _solve_pairwise(
     """Maximize c'a - 0.5 a'Ha over {sum(a)=1, 0<=a<=upper}.
 
     Starts from alpha0 when given (assumed feasible and tidy, such as a
-    warm start or svdd_solve's _cold_start) and from the uniform vector
-    otherwise. Pair selection is second order: i is the steepest
-    increasable coordinate and j the decreasable one with the largest
-    exact gain of the pair subproblem, which avoids the zig-zagging a
-    purely steepest-pair rule suffers on rank-deficient Hessians. A pair
+    warm start or a cold start) and from the uniform vector otherwise.
+    Pair selection is second order: i is the steepest increasable
+    coordinate and j the decreasable one with the largest exact gain of
+    the pair subproblem, which avoids the zig-zagging a purely
+    steepest-pair rule suffers on rank-deficient Hessians. A pair
     step that no bound clips is followed by an exact step on the face of
     the free coordinates (_face_step) when their count k exceeds
     h.rank_bound, the only case in which H can be singular on that face;
@@ -450,6 +473,8 @@ def svdd_solve(
     c_penalty: float,
     kkt_tol: float = DEFAULT_KKT_TOL,
     alpha0: Optional[np.ndarray] = None,
+    *,
+    gram: Optional[np.ndarray] = None,
 ) -> DataDescription:
     """Fit the minimal enclosing soft hypersphere of the columns of points.
 
@@ -459,8 +484,10 @@ def svdd_solve(
     of a nearby problem over the same columns; a start that already meets
     kkt_tol is returned unchanged. Without alpha0 the solve starts from
     _cold_start: C on the floor(1/C) points farthest from their mean.
+    gram, when given, is the Gram of the columns, which a dense solve takes
+    over (_solver_inputs).
     """
-    points, h = _solver_inputs(points, 2.0, kkt_tol)
+    points, h = _solver_inputs(points, 2.0, kkt_tol, gram)
     m = points.shape[1]
     if c_penalty * m < 1.0:
         raise SolverError(
@@ -537,22 +564,31 @@ class HyperplaneDescription:
 
 
 def ocsvm_solve(
-    points: np.ndarray, nu: float, kkt_tol: float = DEFAULT_KKT_TOL
+    points: np.ndarray,
+    nu: float,
+    kkt_tol: float = DEFAULT_KKT_TOL,
+    *,
+    gram: Optional[np.ndarray] = None,
 ) -> HyperplaneDescription:
     """Fit the one-class hyperplane over the columns of points.
 
     Maximizes -0.5 a'Ga over {sum(a)=1, 0 <= a <= 1/(nu*M)}; rho is the
     mean decision value over boundary support vectors (all support vectors
-    when none sit strictly inside the box).
+    when none sit strictly inside the box). The solve starts with
+    1/(nu*M) on the floor(nu*M) columns with the lowest Gram row mean,
+    ties going to the lower index (_bound_start). gram, when given, is the
+    Gram of the columns, which a dense solve takes over (_solver_inputs).
     """
-    points, h = _solver_inputs(points, 1.0, kkt_tol)
+    points, h = _solver_inputs(points, 1.0, kkt_tol, gram)
     if not 0.0 < nu <= 1.0:
         raise SolverError(f"nu must lie in (0, 1], got {nu}")
     m = points.shape[1]
     if nu * m < 1.0:
         raise SolverError(f"infeasible nu: nu*M = {nu * m:.4g} < 1")
     bound = 1.0 / (nu * m)
-    alphas = _solve_pairwise(h, np.zeros(m), bound, kkt_tol)
+    row_means = h.times(np.full(m, 1.0 / m))
+    alpha0 = _bound_start(np.argsort(row_means, kind="stable"), bound)
+    alphas = _solve_pairwise(h, np.zeros(m), bound, kkt_tol, alpha0)
     decision = h.times(alphas)
     support, boundary = support_masks(alphas, bound)
     rho = float(np.mean(decision[boundary if np.any(boundary) else support]))

@@ -3,15 +3,29 @@ import pytest
 
 from mssvdd import (
     ConfigError,
+    FeatureMatrix,
+    KernelError,
     KernelParams,
     MultiModalDataset,
     ToolkitError,
     TrainConfig,
     fit_baseline,
+    fit_model,
+    npt_embed_test,
+    npt_fit,
     predict_baseline,
+    svdd_solve,
     synth_multimodal,
 )
 from mssvdd.baselines import fuse_features
+from mssvdd.svdd import support_masks
+
+# The benchmark's baseline kernel, on 300 targets of two 20-dim modalities.
+BASELINE_KERNEL = KernelParams(kind="composite", gamma=0.5, sigma=3.0)
+
+
+def _baseline_data(seed):
+    return synth_multimodal(300, 1, 2, [20, 20], 3.0, seed)
 
 
 class TestFuseFeatures:
@@ -69,6 +83,21 @@ class TestSvddBaseline:
         with pytest.raises(ToolkitError):
             predict_baseline(model, wide)
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_kernel_gram_solves_as_syrk(self, seed):
+        # The kernelized solve takes its Gram from the centered kernel less
+        # its dropped eigenpairs; the embedded points' own Gram gives the
+        # same alphas to rounding, with the same support.
+        config = TrainConfig(
+            model_kind="svdd", kernelized=True, kernel_params=BASELINE_KERNEL, c_penalty=0.05
+        )
+        desc = fit_baseline(_baseline_data(seed), config).description
+        syrk = svdd_solve(desc.train_points, config.c_penalty, config.kkt_tol)
+        assert np.max(np.abs(desc.alphas - syrk.alphas)) <= 1e-13
+        np.testing.assert_array_equal(
+            support_masks(desc.alphas, 0.05)[0], support_masks(syrk.alphas, 0.05)[0]
+        )
+
 
 class TestOcsvmBaseline:
     def test_fit_predict(self):
@@ -101,3 +130,53 @@ class TestOcsvmBaseline:
         outlier_rate = float(np.mean(result.fused[30:]))
         assert target_rate > 0.7
         assert outlier_rate < 0.3
+
+
+class TestKernelizedOcsvm:
+    NU = 0.1
+
+    @pytest.fixture(scope="class", params=[11, 12])
+    def fitted(self, request):
+        data = _baseline_data(request.param)
+        config = TrainConfig(
+            model_kind="ocsvm", kernelized=True, kernel_params=BASELINE_KERNEL, nu=self.NU
+        )
+        return data, fit_baseline(data, config)
+
+    def test_weight_far_above_rounding_level(self, fitted):
+        # On the centered kernel the embedded points sum to 0 and the
+        # weight was ~1e-16 of the largest column norm.
+        desc = fitted[1].description
+        largest = np.max(np.linalg.norm(desc.train_points, axis=0))
+        assert np.linalg.norm(desc.weight) > 1e-3 * largest
+
+    def test_accepts_its_training_targets(self, fitted):
+        data, model = fitted
+        accepted = predict_baseline(model, data.target_subset()).fused
+        assert np.mean(accepted) >= 1.0 - self.NU - 0.02
+
+    def test_scores_through_folded_weight(self, fitted):
+        # The 1 x N map is beta' = (U Lambda^-1/2 w)' on the uncentered
+        # kernel: its scores are w' phi(x) - rho, phi the test embedding.
+        data, model = fitted
+        km = model.kernel_maps[0]
+        assert km.map.shape == (1, 300) and km.state.row_means is None
+        desc = model.description
+        probe = synth_multimodal(40, 40, 2, [20, 20], 3.0, seed=13)
+        state = npt_fit(
+            FeatureMatrix(fuse_features(data.target_subset())), km.state.params, centered=False
+        )
+        decision = desc.weight @ npt_embed_test(state, fuse_features(probe)) - desc.rho
+        scores = predict_baseline(model, probe).distances[0]
+        np.testing.assert_allclose(-scores, decision, rtol=0.0, atol=1e-12)
+
+
+# 2 sigma^2 overflows at 1e300 and rounds to 0 at 1e-300.
+@pytest.mark.parametrize("sigma", [1e300, 1e-300])
+@pytest.mark.parametrize("kind", ["subspace", "svdd", "ocsvm"])
+def test_out_of_range_sigma_is_a_kernel_error(kind, sigma):
+    data = synth_multimodal(30, 10, 2, [5, 4], 3.0, 1)
+    with pytest.raises(KernelError, match="sigma .* out of range"):
+        fit_model(data, TrainConfig(
+            model_kind=kind, d=2, kernelized=True, kernel_params=KernelParams(sigma=sigma)
+        ))

@@ -476,6 +476,8 @@ MALFORMED_CONFIGS = [
     {"d": "two"},
     {"c": None},
     {"sigma": "abc"},
+    {"sigma": 1e300},
+    {"sigma": 1e-300},
     {"target_label": "x"},
     {"model": "ocsvm", "c": -1},
     {"model": "ocsvm", "kkt_tol": 0},

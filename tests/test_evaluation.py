@@ -945,3 +945,31 @@ class TestMeanMetrics:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             mean_metrics([])
+
+
+def test_dense_subspace_solves_build_hessian_from_points(monkeypatch):
+    # The benchmark's select op: a 32-cell grid with inner 5-fold CV and one
+    # iteration per fit, on 40 + 40 samples of two 5-dim modalities. Each
+    # of its 70 solves pools 2 x 32 targets in d = 3, a dense problem that
+    # builds H from its points; only a kernelized baseline passes a Gram.
+    built = []
+    init = mssvdd.svdd._DenseHessian.__init__
+
+    def recording(self, points, scale, gram=None):
+        built.append((points.shape, gram is None))
+        init(self, points, scale, gram)
+
+    monkeypatch.setattr(mssvdd.svdd._DenseHessian, "__init__", recording)
+    base = TrainConfig(
+        d=3, eta=1e-3, beta=1e-2, c_penalty=0.1, max_iter=1, update_strategy="AD-+",
+        regularizer="w4", kernelized=True,
+        kernel_params=KernelParams(kind="composite", gamma=0.5, sigma=10.0),
+    )
+    grid = GridSpec(
+        sigma_grid=(10.0,), eta_grid=(1e-3,), beta_grid=(1e-2, 1.0), c_grid=(0.1, 0.3),
+        d_grid=(3,), update_strategies=("SD-", "AD-+"), regularizers=("w0", "w4"),
+        decision_strategies=("ds1", "ds2"),
+    )
+    data = synth_multimodal(40, 40, 2, [5, 5], 3.0, seed=21)
+    grid_search(data, grid, base, inner_k=5, seed=22, workers=1)
+    assert built == [((3, 64), True)] * 70

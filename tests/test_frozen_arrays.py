@@ -185,7 +185,7 @@ def test_kernelized_baseline_copies_no_large_array(monkeypatch, kind):
     )
     model = fit_model(train, config)
     predict_model(model, test)
-    large = model.kernel_maps[0].map.size
+    large = model.description.train_points.size
     assert datamodel.frozen_array is counting
     assert any(size >= large and not copied for size, copied in calls)
     assert [size for size, copied in calls if copied and size >= large] == []

@@ -10,7 +10,7 @@ from mssvdd import (
     npt_embed_test,
     npt_fit,
 )
-from mssvdd.kernels import _BLOCK_BYTES, KERNEL_KINDS, kernel_cross
+from mssvdd.kernels import _BLOCK_BYTES, _GRAM_ROWS, KERNEL_KINDS, kernel_cross
 
 from oracles import (
     center_formula,
@@ -45,6 +45,18 @@ class TestKernelParams:
     def test_unknown_kind(self):
         with pytest.raises(KernelError):
             KernelParams(kind="cubic")
+
+    # 2 sigma^2 overflows to inf at 1e300 and rounds to 0 at 1e-300.
+    @pytest.mark.parametrize("sigma", [1e300, 1e-300, 1e160, 1e-170])
+    def test_sigma_out_of_range(self, sigma):
+        with pytest.raises(KernelError, match=r"sigma .* out of range: 2 sigma\^2"):
+            KernelParams(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
+    def test_sigma_in_range_gives_finite_kernel(self, sigma):
+        f = FeatureMatrix(np.random.default_rng(3).standard_normal((2, 4)))
+        k = kernel_matrix(f, KernelParams(kind="gaussian", sigma=sigma))
+        assert np.all(np.isfinite(k))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -322,6 +334,62 @@ class TestNptFit:
         f = FeatureMatrix(np.ones((2, 1)))
         with pytest.raises(KernelError):
             npt_fit(f, KernelParams(kind="linear"))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["linear", "gaussian", "composite"])
+    def test_non_finite_kernel_rejected_before_eigh(self, monkeypatch, kind):
+        # Features of 1e200 overflow the inner products.
+        f = FeatureMatrix(1e200 * np.random.default_rng(4).standard_normal((3, 6)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh was reached"))
+        match = rf"^{kind} kernel has non-finite entries at sigma=2\.5"
+        with pytest.raises(KernelError, match=match):
+            npt_fit(f, KernelParams(kind=kind, sigma=2.5, kappa=1.0))
+
+    def test_uncentered_embedding_reproduces_kernel(self):
+        rng = np.random.default_rng(14)
+        f = _random_features(rng, 4, 10)
+        params = KernelParams(kind="gaussian", sigma=1.5)
+        state = npt_fit(f, params, eig_rel_tol=0.0, centered=False)
+        assert state.kernel.row_means is None
+        k = kernel_matrix(f, params)
+        np.testing.assert_allclose(state.embedded.T @ state.embedded, k, atol=1e-12)
+        # Test points are embedded against the raw kernel, uncentered.
+        np.testing.assert_array_equal(npt_embed_test(state.kernel, f), k)
+        assert np.max(np.abs(npt_embed_test(state, f) - state.embedded)) < 1e-8
+
+    # A composite kernel on 5 features keeps nearly every pair, so its
+    # dropped ones are subtracted; a wide Gaussian on 2 keeps few, so the
+    # Gram is rebuilt from the kept ones. Both have more rows than one
+    # block of _GRAM_ROWS.
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize(
+        "params, dim, most_kept",
+        [
+            (KernelParams(kind="composite", sigma=3.0, kappa=0.05), 5, True),
+            (KernelParams(kind="gaussian", sigma=30.0), 2, False),
+        ],
+    )
+    def test_gram_is_gram_of_embedding(self, params, dim, most_kept, centered):
+        n = 2 * _GRAM_ROWS + 7
+        f = _random_features(np.random.default_rng(15), dim, n)
+        state, gram = npt_fit(f, params, centered=centered, with_gram=True)
+        assert (state.rank > n // 2) == most_kept
+        assert np.array_equal(gram, gram.T)
+        embedded_gram = state.embedded.T @ state.embedded
+        assert np.max(np.abs(gram - embedded_gram)) <= 1e-13 * np.max(np.abs(embedded_gram))
+        plain = npt_fit(f, params, centered=centered)
+        assert np.array_equal(plain.eigvecs, state.eigvecs)
+        assert np.array_equal(plain.eigvals, state.eigvals)
+
+    def test_gram_is_built_in_the_kernel_buffer(self):
+        # No second N x N array: only a few blocks of rows beside the fit's.
+        n = 600
+        f = _random_features(np.random.default_rng(16), 5, n)
+        params = KernelParams(kind="composite", sigma=3.0, kappa=0.05)
+        plain = traced_peak(lambda: npt_fit(f, params))
+        with_gram = traced_peak(lambda: npt_fit(f, params, with_gram=True))
+        assert with_gram < plain + 0.5 * n * n * 8
 
 
 class TestNptEmbedTest:

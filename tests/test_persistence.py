@@ -194,7 +194,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 5
+        assert obj["format_version"] == 6
         assert "npt_states" not in obj
         for entry in obj["kernel_maps"]:
             assert set(entry) == {"row_means", "train_data", "map"}
@@ -271,16 +271,49 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 5
+        assert obj["format_version"] == 6
         assert "npt_state" not in obj
         [entry] = obj["kernel_maps"]
-        assert set(entry) == {"row_means", "train_data", "map"}
         stored = {"kind", "center", "radius_sq"} if kind == "svdd" else {"kind", "weight", "rho"}
         assert set(obj["description"]) == stored
+        if kind == "svdd":
+            assert set(entry) == {"row_means", "train_data", "map"}
+        else:
+            # The uncentered kernel has no row means, and the weight is
+            # folded into a 1 x N map: the description's weight is [1].
+            assert set(entry) == {"train_data", "map"}
+            assert _decode_array(entry["map"]).shape == (1, 12)
+            assert _decode_array(obj["description"]["weight"]).tolist() == [1.0]
         back = load_model(path)
         assert back.kernel_maps[0].map.tobytes() == model.kernel_maps[0].map.tobytes()
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
         _predictions_equal(predict_model(model, probe), predict_model(back, probe))
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_format_5_kernelized_baseline(self, tmp_path, kind):
+        # Format 6 changed only the kernelized ocsvm, which format 5 fit on
+        # the centered kernel: such a file is rejected, any other loads as
+        # it is.
+        _, model = self._kernelized_baseline(kind)
+        obj = model_to_dict(model)
+        obj["format_version"] = 5
+        path = tmp_path / "v5.json"
+        path.write_text(json.dumps(obj))
+        if kind == "ocsvm":
+            with pytest.raises(PersistenceError, match="before format 6: .*re-fit the model"):
+                load_model(path)
+        else:
+            probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
+            _predictions_equal(predict_model(model, probe), predict_model(load_model(path), probe))
+
+    def test_uncentered_kernel_stores_no_row_means(self, tmp_path):
+        obj = model_to_dict(self._kernelized_baseline("ocsvm")[1])
+        obj["kernel_maps"][0]["row_means"] = _encode_array(np.zeros(12))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        match = "holds row_means, but the ocsvm kernel is uncentered"
+        with pytest.raises(PersistenceError, match=match):
+            load_model(path)
 
     @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
     def test_baseline_eigenpair_versions_load(self, kind):
@@ -458,6 +491,11 @@ FILE_EDITS = {
         r"kernel_maps\[0\]\.params .*'sigma': 2\.0.* disagree",
     ),
     "config-nu-0": ("ocsvm", ("config", "nu"), 0, (4, 5), r"nu must lie in \(0, 1\]"),
+    # An older kernelized ocsvm was fit on the centered kernel.
+    "kernelized-ocsvm": (
+        "ocsvm", ("config", "kernelized"), True, (4,),
+        r"kernelized ocsvm file before format 6: .* labels are rounding noise; re-fit the model",
+    ),
     "radius-nan": (
         "svdd", ("description", "radius_sq"), NAN, (4, 5),
         "description.radius_sq must be finite, got nan",

@@ -260,6 +260,34 @@ class TestHessianForms:
         # H = 2G is the only M x M array: no separate Gram beside it.
         assert peak < 1.5 * m * m * 8
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_dense_form_takes_over_given_gram(self, scale):
+        pts = np.random.default_rng(43).standard_normal((5, 30))
+        gram = pts.T @ pts
+        want = scale * gram
+        _, h = _solver_inputs(pts, scale, DEFAULT_KKT_TOL, gram)
+        assert type(h) is _DenseHessian and h.h is gram
+        assert np.array_equal(h.h, want) and h.rank_bound == 5
+        # A low-rank problem reads through its points and leaves gram alone.
+        wide = np.random.default_rng(44).standard_normal((1, LOW_RANK_RATIO))
+        wide_gram = wide.T @ wide
+        _, h = _solver_inputs(wide, scale, DEFAULT_KKT_TOL, wide_gram)
+        assert type(h) is _FactorHessian
+        assert np.array_equal(wide_gram, wide.T @ wide)
+
+    @pytest.mark.parametrize("gram", [np.zeros((4, 4)), np.full((5, 5), np.nan)])
+    def test_bad_gram_rejected(self, gram):
+        pts = np.random.default_rng(45).standard_normal((3, 5))
+        with pytest.raises(SolverError, match=r"gram must be a finite 5 x 5 matrix"):
+            svdd_solve(pts, 0.5, gram=gram)
+
+    @pytest.mark.parametrize("solve, arg", [(svdd_solve, 0.2), (ocsvm_solve, 0.2)])
+    def test_given_gram_solves_as_built_one(self, solve, arg):
+        pts = np.random.default_rng(46).standard_normal((20, 40)) + 1.0
+        built = solve(pts, arg)
+        given_gram = solve(pts, arg, gram=pts.T @ pts)
+        assert np.array_equal(built.alphas, given_gram.alphas)
+
 
 class TestWarmStart:
     @PROPERTY_SETTINGS
@@ -522,6 +550,33 @@ class TestOcsvm:
             assert np.any(boundary)
             sv = pts[:, boundary]
             np.testing.assert_array_equal(ocsvm_score(desc, sv)[1], 1)
+
+    @FORM_RATIOS
+    def test_cold_start(self, monkeypatch, ratio):
+        # 1/(nu M) on the floor(nu M) columns of lowest Gram row mean, the
+        # rest of the mass on the next one; the solve from there meets
+        # kkt_tol.
+        monkeypatch.setattr(svdd, "LOW_RANK_RATIO", ratio)
+        starts = []
+        pairwise = svdd._solve_pairwise
+
+        def spy(h, c, upper, kkt_tol, alpha0=None):
+            starts.append(alpha0.copy())
+            return pairwise(h, c, upper, kkt_tol, alpha0)
+
+        monkeypatch.setattr(svdd, "_solve_pairwise", spy)
+        m, nu = 50, 0.13  # nu M = 6.5
+        pts = np.random.default_rng(47).standard_normal((3, m)) + 2.0
+        g = pts.T @ pts
+        desc = ocsvm_solve(pts, nu)
+        [start] = starts
+        bound = 1.0 / (nu * m)
+        order = np.argsort(g.mean(axis=1), kind="stable")
+        assert np.array_equal(np.flatnonzero(start == bound), np.sort(order[:6]))
+        assert np.flatnonzero((start > 0.0) & (start < bound)).tolist() == [order[6]]
+        assert abs(start.sum() - 1.0) <= 1e-12
+        assert feasibility_violation(desc.alphas, bound) <= 1e-8
+        assert kkt_violation(g, np.zeros(m), 0.5, desc.alphas, bound) <= DEFAULT_KKT_TOL
 
     def test_infeasible_nu(self):
         with pytest.raises(SolverError):

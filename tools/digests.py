@@ -15,8 +15,8 @@ rounding differs between machines. The corpus:
   predictions of the model in memory and reloaded from its file;
 - the 8 grid tables of the benchmark's ``select`` workload at seed 1
   (32 cells, inner 5-fold CV, 1 iteration per fit);
-- the kernelized svdd and ocsvm baselines on 300 targets: alphas,
-  distances and labels;
+- the kernelized svdd and ocsvm baselines on 300 targets: alphas, model
+  file bytes, distances and labels;
 - every artifact of the CLI commands synth, train, predict, cv (fixed
   config, nested and global selection) and gridsearch for a linear, a
   kernelized, an svdd and an ocsvm config, each with and without
@@ -131,7 +131,7 @@ def _select(entries: Entries, tiny: bool) -> None:
         _array(entries, f"{name}/fold_gms", [g for c in result.cells for g in c.fold_gms])
 
 
-def _baselines(entries: Entries, tiny: bool) -> None:
+def _baselines(entries: Entries, workdir: Path, tiny: bool) -> None:
     n = 40 if tiny else 300
     train = synth_multimodal(n, 1, 2, [20, 20], 3.0, 11)
     probe = synth_multimodal(n // 4, n // 4, 2, [20, 20], 3.0, 12)
@@ -143,6 +143,9 @@ def _baselines(entries: Entries, tiny: bool) -> None:
         name = f"baseline/{config.model_kind}"
         model = fit_model(train, config)
         _array(entries, f"{name}/alphas", model.description.alphas)
+        path = workdir / f"baseline-{config.model_kind}.json"
+        save_model(model, str(path))
+        _bytes(entries, f"{name}/file", path.read_bytes())
         _prediction(entries, f"{name}/predict", predict_model(model, probe))
 
 
@@ -249,7 +252,7 @@ def collect(tiny: bool = False) -> Entries:
         workdir = Path(tmp)
         _w1(entries, workdir, tiny)
         _select(entries, tiny)
-        _baselines(entries, tiny)
+        _baselines(entries, workdir, tiny)
         _cli(entries, workdir, tiny)
     return entries
 
