@@ -2,14 +2,14 @@
 
 The hypersphere and hyperplane baselines operate on a single feature
 representation; multi-modal inputs are early-fused by stacking modality
-features. The kernelized variants embed the fused features through the
-kernel feature map first and describe the embedded points, solving on the
-Gram the embedding gives (kernels.npt_fit). The hypersphere embeds through
-the centered kernel. The hyperplane separates the data from the origin of
-feature space (Schoelkopf et al., 2001), which centering would move into
-the data, so it embeds through the uncentered kernel; its weight w is
-folded into its kernel map, so it scores beta'k(x) - rho with the
-N-vector beta = U Lambda^-1/2 w.
+features, whose dims a model states (input_dims). The kernelized variants
+embed the fused features through the kernel feature map first and describe
+the embedded points, solving on the Gram the embedding gives
+(kernels.npt_fit). The hypersphere embeds through the centered kernel. The
+hyperplane separates the data from the origin of feature space (Schoelkopf
+et al., 2001), which centering would move into the data, so it embeds
+through the uncentered kernel; its weight w is folded into its kernel map,
+so it scores beta'k(x) - rho with the N-vector beta = U Lambda^-1/2 w.
 """
 
 from __future__ import annotations
@@ -52,14 +52,20 @@ class BaselineModel:
 
     description is the solved one. A kernelized ocsvm folds its weight into
     its 1 x N kernel map and scores through scored_description.
+    input_dims holds the feature dim of each modality the fused features
+    stack, or None where a file before format 7 did not state it.
     """
 
     description: Union[DataDescription, HyperplaneDescription]
     config: TrainConfig
+    input_dims: tuple[Optional[int], ...]
     kernel_maps: Optional[list[KernelMap]] = None
     scaler: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
-    n_modalities: int = 1
     warning: Optional[str] = None
+
+    @property
+    def n_modalities(self) -> int:
+        return len(self.input_dims)
 
     @property
     def kind(self) -> str:
@@ -123,8 +129,8 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     return BaselineModel(
         description=description,
         config=config,
+        input_dims=tuple(m.dim for m in data.modalities),
         kernel_maps=kernel_maps,
-        n_modalities=data.n_modalities,
     )
 
 

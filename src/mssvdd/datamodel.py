@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 TARGET_LABEL = 1
 NONTARGET_LABEL = 0
@@ -134,15 +134,9 @@ def apply_scaler(
     data: MultiModalDataset, scaler: Optional[list[tuple[np.ndarray, np.ndarray]]]
 ) -> MultiModalDataset:
     """data z-scored per modality by scaler, whose modality dims it must
-    have, or data itself when scaler is None."""
+    have (model_input checks them), or data itself when scaler is None."""
     if scaler is None:
         return data
-    dims = [m.dim for m in data.modalities]
-    scaled = [mean.shape[0] for mean, _ in scaler]
-    if dims != scaled:
-        raise ConfigError(
-            f"the scaler z-scores modalities of dims {scaled}, data has dims {dims}"
-        )
     mods = tuple(
         FeatureMatrix((m.values - mean[:, None]) / std[:, None])
         for m, (mean, std) in zip(data.modalities, scaler)
@@ -410,22 +404,3 @@ def save_fold_plan(plan: FoldPlan, path: str) -> None:
         for f in plan.assignment:
             writer.writerow([int(f)])
 
-
-def load_fold_plan(path: str, k: int, seed: int = 0) -> FoldPlan:
-    """Read the fold index column save_fold_plan writes; header auto-detected."""
-    path = str(path)
-    assignment = []
-    for i, row in enumerate(_data_rows(path)):
-        if len(row) != 1:
-            raise DataError(f"{path}: fold row {i + 1} must have exactly one value")
-        value = _parse_cell(row[0], path, i, 0)
-        if not value.is_integer():
-            raise DataError(
-                f"{path}: non-integral fold index at row {i + 1}: {row[0]!r}"
-            )
-        if not -(2**63) <= value < 2**63:
-            raise DataError(
-                f"{path}: fold index at row {i + 1} is out of range: {row[0]!r}"
-            )
-        assignment.append(int(value))
-    return FoldPlan(k=k, assignment=np.array(assignment, dtype=np.int64), seed=seed)

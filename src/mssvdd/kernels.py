@@ -258,9 +258,9 @@ def npt_fit(
     times the largest one; negative eigenvalues (possible with the
     indefinite sigmoid component) are discarded so the embedded Gram matrix
     stays positive semidefinite. A kernel with a non-finite entry is
-    rejected before the eigendecomposition. The kernel is centered in place
-    without center_kernel's symmetry check: kernel_matrix returns it
-    exactly symmetric.
+    rejected before the eigendecomposition, without numpy's warnings first.
+    The kernel is centered in place without center_kernel's symmetry
+    check: kernel_matrix returns it exactly symmetric.
 
     with_gram also returns the Gram of the embedded training data,
     U_k Lambda_k U_k', built in the kernel's own buffer (_gram_in_place),
@@ -268,7 +268,8 @@ def npt_fit(
     """
     if f.n_samples < 2:
         raise KernelError("embedding requires at least 2 training samples")
-    kernel = kernel_matrix(f, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = kernel_matrix(f, params)
     if not np.isfinite(kernel).all():
         raise KernelError(
             f"{params.kind} kernel has non-finite entries at sigma={params.sigma!r} "

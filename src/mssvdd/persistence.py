@@ -4,24 +4,24 @@ Arrays are serialized as little-endian 64-bit floats so a save/load round
 trip reproduces every matrix bit-for-bit, which in turn makes reloaded
 models predict identically to the originals. A model file states each
 fact once and stores only what prediction reads: the config, the
-description's center and radius (or weight and offset), the projections,
-and for a kernelized model each kernel's state and composed map
-(subspace.compose_kernel_maps). The kernel params, the description's box
-bound (C or nu) and whether the kernel is centered
-(baselines.centers_kernel) come from the config. A kernelized ocsvm's
-weight is folded into its 1 x N map, so its description stores the weight
-[1] (BaselineModel.scored_description) and its kernel no row means.
+description's center and radius (or weight and offset), the projections
+or a baseline's input_dims, and for a kernelized model each kernel's
+state and composed map (subspace.compose_kernel_maps). The model's kind,
+the kernel params, the description's box bound (C or nu) and whether the
+kernel is centered (baselines.centers_kernel) come from the config. A
+kernelized ocsvm's weight is folded into its 1 x N map, so its description
+stores the weight [1] (BaselineModel.scored_description).
 
 Model files of every earlier format version still load: _upgrade takes a
 file one version at a time to the current layout, and only the current
 layout is read. The steps that need arrays compose the maps from stored
 eigenpairs with the function training uses, and take the description's
-center or weight from its stored alphas and training points as the
-description does, so an old file predicts bit for bit as it did when it
-was saved. The one exception is a kernelized ocsvm file before format 6:
-it was fit on the centered kernel, where its labels are rounding noise, so
-it is rejected with a request to re-fit. Files with an unknown format
-version are rejected outright.
+center or weight from its stored alphas and training points, so an old
+file predicts bit for bit as it did when it was saved; a baseline file
+before format 7 may load with None for dims it did not state (_v6_to_v7).
+The one exception is a kernelized ocsvm file before format 6: it was fit
+on the centered kernel, where its labels are rounding noise, so it is
+rejected with a request to re-fit. Unknown format versions are rejected.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .subspace import (
 )
 from .svdd import DataDescription, HyperplaneDescription
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 REPORT_FORMAT_VERSION = 1
 
 
@@ -168,14 +168,8 @@ def _kernel_maps_from_dict(
     return maps
 
 
-# A model's kind is config.model_kind. Its file also states the
-# model_class and description kind that kind implies (and a baseline's
-# baseline_kind); loading checks each against it.
-_KIND_TAGS = {
-    "subspace": ("subspace", "sphere"),
-    "svdd": ("baseline", "sphere"),
-    "ocsvm": ("baseline", "hyperplane"),
-}
+# A model's kind is config.model_kind; it implies the description's kind.
+_DESCRIPTION_KINDS = {"subspace": "sphere", "svdd": "sphere", "ocsvm": "hyperplane"}
 # Description kind -> class, the vector and the scalar its file stores,
 # and the config field that gives its box bound.
 _DESCRIPTIONS = {
@@ -190,19 +184,15 @@ def _description_to_dict(
     desc: Union[DataDescription, HyperplaneDescription], kind: str
 ) -> dict[str, Any]:
     _, vector, scalar, _ = _DESCRIPTIONS[kind]
-    return {
-        "kind": kind,
-        vector: _encode_array(getattr(desc, vector)),
-        scalar: getattr(desc, scalar),
-    }
+    return {vector: _encode_array(getattr(desc, vector)), scalar: getattr(desc, scalar)}
 
 
 def _description_from_dict(
-    obj: dict[str, Any], kind: str, config: TrainConfig
+    obj: dict[str, Any], config: TrainConfig
 ) -> Union[DataDescription, HyperplaneDescription]:
     """The one-column description whose column, with weight 1, is the
     stored center or weight; scoring reads it as the solved one."""
-    cls, vector, scalar, bound = _DESCRIPTIONS[kind]
+    cls, vector, scalar, bound = _DESCRIPTIONS[_DESCRIPTION_KINDS[config.model_kind]]
     column = _decode_array(obj[vector])
     if column.ndim != 1:
         raise ValueError(f"description {vector} has shape {column.shape}, expected a vector")
@@ -227,8 +217,8 @@ def _scaler_to_jsonable(scaler) -> Optional[list]:
 
 def _scaler_from_jsonable(obj, model: Union[SubspaceModel, BaselineModel]) -> Optional[list]:
     """The scaler obj stores: one (mean, std) per modality of model, each a
-    1-D finite pair of one length with every std positive, of the dims the
-    model reads (a baseline's fused width is their sum)."""
+    1-D finite pair of one length with every std positive, of the dims
+    model.input_dims states."""
     if typed("scaler", obj, (list, type(None)), PersistenceError) is None:
         return None
     if len(obj) != model.n_modalities:
@@ -248,16 +238,11 @@ def _scaler_from_jsonable(obj, model: Union[SubspaceModel, BaselineModel]) -> Op
                 f"scaler[{v}] must hold finite means and finite, positive stds"
             )
         scaler.append((mean, std))
-    dims, subspace = [mean.shape[0] for mean, _ in scaler], isinstance(model, SubspaceModel)
-    reads = (
-        [km.state.train_data.dim for km in model.kernel_maps] if model.kernel_maps
-        else [p.input_dim for p in model.projections] if subspace
-        else [model.description.train_points.shape[0]]
-    )
-    if (dims if subspace else [sum(dims)]) != reads:
+    dims = tuple(mean.shape[0] for mean, _ in scaler)
+    if dims != model.input_dims:
         raise PersistenceError(
-            f"scaler z-scores modalities of dims {dims}, but the model reads "
-            f"{'modality' if subspace else 'fused'} dims {reads}"
+            f"scaler z-scores modalities of dims {list(dims)}, but the model reads "
+            f"modality dims {list(model.input_dims)}"
         )
     return scaler
 
@@ -266,14 +251,12 @@ def model_to_dict(
     model: Union[SubspaceModel, BaselineModel],
     provenance: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    model_class, description_kind = _KIND_TAGS[model.config.model_kind]
     scored = model.description if isinstance(model, SubspaceModel) else model.scored_description
     common = {
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": _tool_version(),
-        "model_class": model_class,
         "config": config_to_dict(model.config),
-        "description": _description_to_dict(scored, description_kind),
+        "description": _description_to_dict(scored, _DESCRIPTION_KINDS[model.config.model_kind]),
         "scaler": _scaler_to_jsonable(model.scaler),
         "provenance": provenance or {},
         "warning": model.warning,
@@ -287,12 +270,7 @@ def model_to_dict(
             }
         )
     else:
-        common.update(
-            {
-                "baseline_kind": model.kind,
-                "n_modalities": model.n_modalities,
-            }
-        )
+        common["input_dims"] = list(model.input_dims)
     return common
 
 
@@ -300,8 +278,8 @@ def model_to_dict(
 # Upgrading older model files, one format version at a time
 # ---------------------------------------------------------------------------
 
-def _without(obj: dict[str, Any], key: str) -> dict[str, Any]:
-    return {k: v for k, v in obj.items() if k != key}
+def _without(obj: dict[str, Any], *keys: str) -> dict[str, Any]:
+    return {k: v for k, v in obj.items() if k not in keys}
 
 
 def _composed(
@@ -421,8 +399,41 @@ def _v5_to_v6(obj: dict[str, Any]) -> dict[str, Any]:
     return obj
 
 
+def _v6_to_v7(obj: dict[str, Any]) -> dict[str, Any]:
+    """Version 7 drops the kind tags, each of which must agree with the
+    config's model_kind: model_class, a baseline's baseline_kind and the
+    description's kind. A baseline's input_dims replace its n_modalities:
+    its scaler's dims when it has one entry per modality, else [W] for one
+    modality of fused width W (its kernel's training data's, or its linear
+    description's), else None for each, as the file does not say how W splits."""
+    kind = config_from_dict(obj["config"]).model_kind
+    tags = [("model_class", obj["model_class"], "subspace" if kind == "subspace" else "baseline")]
+    if kind != "subspace":
+        tags.append(("baseline_kind", obj["baseline_kind"], kind))
+    tags.append(("description kind", obj["description"]["kind"], _DESCRIPTION_KINDS[kind]))
+    for tag, stated, implied in tags:
+        if stated != implied:
+            raise PersistenceError(
+                f"model file states {tag} {stated!r}, but its config's "
+                f"model_kind {kind!r} implies {implied!r}"
+            )
+    obj = {**_without(obj, "model_class"), "description": _without(obj["description"], "kind")}
+    if kind == "subspace":
+        return obj
+    n, scaler = typed("n_modalities", obj["n_modalities"], (int,), PersistenceError), obj["scaler"]
+    if scaler is not None and len(scaler) == n:
+        dims = [len(_decode_array(e["mean"])) for e in scaler]
+    elif n == 1:
+        entries, vector = obj["kernel_maps"], _DESCRIPTIONS[_DESCRIPTION_KINDS[kind]][1]
+        fused = entries[0]["train_data"] if entries else obj["description"][vector]
+        dims = [len(_decode_array(fused))]
+    else:
+        dims = [None] * n
+    return {**_without(obj, "baseline_kind", "n_modalities"), "input_dims": dims}
+
+
 # Version -> the step that upgrades a model file of that version to the next.
-_UPGRADES = {1: _v1_to_v2, 2: _v2_to_v3, 3: _v3_to_v4, 4: _v4_to_v5, 5: _v5_to_v6}
+_UPGRADES = {1: _v1_to_v2, 2: _v2_to_v3, 3: _v3_to_v4, 4: _v4_to_v5, 5: _v5_to_v6, 6: _v6_to_v7}
 
 
 def _upgrade(obj: dict[str, Any]) -> dict[str, Any]:
@@ -445,31 +456,25 @@ def _upgrade(obj: dict[str, Any]) -> dict[str, Any]:
 def model_from_dict(obj: dict[str, Any]) -> Union[SubspaceModel, BaselineModel]:
     obj = _upgrade(obj)
     config = config_from_dict(obj["config"])
-    kind = config.model_kind
-    model_class, description_kind = _KIND_TAGS[kind]
-    tags = [("model_class", obj["model_class"], model_class)]
-    if model_class == "baseline":
-        tags.append(("baseline_kind", obj["baseline_kind"], kind))
-    tags.append(("description kind", obj["description"]["kind"], description_kind))
-    for tag, stated, implied in tags:
-        if stated != implied:
-            raise PersistenceError(
-                f"model file states {tag} {stated!r}, but its config's "
-                f"model_kind {kind!r} implies {implied!r}"
-            )
-    description = _description_from_dict(obj["description"], description_kind, config)
+    description = _description_from_dict(obj["description"], config)
     dim = description.train_points.shape[0]
     common = {
         "description": description,
         "config": config,
         "warning": typed("warning", obj["warning"], (str, type(None)), PersistenceError),
     }
-    if model_class == "baseline":
-        model = BaselineModel(
-            n_modalities=typed("n_modalities", obj["n_modalities"], (int,), PersistenceError),
-            kernel_maps=_kernel_maps_from_dict(obj["kernel_maps"], config, None, dim),
-            **common,
+    if config.model_kind != "subspace":
+        kernel_maps = _kernel_maps_from_dict(obj["kernel_maps"], config, None, dim)
+        dims = tuple(
+            typed(f"input_dims[{v}]", d, (int, type(None)), PersistenceError)
+            for v, d in enumerate(obj["input_dims"])
         )
+        width = kernel_maps[0].state.train_data.dim if kernel_maps else dim
+        if None not in dims and sum(dims) != width:
+            raise PersistenceError(
+                f"input_dims {list(dims)} sum to {sum(dims)}, but the fused width is {width}"
+            )
+        model = BaselineModel(input_dims=dims, kernel_maps=kernel_maps, **common)
     else:
         projections = [ProjectionMatrix(_decode_array(p)) for p in obj["projections"]]
         for v, p in enumerate(projections):

@@ -173,6 +173,13 @@ class SubspaceModel:
     def n_modalities(self) -> int:
         return len(self.projections)
 
+    @property
+    def input_dims(self) -> tuple[int, ...]:
+        """The feature dim of each modality the model reads."""
+        if self.kernel_maps is not None:
+            return tuple(km.state.train_data.dim for km in self.kernel_maps)
+        return tuple(p.input_dim for p in self.projections)
+
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -649,6 +656,11 @@ def model_input(model: Any, data: MultiModalDataset) -> MultiModalDataset:
     if data.n_modalities != model.n_modalities:
         raise ConfigError(
             f"model has {model.n_modalities} modalities, data has {data.n_modalities}"
+        )
+    dims = tuple(m.dim for m in data.modalities)
+    if any(want not in (None, got) for want, got in zip(model.input_dims, dims)):
+        raise ConfigError(
+            f"model reads modalities of dims {list(model.input_dims)}, data has dims {list(dims)}"
         )
     return apply_scaler(data, model.scaler)
 

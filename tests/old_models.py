@@ -6,16 +6,19 @@ checkout of the commit that introduced that version:
 
     format 1: dd5e1e2    format 2: 7304547
     format 3: 836085d    format 4: 2163ad0
+    format 6: 48056b6
 
     PYTHONPATH=<checkout>/src python3 tests/old_models.py write 3
 
-writes model-v3-<name>.json for each model of MODELS. The expected loader
-output was written with a checkout of 1acc370, whose load_model read
-formats 1 to 4 through per-version branches:
+writes model-v3-<name>.json for each model of models(3). The expected
+loader output of formats 1 to 4 was written with a checkout of 1acc370,
+whose load_model read them through per-version branches, and that of
+format 6 with the checkout of 48056b6:
 
-    PYTHONPATH=<checkout>/src python3 tests/old_models.py expect
+    PYTHONPATH=<checkout>/src python3 tests/old_models.py expect 1 2 3 4
 
-writes expected.json: for each model file, a SHA-256 of every kernel map
+writes the entries of expected.json for the files of the versions given,
+keeping the others: for each model file, a SHA-256 of every kernel map
 its loaded model holds and the predictions that model gives on probe().
 Floats are stored as JSON numbers, whose shortest repr reads back bit for
 bit.
@@ -41,7 +44,7 @@ from mssvdd import (
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-VERSIONS = (1, 2, 3, 4)
+VERSIONS = (1, 2, 3, 4, 6)
 _KERNEL = {"kernelized": True, "kernel_params": KernelParams(kind="composite", sigma=3.0)}
 # name -> (config, normalize). The ocsvm is linear: on this data, moved
 # off the origin, its hyperplane is well posed.
@@ -51,6 +54,14 @@ MODELS = {
     "svdd": (TrainConfig(model_kind="svdd", c_penalty=0.5, **_KERNEL), False),
     "ocsvm": (TrainConfig(model_kind="ocsvm", nu=0.3), False),
 }
+# A kernelized ocsvm file before format 6 does not load, so only format 6
+# has one; it z-scores its features, so its dims come from its scaler.
+KERNELIZED_OCSVM = (TrainConfig(model_kind="ocsvm", nu=0.3, **_KERNEL), True)
+
+
+def models(version):
+    """name -> (config, normalize) of each model file of version."""
+    return {**MODELS, "kernelized-ocsvm": KERNELIZED_OCSVM} if version >= 6 else MODELS
 
 
 def _shifted(n_target, n_outlier, seed):
@@ -79,14 +90,16 @@ def map_digest(a):
 
 def write(version):
     data = train_data()
-    for name, (config, normalize) in MODELS.items():
+    for name, (config, normalize) in models(version).items():
         save_model(fit_model(data, config, normalize=normalize), model_path(version, name))
 
 
-def expect():
-    out = {}
-    for version in VERSIONS:
-        for name in MODELS:
+def expect(versions):
+    expected = os.path.join(DATA, "expected.json")
+    with open(expected) as fh:
+        out = json.load(fh)
+    for version in versions:
+        for name in models(version):
             path = model_path(version, name)
             model = load_model(path)
             result = predict_model(model, probe())
@@ -98,7 +111,7 @@ def expect():
                 "distances": result.distances.tolist(),
                 "radius_sq": result.radius_sq,
             }
-    with open(os.path.join(DATA, "expected.json"), "w") as fh:
+    with open(expected, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -107,4 +120,4 @@ if __name__ == "__main__":
     if sys.argv[1] == "write":
         write(int(sys.argv[2]))
     else:
-        expect()
+        expect([int(v) for v in sys.argv[2:]])

@@ -9,11 +9,14 @@ from mssvdd import (
     KernelParams,
     SolverError,
     TrainConfig,
+    fit_model,
     load_dataset,
     load_model,
     pca_init,
     predict_model,
+    save_model,
     svdd_solve,
+    synth_multimodal,
 )
 from mssvdd import cli
 from mssvdd.cli import _MODEL_KEYS, _train_config, main
@@ -235,6 +238,24 @@ class TestTrainPredict:
         assert err.startswith(f"error: malformed model file {model_path}: ")
         assert err.count("\n") == 1
         assert RETAGGINGS[case][3] in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_predict_rejects_permuted_dims(self, tmp_path, capsys):
+        # A baseline fit on modality dims [3, 4] reads fused features of
+        # width 7, which data of dims [4, 3] also has.
+        data = synth_multimodal(12, 8, 2, [3, 4], 4.0, seed=18)
+        model_path = tmp_path / "model.json"
+        save_model(fit_model(data, TrainConfig(model_kind="svdd", c_penalty=0.5)), model_path)
+        rng = np.random.default_rng(0)
+        csvs = []
+        for v, dim in enumerate((4, 3)):
+            csv = tmp_path / f"m{v}.csv"
+            np.savetxt(csv, rng.standard_normal((5, dim)), delimiter=",")
+            csvs += ["--data", str(csv)]
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model_path)] + csvs + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: model reads modalities of dims [3, 4], data has dims [4, 3]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(CONFIG_EDITS))

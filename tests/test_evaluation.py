@@ -240,6 +240,27 @@ class TestNormalizedPredict:
             with pytest.raises(ConfigError, match=r"^model has 2 modalities, data has 1$"):
                 own(model, one)
 
+    # Every model kind, linear and kernelized, checks each modality's dims
+    # in one place and with one message, with or without a scaler.
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("config", [
+        TrainConfig(d=2, c_penalty=0.5, max_iter=2),
+        TrainConfig(d=2, eta=0.001, c_penalty=0.5, max_iter=2, **KERNEL),
+        TrainConfig(model_kind="svdd", c_penalty=0.5),
+        TrainConfig(model_kind="svdd", c_penalty=0.5, **KERNEL),
+        TrainConfig(model_kind="ocsvm", nu=0.3),
+        TrainConfig(model_kind="ocsvm", nu=0.3, **KERNEL),
+    ], ids=["linear", "kernelized", "svdd", "kernelized-svdd", "ocsvm", "kernelized-ocsvm"])
+    def test_permuted_dims_rejected(self, config, normalize):
+        model = fit_model(synth_multimodal(12, 8, 2, [3, 4], 4.0, seed=18), config, normalize)
+        assert model.input_dims == (3, 4)
+        permuted = synth_multimodal(6, 4, 2, [4, 3], 4.0, seed=19)
+        own = predict if isinstance(model, SubspaceModel) else predict_baseline
+        message = r"^model reads modalities of dims \[3, 4\], data has dims \[4, 3\]$"
+        for predict_with in (predict_model, own):
+            with pytest.raises(ConfigError, match=message):
+                predict_with(model, permuted)
+
 
 class TestGridSearch:
     def _separable(self, seed=16):

@@ -1,6 +1,6 @@
 """Every name a package module imports at top level is used or exported,
-and every private name or UPPER_CASE constant a module defines at top
-level is read."""
+every private name or UPPER_CASE constant a module defines at top level
+is read, and every public function or class is read or exported."""
 
 import ast
 from pathlib import Path
@@ -46,21 +46,25 @@ def test_no_unused_imports(path):
 
 
 def unread_names(sources: dict[str, str]) -> list[str]:
-    """module:name of each private function, class or variable, and each
-    UPPER_CASE constant, a module of sources (module name -> source)
+    """module:name of each private function, class or variable, each
+    UPPER_CASE constant, and each public function or class that no
+    __all__ lists, that a module of sources (module name -> source)
     defines at top level and no module reads, as a name or as an attribute."""
     defined = []
     read = set()
+    exported = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+                defined.append((module, node.name))
                 continue
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if "__all__" in names:
+                exported.update(ast.literal_eval(node.value))
             defined += [
                 (module, name) for name in names
                 if name.isupper() or name.startswith("_") and not name.endswith("__")
@@ -70,7 +74,8 @@ def unread_names(sources: dict[str, str]) -> list[str]:
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
-    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+    known = read | exported
+    return sorted(f"{module}:{name}" for module, name in defined if name not in known)
 
 
 def test_checker_finds_unread_private_names():
@@ -83,13 +88,18 @@ def test_checker_finds_unread_private_names():
             "class _Dead:\n    pass\n"
             "def _helper(p: _Pair):\n    return p\n"
             "def _orphan():\n    return _LIMIT\n"
+            "def orphan():\n    pass\nclass Orphan:\n    pass\n"
+            "def exported():\n    pass\nclass Exported:\n    pass\n"
         ),
         "b": (
             "from . import a\nfrom .a import TOL\n"
+            "__all__ = ['exported', 'Exported']\n"
             "def g():\n    return a._helper((1, 2)), a.SCALE, TOL\n"
         ),
     }
-    assert unread_names(sources) == ["a:DEAD_TOL", "a:_Dead", "a:_orphan", "a:_unused"]
+    assert unread_names(sources) == [
+        "a:DEAD_TOL", "a:Orphan", "a:_Dead", "a:_orphan", "a:_unused", "a:orphan", "b:g",
+    ]
 
 
 def test_every_private_name_is_read():

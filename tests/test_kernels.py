@@ -335,11 +335,11 @@ class TestNptFit:
         with pytest.raises(KernelError):
             npt_fit(f, KernelParams(kind="linear"))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["linear", "gaussian", "composite"])
     def test_non_finite_kernel_rejected_before_eigh(self, monkeypatch, kind):
-        # Features of 1e200 overflow the inner products.
+        # Features of 1e200 overflow the inner products; the typed error is
+        # the only signal.
         f = FeatureMatrix(1e200 * np.random.default_rng(4).standard_normal((3, 6)))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh was reached"))
         match = rf"^{kind} kernel has non-finite entries at sigma=2\.5"

@@ -10,7 +10,9 @@ import pytest
 import old_models
 
 from mssvdd import (
+    FeatureMatrix,
     KernelParams,
+    MultiModalDataset,
     PersistenceError,
     ToolkitError,
     TrainConfig,
@@ -24,6 +26,7 @@ from mssvdd import (
     save_report,
     synth_multimodal,
 )
+from mssvdd.baselines import fuse_features
 from mssvdd.persistence import (
     _decode_array,
     _encode_array,
@@ -33,31 +36,29 @@ from mssvdd.persistence import (
 )
 
 
-# Retaggings of a saved model file: case -> (model kind, key, new value,
-# the tag the error names). A None value takes a saved ocsvm model's
-# hyperplane description.
+# Retaggings of a format 6 fixture, whose file states its kind beside
+# config.model_kind: case -> (fixture, key, new value, the tag the error
+# names). A None value takes the ocsvm fixture's hyperplane description.
 RETAGGINGS = {
     "ocsvm-tagged-svdd": ("ocsvm", "baseline_kind", "svdd", "baseline_kind"),
     "svdd-tagged-ocsvm": ("svdd", "baseline_kind", "ocsvm", "baseline_kind"),
-    "subspace-with-hyperplane": ("subspace", "description", None, "description kind"),
+    "subspace-with-hyperplane": ("linear", "description", None, "description kind"),
     "ocsvm-tagged-bogus": ("ocsvm", "baseline_kind", "bogus", "baseline_kind"),
     "svdd-tagged-subspace": ("svdd", "model_class", "subspace", "model_class"),
 }
 
 
 def write_retagged(tmp_path, case):
-    """Path of a saved two-modality (3 + 3 features) model, retagged per case."""
-    kind, key, value, _ = RETAGGINGS[case]
-    data = synth_multimodal(12, 8, 2, [3, 3], 4.0, seed=11)
+    """Path of a format 6 fixture, which reads two modalities of 3 features
+    each, retagged per case."""
+    name, key, value, _ = RETAGGINGS[case]
+
+    def fixture(name):
+        return json.loads(Path(old_models.model_path(6, name)).read_text())
+
+    obj = fixture(name)
+    obj[key] = fixture("ocsvm")["description"] if value is None else value
     path = tmp_path / f"{case}.json"
-
-    def saved(kind):
-        config = TrainConfig(model_kind=kind, d=2, c_penalty=0.5, max_iter=2, nu=0.3)
-        save_model(fit_model(data, config), path)
-        return json.loads(path.read_text())
-
-    obj = saved(kind)
-    obj[key] = saved("ocsvm")["description"] if value is None else value
     path.write_text(json.dumps(obj))
     return path
 
@@ -194,20 +195,20 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 6
-        assert "npt_states" not in obj
+        assert obj["format_version"] == 7
+        assert "npt_states" not in obj and "model_class" not in obj
         for entry in obj["kernel_maps"]:
             assert set(entry) == {"row_means", "train_data", "map"}
-        assert set(obj["description"]) == {"kind", "center", "radius_sq"}
+        assert set(obj["description"]) == {"center", "radius_sq"}
         probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
         _predictions_equal(
             predict_model(model, probe), predict_model(load_model(path), probe)
         )
 
-        # Files that the writers of versions 1 to 4 wrote load to the maps
-        # and predictions the last loader with per-version branches gave.
+        # Files that the writers of versions 1 to 4 and 6 wrote load to the
+        # maps and predictions their expected loaders gave.
         for version in old_models.VERSIONS:
-            for name in old_models.MODELS:
+            for name in old_models.models(version):
                 old_path = old_models.model_path(version, name)
                 assert json.loads(Path(old_path).read_text())["format_version"] == version
                 back = load_model(old_path)
@@ -271,10 +272,11 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         obj = json.loads(path.read_text())
-        assert obj["format_version"] == 6
-        assert "npt_state" not in obj
+        assert obj["format_version"] == 7
+        assert obj["input_dims"] == [3, 3]
+        assert not {"npt_state", "model_class", "baseline_kind", "n_modalities"} & set(obj)
         [entry] = obj["kernel_maps"]
-        stored = {"kind", "center", "radius_sq"} if kind == "svdd" else {"kind", "weight", "rho"}
+        stored = {"center", "radius_sq"} if kind == "svdd" else {"weight", "rho"}
         assert set(obj["description"]) == stored
         if kind == "svdd":
             assert set(entry) == {"row_means", "train_data", "map"}
@@ -293,9 +295,9 @@ class TestModelRoundTrip:
     def test_format_5_kernelized_baseline(self, tmp_path, kind):
         # Format 6 changed only the kernelized ocsvm, which format 5 fit on
         # the centered kernel: such a file is rejected, any other loads as
-        # it is.
-        _, model = self._kernelized_baseline(kind)
-        obj = model_to_dict(model)
+        # it is. The format 6 fixtures stand in for format 5 files.
+        fixture = old_models.model_path(6, "svdd" if kind == "svdd" else "kernelized-ocsvm")
+        obj = json.loads(Path(fixture).read_text())
         obj["format_version"] = 5
         path = tmp_path / "v5.json"
         path.write_text(json.dumps(obj))
@@ -303,8 +305,7 @@ class TestModelRoundTrip:
             with pytest.raises(PersistenceError, match="before format 6: .*re-fit the model"):
                 load_model(path)
         else:
-            probe = synth_multimodal(9, 9, 2, [3, 3], 4.0, seed=4)
-            _predictions_equal(predict_model(model, probe), predict_model(load_model(path), probe))
+            _matches_parent(load_model(path), fixture)
 
     def test_uncentered_kernel_stores_no_row_means(self, tmp_path):
         obj = model_to_dict(self._kernelized_baseline("ocsvm")[1])
@@ -352,6 +353,33 @@ class TestModelRoundTrip:
         path.write_text(text)
         with pytest.raises(PersistenceError, match="malformed .*bad.json"):
             loader(path)
+
+    # A baseline file before format 7 gets its dims from its scaler, from
+    # its fused width when it has one modality, and else None for each,
+    # which the gate does not check.
+    @pytest.mark.parametrize("version, name, n_modalities, dims", [
+        (4, "svdd", 2, (None, None)),
+        (6, "ocsvm", 2, (None, None)),
+        (6, "kernelized-ocsvm", 2, (3, 3)),
+        (6, "ocsvm", 1, (6,)),
+        (6, "svdd", 1, (6,)),
+    ])
+    def test_older_baseline_dims(self, tmp_path, version, name, n_modalities, dims):
+        fixture = old_models.model_path(version, name)
+        obj = json.loads(Path(fixture).read_text())
+        obj["n_modalities"] = n_modalities
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj))
+        model = load_model(path)
+        assert model.input_dims == dims
+        assert model_to_dict(model)["input_dims"] == list(dims)
+        probe = old_models.probe()
+        if n_modalities == 1:
+            # One modality of the fused width reads the fused probe.
+            fused = MultiModalDataset((FeatureMatrix(fuse_features(probe)),), probe.labels)
+            _predictions_equal(predict_model(model, fused), predict_model(load_model(fixture), probe))
+        else:
+            _matches_parent(model, fixture)
 
     @pytest.mark.parametrize("case", sorted(RETAGGINGS))
     def test_retagged_kind_rejected(self, tmp_path, case):
@@ -473,9 +501,9 @@ def _scaler(*dims):
 
 
 # Single-field edits of a fixture's file: case -> (model, field path, new
-# value, versions it applies to, what the error says). Version 4 files hold
-# copies of the kernel params and of the description's C or nu, which
-# version 5 files derive from the config.
+# value, versions it applies to, what the error says, or per version what
+# it says). Version 4 files hold copies of the kernel params and of the
+# description's C or nu, which version 5 files derive from the config.
 FILE_EDITS = {
     "nu-0": ("ocsvm", ("description", "nu"), 0, (4,), r"description\.nu 0\.0 disagrees"),
     "c-copy": (
@@ -576,11 +604,37 @@ FILE_EDITS = {
         "kernelized", ("scaler",), _scaler(3, 4), (4, 5),
         r"dims \[3, 4\], but the model reads modality dims \[3, 3\]",
     ),
+    # A baseline file before format 7 takes its dims from its scaler, which
+    # must sum to its fused width; the unscaled baseline fixtures, saved
+    # again, state null dims, which no scaler matches.
     "scaler-fused-width": (
-        "svdd", ("scaler",), _scaler(3, 4), (4, 5), r"dims \[3, 4\], but the model reads fused dims \[6\]",
+        "svdd", ("scaler",), _scaler(3, 4), (4, 5), {
+            4: r"input_dims \[3, 4\] sum to 7, but the fused width is 6",
+            5: r"dims \[3, 4\], but the model reads modality dims \[None, None\]",
+        },
     ),
     "scaler-fused-width-linear": (
-        "ocsvm", ("scaler",), _scaler(4, 4), (4, 5), r"dims \[4, 4\], but the model reads fused dims \[6\]",
+        "ocsvm", ("scaler",), _scaler(4, 4), (4, 5), {
+            4: r"input_dims \[4, 4\] sum to 8, but the fused width is 6",
+            5: r"dims \[4, 4\], but the model reads modality dims \[None, None\]",
+        },
+    ),
+    # A current baseline file states the dims it reads, whose sum, when all
+    # are known, is its fused width.
+    "input-dims-width": (
+        "svdd", ("input_dims",), [3, 4], (5,),
+        r"input_dims \[3, 4\] sum to 7, but the fused width is 6$",
+    ),
+    "input-dims-type": (
+        "ocsvm", ("input_dims", 0), "x", (5,), r"input_dims\[0\] must be int or None, got 'x'$"
+    ),
+    # The config states a model's kind: an older file's tags must agree,
+    # and a current file's layout must be that kind's.
+    "config-kind-flip": (
+        "ocsvm", ("config", "model_kind"), "svdd", (4, 5), {
+            4: "states baseline_kind 'ocsvm', but its config's model_kind 'svdd' implies 'svdd'",
+            5: "KeyError: 'center'",
+        },
     ),
 }
 
@@ -605,6 +659,7 @@ class TestFileEdits:
     )
     def test_edit_rejected(self, tmp_path, case, version):
         name, key_path, value, _, message = FILE_EDITS[case]
+        message = message[version] if isinstance(message, dict) else message
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(_edited(_old_file(tmp_path, name, version), key_path, value)))
         names_file = f"^malformed model file {re.escape(str(path))}: "
