@@ -8,7 +8,9 @@ finite-dimensional representation whose Gram matrix approximates the
 kernel. Linear methods applied to that representation then behave like
 their kernelized counterparts. The embedding is of the centered kernel by
 default, or of the uncentered one for a method that needs the origin of
-feature space, such as the one-class hyperplane.
+feature space, such as the one-class hyperplane. A solver on the
+embedding can take its Gram from npt_fit, which makes it from the kernel
+in place by subtracting the dropped eigenpairs.
 """
 
 from __future__ import annotations
@@ -203,11 +205,6 @@ class KernelState:
                 f"{self.train_data.n_samples} training samples"
             )
 
-    @property
-    def train_kernel(self) -> np.ndarray:
-        """The raw N x N training kernel, recomputed."""
-        return kernel_matrix(self.train_data, self.params)
-
 
 @dataclass(frozen=True)
 class NptState:
@@ -229,11 +226,7 @@ class NptState:
     @property
     def train_kernel(self) -> np.ndarray:
         """The raw N x N training kernel, recomputed."""
-        return self.kernel.train_kernel
-
-    @property
-    def rank(self) -> int:
-        return int(self.eigvals.size)
+        return kernel_matrix(self.kernel.train_data, self.kernel.params)
 
     @property
     def embedded(self) -> np.ndarray:
@@ -308,23 +301,17 @@ def _gram_in_place(
     U_k diag(w_k) U_k', the Gram of the embedding that keeps the pairs
     marked by keep.
 
-    When no more pairs are dropped than kept, the dropped ones are
-    subtracted from k (2 n_d N^2 flops); otherwise k is rebuilt from the
-    kept ones. Either way the outer products run over blocks of _GRAM_ROWS
-    rows, so no second N x N array is made, and only on and above the
-    diagonal: each block's part below it is copied from the rows above, so
-    k stays exactly symmetric.
+    The dropped pairs are subtracted from k (2 n_d N^2 flops), in outer
+    products over blocks of _GRAM_ROWS rows, so no second N x N array is
+    made, and only on and above the diagonal: each block's part below it
+    is copied from the rows above, so k stays exactly symmetric.
     """
     n = k.shape[0]
     dropped = ~keep
-    if np.count_nonzero(dropped) <= np.count_nonzero(keep):
-        vecs, vals = u[:, dropped], -w[dropped]
-    else:
-        vecs, vals = u[:, keep], w[keep]
-        k.fill(0.0)
-    if not vals.size:
+    if not dropped.any():
         return
-    scaled = vecs * vals
+    vecs = u[:, dropped]
+    scaled = vecs * -w[dropped]
     for lo in range(0, n, _GRAM_ROWS):
         hi = min(lo + _GRAM_ROWS, n)
         # Rows above lo are final, so this block's left part is their mirror.

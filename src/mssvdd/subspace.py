@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable, Optional, Sequence, Union
 import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset, apply_scaler, frozen_array
-from .errors import ConfigError, SolverError, coerce_fields, field_types
+from .errors import ConfigError, DataError, SolverError, coerce_fields, field_types
 from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
 from .svdd import (
     DEFAULT_KKT_TOL,
@@ -200,7 +200,8 @@ def pca_init(f: ArrayLike, d: int) -> ProjectionMatrix:
 
     Rows are ordered by descending eigenvalue of the column-centered
     sample covariance; each row's largest-magnitude entry is made positive
-    so the result is deterministic.
+    so the result is deterministic. Features too large for their
+    covariance to be finite raise a DataError, without numpy's warnings.
     """
     x = _values(f)
     big_d, n = x.shape
@@ -208,9 +209,13 @@ def pca_init(f: ArrayLike, d: int) -> ProjectionMatrix:
         raise ConfigError(
             f"subspace dim {d} exceeds min(feature dim {big_d}, samples {n})"
         )
-    centered = x - x.mean(axis=1, keepdims=True)
-    denom = max(n - 1, 1)
-    cov = (centered @ centered.T) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=1, keepdims=True)
+        cov = (centered @ centered.T) / max(n - 1, 1)
+    if not np.isfinite(cov).all():
+        raise DataError(
+            f"feature covariance is not finite (largest |feature| {np.max(np.abs(x)):.3g})"
+        )
     w, u = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1][:d]
     rows = u[:, order].T
@@ -294,7 +299,7 @@ def strategy_signs(update_strategy: str, n_modalities: int) -> list[int]:
 def _pooled_weights(
     regularizer: str,
     alphas: np.ndarray,
-    c_penalty: Optional[float],
+    c_penalty: float,
 ) -> Optional[np.ndarray]:
     """Sample weight vector lambda used by the regularizer, or None."""
     if regularizer in _UNPENALIZED_REGULARIZERS:
@@ -303,10 +308,7 @@ def _pooled_weights(
         return np.ones_like(alphas)
     if regularizer in ("w3", "w6"):
         return alphas.astype(np.float64)
-    if regularizer == "psi2" and c_penalty is None:
-        raise ConfigError("psi2 needs c_penalty to identify boundary vectors")
-    # Without c_penalty only the support mask is read.
-    support, boundary = support_masks(alphas, np.inf if c_penalty is None else c_penalty)
+    support, boundary = support_masks(alphas, c_penalty)
     if regularizer in ("w2", "w5"):
         return support.astype(np.float64)
     if regularizer == "psi2":
@@ -324,16 +326,17 @@ def lagrangian_gradient(
     beta: float,
     regularizer: str,
     modality_index_map: Sequence[tuple[int, int]],
-    c_penalty: Optional[float] = None,
+    c_penalty: float,
 ) -> np.ndarray:
     """Gradient of the pooled dual objective with respect to Q_v.
 
     alphas is the pooled dual weight vector from the most recent
     hypersphere solve on the projected, pooled samples; its layout must
-    match modality_index_map. With Y_n = Q_n F_n, a_n and lambda_n the
-    slices of alphas and of the regularizer's sample weights for modality
-    n, and c = sum_n Q_n (F_n a_n) the sphere center, the gradient is
-    2 R F_v^T for the d x N matrix
+    match modality_index_map. c_penalty is that solve's box bound C, which
+    psi2 reads to find its boundary vectors. With Y_n = Q_n F_n, a_n and
+    lambda_n the slices of alphas and of the regularizer's sample weights
+    for modality n, and c = sum_n Q_n (F_n a_n) the sphere center, the
+    gradient is 2 R F_v^T for the d x N matrix
 
         R = (Y_v - c 1^T) diag(a_v) + beta S_v,
 

@@ -39,7 +39,8 @@ column reads cost more through P than the one Gram does. The dense form
 builds G with one syrk, or takes it from the caller through the Gram
 entry (gram=, next to the points): a kernelized baseline passes the Gram
 kernels.npt_fit makes from the kernel it already holds, at the cost of
-the dropped eigenpairs only.
+the dropped eigenpairs only. Either form checks H's diagonal once: columns
+whose Gram overflows, or underflows to 0, raise a SolverError.
 
 A solve can be warm-started from a feasible dual vector (alpha0), such as
 the solution of the previous problem in an alternating training loop over
@@ -58,7 +59,9 @@ about 390 pair steps would go to zeroing the rest. A cold hyperplane
 solve likewise starts with floor(nu M) coordinates on their bound
 1/(nu M), on the columns with the lowest Gram row mean, those whose
 gradient is steepest at the uniform vector. Either start has at most one
-free coordinate, so it has no face to step on.
+free coordinate, so it has no face to step on. Every solve hands the pair
+loop (_solve_pairwise) its start, warm or cold; the loop has none of its
+own.
 """
 
 from __future__ import annotations
@@ -185,6 +188,12 @@ def _solver_inputs(
     which takes over gram as G when given, scaling it in place, and builds
     G otherwise. gram must be M x M, finite and exactly symmetric, and
     equal P'P up to rounding.
+
+    Points too large for H to be finite, or so small that H's diagonal
+    underflows to 0 while some point is nonzero, raise a SolverError
+    naming the largest |point|, without numpy's warnings. A finite
+    diagonal bounds every entry of H (Cauchy-Schwarz), so checking it
+    checks H.
     """
     points = frozen_array(points)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -194,11 +203,21 @@ def _solver_inputs(
     if not kkt_tol > 0.0:
         raise SolverError("kkt_tol must be positive")
     d, m = points.shape
-    if d * LOW_RANK_RATIO <= m:
-        return points, _FactorHessian(points, scale)
-    if gram is not None and (gram.shape != (m, m) or not np.all(np.isfinite(gram))):
+    low_rank = d * LOW_RANK_RATIO <= m
+    if not low_rank and gram is not None and (
+        gram.shape != (m, m) or not np.all(np.isfinite(gram))
+    ):
         raise SolverError(f"gram must be a finite {m} x {m} matrix, got shape {gram.shape}")
-    return points, _DenseHessian(points, scale, gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _FactorHessian(points, scale) if low_rank else _DenseHessian(points, scale, gram)
+    finite = np.isfinite(h.diag).all()
+    if not finite or (not h.diag.any() and points.any()):
+        cause = "is not finite" if not finite else "underflows to 0"
+        raise SolverError(
+            f"Gram of the training columns {cause} "
+            f"(largest |point| {np.max(np.abs(points)):.3g})"
+        )
+    return points, h
 
 
 def _tidy(alpha: np.ndarray, upper: float) -> np.ndarray:
@@ -305,22 +324,22 @@ def _solve_pairwise(
     c: np.ndarray,
     upper: float,
     kkt_tol: float,
-    alpha0: Optional[np.ndarray] = None,
+    alpha0: np.ndarray,
 ) -> np.ndarray:
     """Maximize c'a - 0.5 a'Ha over {sum(a)=1, 0<=a<=upper}.
 
-    Starts from alpha0 when given (assumed feasible and tidy, such as a
-    warm start or a cold start) and from the uniform vector otherwise.
-    Pair selection is second order: i is the steepest increasable
-    coordinate and j the decreasable one with the largest exact gain of
-    the pair subproblem, which avoids the zig-zagging a purely
-    steepest-pair rule suffers on rank-deficient Hessians. A pair
-    step that no bound clips is followed by an exact step on the face of
-    the free coordinates (_face_step) when their count k exceeds
-    h.rank_bound, the only case in which H can be singular on that face;
-    pair steps alone can cycle among the free coordinates there.
+    Starts from alpha0, which is assumed feasible and tidy: a warm start,
+    or the cold start of _cold_start or _bound_start. Pair selection is
+    second order: i is the steepest increasable coordinate and j the
+    decreasable one with the largest exact gain of the pair subproblem,
+    which avoids the zig-zagging a purely steepest-pair rule suffers on
+    rank-deficient Hessians. A pair step that no bound clips is followed
+    by an exact step on the face of the free coordinates (_face_step) when
+    their count k exceeds h.rank_bound, the only case in which H can be
+    singular on that face; pair steps alone can cycle among the free
+    coordinates there.
 
-    An alpha0 that misses kkt_tol first gets one face step, before any
+    A start that misses kkt_tol first gets one face step, before any
     pair step: a warm start from a nearby problem usually has the free set
     of this problem's optimum, so that step lands on it. When the step
     moves alpha, alpha is tidied and the gradient recomputed before the
@@ -334,15 +353,14 @@ def _solve_pairwise(
     gradient recomputed, and the pair loop resumes if the tolerance is
     missed. An alpha0 that already meets kkt_tol is returned unchanged.
     """
-    m = c.size
     diag = h.diag
-    alpha = np.full(m, 1.0 / m) if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    alpha = np.array(alpha0, dtype=np.float64)
     grad = c - h.times(alpha)
     # A converged check is final only when alpha is tidy and grad was
-    # computed from it; a given start is taken to be tidy already.
-    settled = alpha0 is not None
-    # Whether the first violated check still owes a given start its face step.
-    face_first = alpha0 is not None
+    # computed from it; the start is taken to be tidy already.
+    settled = True
+    # Whether the first violated check still owes the start its face step.
+    face_first = True
     # Whether a pair step moved alpha since the last face step.
     moved = False
     violation = np.inf

@@ -1,12 +1,17 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mssvdd import (
     ConfigError,
+    DataError,
     FeatureMatrix,
     KernelError,
     KernelParams,
     MultiModalDataset,
+    SolverError,
     ToolkitError,
     TrainConfig,
     fit_baseline,
@@ -180,3 +185,22 @@ def test_out_of_range_sigma_is_a_kernel_error(kind, sigma):
         fit_model(data, TrainConfig(
             model_kind=kind, d=2, kernelized=True, kernel_params=KernelParams(sigma=sigma)
         ))
+
+
+# Linear fits of features scaled by 1e200 or 1e155 overflow the feature
+# covariance (subspace) or the Gram (svdd, ocsvm); scaled by 1e-200, the
+# Gram underflows to 0 in every kind. Each is a typed error naming the
+# scale, with no numpy warning before it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, exponent", [(1e200, "+200"), (1e155, "+155"), (1e-200, "-200")])
+@pytest.mark.parametrize("kind", ["subspace", "svdd", "ocsvm"])
+def test_out_of_range_features_are_typed_errors(kind, scale, exponent):
+    data = synth_multimodal(30, 10, 2, [5, 4], 3.0, 1)
+    data = replace(data, modalities=[FeatureMatrix(scale * m.values) for m in data.modalities])
+    if kind == "subspace" and scale > 1.0:
+        error, message = DataError, "feature covariance is not finite (largest |feature|"
+    else:
+        cause = "is not finite" if scale > 1.0 else "underflows to 0"
+        error, message = SolverError, f"Gram of the training columns {cause} (largest |point|"
+    with pytest.raises(error, match=re.escape(message) + rf" [\d.]+e{re.escape(exponent)}\)"):
+        fit_model(data, TrainConfig(model_kind=kind, d=2, kernelized=False))

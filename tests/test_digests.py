@@ -21,6 +21,16 @@ def test_two_runs_agree():
     sections = {name.split("/")[0] for name in first}
     assert sections == {"w1", "select", "baseline", "cli"}
     assert any("workers-2-normalize/cv-global" in name for name in first)
+    # report re-renders each cv report file to the text cv wrote beside it.
+    # The tiny svdd config's nested selection fails in each of its 4 runs,
+    # so 44 of the 16 runs' 48 reports exist.
+    cv_texts = [
+        name for name in first
+        if name.endswith(("/cv-fixed.txt", "/cv-nested.txt", "/cv-global.txt"))
+    ]
+    assert len(cv_texts) == 3 * 16 - 4
+    for name in cv_texts:
+        assert first[name.replace(".txt", "-report.txt")] == first[name]
 
 
 def test_compare_names_what_differs():

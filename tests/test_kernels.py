@@ -227,7 +227,7 @@ class TestInPlaceKernel:
         got = npt_embed_test(state.kernel, test)
         assert got.shape == (30, 0)
         assert got.tobytes() == want.tobytes()
-        assert npt_embed_test(state, test).shape == (state.rank, 0)
+        assert npt_embed_test(state, test).shape == (state.eigvals.size, 0)
 
 
 class TestKernelMemory:
@@ -286,7 +286,7 @@ class TestNptFit:
         state = npt_fit(f, KernelParams(kind="linear"))
         khat, _, _ = center_kernel(state.train_kernel)
         np.testing.assert_allclose(khat, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
-        assert state.rank == 1
+        assert state.eigvals.size == 1
         np.testing.assert_allclose(state.eigvals, [0.5], atol=1e-12)
         np.testing.assert_allclose(np.abs(state.embedded), [[0.5, 0.5]], atol=1e-12)
         np.testing.assert_allclose(state.embedded.T @ state.embedded, khat, atol=1e-12)
@@ -295,7 +295,7 @@ class TestNptFit:
         # Features chosen so the centered linear kernel is [[.5,-.5],[-.5,.5]].
         f = FeatureMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))
         state = npt_fit(f, KernelParams(kind="linear"))
-        assert state.rank == 1
+        assert state.eigvals.size == 1
         np.testing.assert_allclose(state.eigvals, [1.0], atol=1e-12)
         np.testing.assert_allclose(
             np.abs(state.embedded), [[1 / np.sqrt(2), 1 / np.sqrt(2)]], atol=1e-12
@@ -358,10 +358,9 @@ class TestNptFit:
         np.testing.assert_array_equal(npt_embed_test(state.kernel, f), k)
         assert np.max(np.abs(npt_embed_test(state, f) - state.embedded)) < 1e-8
 
-    # A composite kernel on 5 features keeps nearly every pair, so its
-    # dropped ones are subtracted; a wide Gaussian on 2 keeps few, so the
-    # Gram is rebuilt from the kept ones. Both have more rows than one
-    # block of _GRAM_ROWS.
+    # A composite kernel on 5 features keeps nearly every pair; a wide
+    # Gaussian on 2 keeps few, so most of the kernel is subtracted. Both
+    # have more rows than one block of _GRAM_ROWS.
     @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize(
         "params, dim, most_kept",
@@ -374,7 +373,7 @@ class TestNptFit:
         n = 2 * _GRAM_ROWS + 7
         f = _random_features(np.random.default_rng(15), dim, n)
         state, gram = npt_fit(f, params, centered=centered, with_gram=True)
-        assert (state.rank > n // 2) == most_kept
+        assert (state.eigvals.size > n // 2) == most_kept
         assert np.array_equal(gram, gram.T)
         embedded_gram = state.embedded.T @ state.embedded
         assert np.max(np.abs(gram - embedded_gram)) <= 1e-13 * np.max(np.abs(embedded_gram))
@@ -406,7 +405,7 @@ class TestNptEmbedTest:
         f = _random_features(rng, 3, 5)
         state = npt_fit(f, KernelParams(kind="gaussian", sigma=1.0, kappa=1.0))
         out = npt_embed_test(state, np.zeros((3, 0)), state.kernel.params)
-        assert out.shape == (state.rank, 0)
+        assert out.shape == (state.eigvals.size, 0)
 
     def test_linear_kernel_preserves_distances(self):
         rng = np.random.default_rng(11)

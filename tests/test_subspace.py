@@ -239,7 +239,7 @@ class TestLagrangianGradient:
         qs, data, index_map = _random_setup(rng, 2, 2, [4, 3], 5)
         alphas = np.zeros(10)
         alphas[1] = 1.0  # the only support vector, in modality 0
-        grad = lagrangian_gradient(0, qs, data, alphas, 0.0, "w0", index_map)
+        grad = lagrangian_gradient(0, qs, data, alphas, 0.0, "w0", index_map, 1.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_beta_zero_ignores_regularizer(self):
@@ -289,7 +289,7 @@ class TestLagrangianGradient:
         rng = np.random.default_rng(11)
         qs, data, index_map = _random_setup(rng, 2, 2, [3, 3], 4)
         with pytest.raises(ConfigError):
-            lagrangian_gradient(0, qs, data, np.ones(5) / 5, 0.0, "w0", index_map)
+            lagrangian_gradient(0, qs, data, np.ones(5) / 5, 0.0, "w0", index_map, 0.5)
 
 
 class TestFuseLabels:

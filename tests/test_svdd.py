@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -196,7 +197,10 @@ def low_rank_problems(draw):
     pts = rng.uniform(-5.0, 5.0, (d, m)) + rng.uniform(-3.0, 3.0, (d, 1))
     sphere = draw(st.booleans())
     c = max(draw(st.sampled_from([0.05, 0.1, 0.3, 1.0])), 1.5 / m)
-    alpha0 = np.minimum(random_box_simplex(rng, m, c), c) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        alpha0 = np.minimum(random_box_simplex(rng, m, c), c)
+    else:
+        alpha0 = np.full(m, 1.0 / m)
     return pts, sphere, c, alpha0
 
 
@@ -287,6 +291,30 @@ class TestHessianForms:
         built = solve(pts, arg)
         given_gram = solve(pts, arg, gram=pts.T @ pts)
         assert np.array_equal(built.alphas, given_gram.alphas)
+
+    @FORM_RATIOS
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solve, arg", [(svdd_solve, 0.2), (ocsvm_solve, 0.2)])
+    @pytest.mark.parametrize(
+        "scale, cause",
+        [(1e200, "is not finite"), (1e155, "is not finite"), (1e-200, "underflows to 0")],
+    )
+    def test_out_of_range_points_rejected(self, monkeypatch, ratio, solve, arg, scale, cause):
+        monkeypatch.setattr(svdd, "LOW_RANK_RATIO", ratio)
+        pts = scale * np.random.default_rng(48).standard_normal((3, 40))
+        largest = re.escape(f"{np.max(np.abs(pts)):.3g}")
+        match = rf"^Gram of the training columns {cause} \(largest \|point\| {largest}\)$"
+        with pytest.raises(SolverError, match=match):
+            solve(pts, arg)
+
+    # A zero Gram from zero points is no underflow.
+    @FORM_RATIOS
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_points_solve(self, monkeypatch, ratio):
+        monkeypatch.setattr(svdd, "LOW_RANK_RATIO", ratio)
+        pts = np.zeros((2, 5))
+        assert svdd_solve(pts, 0.5).radius_sq == 0.0
+        assert ocsvm_solve(pts, 0.5).rho == 0.0
 
 
 class TestWarmStart:
@@ -382,7 +410,7 @@ class TestColdStart:
         cold = svdd_solve(pts, 0.1).alphas
         cold_reads = len(reads)
         _, h = _solver_inputs(pts, 2.0, DEFAULT_KKT_TOL)
-        uniform = _solve_pairwise(h, h.diag / 2.0, 0.1, DEFAULT_KKT_TOL)
+        uniform = _solve_pairwise(h, h.diag / 2.0, 0.1, DEFAULT_KKT_TOL, np.full(400, 1.0 / 400))
         uniform_reads = len(reads) - cold_reads
         assert 10 * cold_reads <= uniform_reads
         lin = np.diag(g).copy()
@@ -560,7 +588,7 @@ class TestOcsvm:
         starts = []
         pairwise = svdd._solve_pairwise
 
-        def spy(h, c, upper, kkt_tol, alpha0=None):
+        def spy(h, c, upper, kkt_tol, alpha0):
             starts.append(alpha0.copy())
             return pairwise(h, c, upper, kkt_tol, alpha0)
 

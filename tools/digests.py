@@ -18,9 +18,10 @@ rounding differs between machines. The corpus:
 - the kernelized svdd and ocsvm baselines on 300 targets: alphas, model
   file bytes, distances and labels;
 - every artifact of the CLI commands synth, train, predict, cv (fixed
-  config, nested and global selection) and gridsearch for a linear, a
-  kernelized, an svdd and an ocsvm config, each with and without
-  --normalize, with MSSVDD_WORKERS unset and set to 2.
+  config, nested and global selection), gridsearch and report (each cv
+  report file re-rendered) for a linear, a kernelized, an svdd and an
+  ocsvm config, each with and without --normalize, with MSSVDD_WORKERS
+  unset and set to 2.
 
 Each array is stored with its digest, so ``compare`` can give the largest
 relative change of an array that differs. ``compare`` lists the entries
@@ -218,6 +219,15 @@ def _cli(entries: Entries, workdir: Path, tiny: bool) -> None:
                             "--selection", selection, "--out-prefix", str(out / f"cv-{selection}"),
                         ]
                         for selection in ("nested", "global")
+                    },
+                    # Re-rendered from its file, each cv report should equal
+                    # the text cv wrote beside it.
+                    **{
+                        f"report-{report}": [
+                            "report", "--report", str(out / f"{report}.json"),
+                            "--out", str(out / f"{report}-report.txt"),
+                        ]
+                        for report in ("cv-fixed", "cv-nested", "cv-global")
                     },
                 }
                 with _workers(workers):
