@@ -14,14 +14,14 @@ so it scores beta'k(x) - rho with the N-vector beta = U Lambda^-1/2 w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
 from .errors import ConfigError
-from .kernels import KernelParams, npt_embed_test, npt_fit
+from .kernels import npt_embed_test, npt_fit
 from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps, model_input
 from .svdd import (
     DataDescription,
@@ -31,14 +31,6 @@ from .svdd import (
     svdd_score,
     svdd_solve,
 )
-
-
-def centers_kernel(model_kind: str) -> bool:
-    """Whether a kernelized model of model_kind embeds through the centered
-    kernel: every kind but the ocsvm, whose hyperplane must separate the
-    data from the origin of the uncentered feature space. On centered
-    points, which sum to 0, its weight would be at rounding level."""
-    return model_kind != "ocsvm"
 
 
 # The one weight, and the one-column points, of a hyperplane whose weight
@@ -88,14 +80,6 @@ def fuse_features(data: MultiModalDataset) -> np.ndarray:
     return np.vstack([m.values for m in data.modalities])
 
 
-def _resolve_baseline_kernel(config: TrainConfig, feature_dim: int) -> KernelParams:
-    kp = config.kernel_params
-    if kp.kappa is None:
-        # No projected dimensionality here; fall back to 1/feature-dim.
-        kp = replace(kp, kappa=1.0 / feature_dim)
-    return kp
-
-
 def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     """Fit an svdd or ocsvm baseline on the target samples of data."""
     if config.model_kind not in ("svdd", "ocsvm"):
@@ -103,9 +87,9 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     fused = fuse_features(data.target_subset())
     state = gram = None
     if config.kernelized:
-        kp = _resolve_baseline_kernel(config, fused.shape[0])
+        kp = config.resolved_kernel_params(fused.shape[0])
         state, gram = npt_fit(
-            FeatureMatrix(fused), kp, centered=centers_kernel(config.model_kind), with_gram=True
+            FeatureMatrix(fused), kp, centered=config.centers_kernel, with_gram=True
         )
         points = state.embedded
     else:
@@ -137,8 +121,8 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
 def predict_baseline(model: BaselineModel, data: MultiModalDataset) -> PredictionResult:
     """Classify samples of data, passed through model_input; scores follow
     the "target iff score <= radius" convention. For the hyperplane baseline
-    the score row holds rho minus the decision value and the radius is 0,
-    so the same comparison applies. A kernelized model scores its map's
+    the score row holds the negated decision value, rho - w'y, and the
+    radius is 0, so the same comparison applies. A kernelized model scores its map's
     output with its scored_description.
     """
     points = fuse_features(model_input(model, data))

@@ -21,10 +21,10 @@ from .datamodel import (
     FeatureMatrix,
     MultiModalDataset,
     load_dataset,
+    load_matrices,
     save_dataset,
     save_fold_plan,
     synth_multimodal,
-    _load_matrices,
 )
 from .errors import ConfigError, DataError, ToolkitError, typed
 from .evaluation import (
@@ -121,21 +121,6 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     return cfg
 
 
-def _merge_overrides(cfg: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
-    cfg = dict(cfg)
-    if getattr(args, "data", None):
-        cfg["modality_csvs"] = list(args.data)
-    if getattr(args, "labels", None):
-        cfg["label_csv"] = args.labels
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "normalize", False):
-        cfg["normalize"] = True
-    if getattr(args, "selection", None):
-        cfg["selection"] = args.selection
-    return cfg
-
-
 def _train_config(cfg: dict[str, Any]) -> TrainConfig:
     top: dict[str, Any] = {}
     kernel: dict[str, Any] = {}
@@ -158,7 +143,18 @@ def _announce_search(cells: int, fits: int) -> None:
     print(f"grid search: {cells:,} cells, {fits:,} fits", file=sys.stderr)
 
 
-def _load_experiment_data(cfg: dict[str, Any]) -> MultiModalDataset:
+def _experiment(args: argparse.Namespace) -> tuple[dict[str, Any], MultiModalDataset, TrainConfig]:
+    """The config file's keys with the shared flags applied, the dataset
+    they name and the model config they give."""
+    cfg = _load_config_file(args.config)
+    if args.data:
+        cfg["modality_csvs"] = list(args.data)
+    if args.labels:
+        cfg["label_csv"] = args.labels
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.normalize:
+        cfg["normalize"] = True
     paths = cfg.get("modality_csvs")
     if not paths:
         raise ConfigError("config needs modality_csvs (or --data flags)")
@@ -170,7 +166,7 @@ def _load_experiment_data(cfg: dict[str, Any]) -> MultiModalDataset:
         data = MultiModalDataset(
             data.modalities, 1 - data.labels, data.sample_ids
         )
-    return data
+    return cfg, data, _train_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +194,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_overrides(_load_config_file(args.config), args)
-    data = _load_experiment_data(cfg)
-    config = _train_config(cfg)
+    cfg, data, config = _experiment(args)
     model = fit_model(data, config, normalize=cfg.get("normalize", False))
     provenance = {
         "seed": cfg.get("seed", 0),
@@ -225,7 +219,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         + [f"m{v + 1}_distance_sq" for v in range(n_mod)]
         + ["radius_sq"]
     )
-    matrices = _load_matrices(args.data)
+    matrices = load_matrices(args.data)
     rows = []
     # Every file has the same row count, so zero here means all are empty.
     if matrices[0].shape[0] > 0:
@@ -250,16 +244,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    cfg = _merge_overrides(_load_config_file(args.config), args)
-    data = _load_experiment_data(cfg)
-    base = _train_config(cfg)
+    cfg, data, base = _experiment(args)
     seed = cfg.get("seed", 0)
     outer_k = cfg.get("outer_folds", 5)
     normalize = cfg.get("normalize", False)
     if "grid" in cfg:
         grid = _grid_spec(cfg, data, base)
         inner_k = cfg.get("inner_folds", 10)
-        selection = cfg.get("selection", "nested")
+        selection = args.selection or cfg.get("selection", "nested")
         workers = _workers()
         cells, distinct = grid_size(grid, base)
         # Nested selection searches in every outer fold and fits each
@@ -293,9 +285,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_gridsearch(args: argparse.Namespace) -> int:
-    cfg = _merge_overrides(_load_config_file(args.config), args)
-    data = _load_experiment_data(cfg)
-    base = _train_config(cfg)
+    cfg, data, base = _experiment(args)
     grid = _grid_spec(cfg, data, base)
     inner_k = cfg.get("inner_folds", 10)
     workers = _workers()
@@ -343,6 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-modal subspace one-class classification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags train, cv and gridsearch take over their config file's keys.
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--data", action="append", help="modality CSV (repeatable)")
+    experiment.add_argument("--labels", help="label CSV")
+    experiment.add_argument("--seed", type=int)
+    experiment.add_argument("--normalize", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic multi-modal dataset")
     p.add_argument("--out-dir", required=True)
@@ -354,12 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("train", help="fit a model and save it")
+    p = sub.add_parser("train", parents=[experiment], help="fit a model and save it")
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--data", action="append", help="modality CSV (repeatable)")
-    p.add_argument("--labels", help="label CSV")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train)
 
@@ -369,22 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
-    p = sub.add_parser("cv", help="stratified cross-validation (nested when a grid is given)")
+    p = sub.add_parser(
+        "cv", parents=[experiment],
+        help="stratified cross-validation (nested when a grid is given)",
+    )
     p.add_argument("--config", required=True)
-    p.add_argument("--data", action="append")
-    p.add_argument("--labels")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--selection", choices=["nested", "global"])
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=_cmd_cv)
 
-    p = sub.add_parser("gridsearch", help="hyperparameter search on the full dataset")
+    p = sub.add_parser(
+        "gridsearch", parents=[experiment], help="hyperparameter search on the full dataset"
+    )
     p.add_argument("--config", required=True)
-    p.add_argument("--data", action="append")
-    p.add_argument("--labels")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=_cmd_gridsearch)
 

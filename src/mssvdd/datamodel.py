@@ -335,7 +335,7 @@ def _load_labels_csv(path: str) -> np.ndarray:
     return labels
 
 
-def _load_matrices(paths: Sequence[str]) -> list[np.ndarray]:
+def load_matrices(paths: Sequence[str]) -> list[np.ndarray]:
     """One row-per-sample matrix per modality CSV, all with the same row
     count, which may be zero."""
     matrices = [_load_matrix_csv(str(p)) for p in paths]
@@ -358,7 +358,7 @@ def load_dataset(
     """
     if not paths:
         raise DataError("at least one modality file is required")
-    matrices = _load_matrices(paths)
+    matrices = load_matrices(paths)
     n = matrices[0].shape[0]
     if n == 0:
         raise DataError(f"{', '.join(map(str, paths))}: no data rows")

@@ -321,28 +321,25 @@ def _fold_outcomes(
     return outcomes
 
 
-# An outer fold's config: fixed, or chosen by an inner grid search on the
-# fold's training split with (grid, base config, inner folds).
-_Choice = Union[TrainConfig, tuple["GridSpec", TrainConfig, int]]
-
-
 def _outer_fold(
-    args: tuple[MultiModalDataset, FoldPlan, int, _Choice, bool]
+    args: tuple[MultiModalDataset, FoldPlan, int, TrainConfig, Optional[tuple[GridSpec, int]], bool]
 ) -> tuple[TrainConfig, ConfusionMatrix, Optional[float]]:
     """One outer fold: its config, that config's confusion matrix on the
     fold's test split and the max ortho error of every fit made.
 
-    A searched fold's inner folds use the outer plan's seed.
+    The fold fits config, or, given search = (grid, inner_k), the winner of
+    a grid search from config on the fold's training split, whose inner
+    folds use the outer plan's seed.
     """
-    data, plan, fold, choice, normalize = args
-    config, orthos = choice, []
-    if not isinstance(choice, TrainConfig):
-        grid, base, inner_k = choice
-        search = grid_search(
-            data.subset(plan.train_indices(fold)), grid, base,
+    data, plan, fold, config, search, normalize = args
+    orthos = []
+    if search is not None:
+        grid, inner_k = search
+        result = grid_search(
+            data.subset(plan.train_indices(fold)), grid, config,
             inner_k=inner_k, seed=plan.seed, normalize=normalize,
         )
-        config, orthos = search.best_config, [c.max_ortho_error for c in search.cells]
+        config, orthos = result.best_config, [c.max_ortho_error for c in result.cells]
     (outcome,) = _fold_outcomes((data, plan, fold, [[config]], normalize))
     if isinstance(outcome, ToolkitError):
         raise outcome
@@ -354,20 +351,21 @@ def _outer_cv(
     data: MultiModalDataset,
     plan: FoldPlan,
     config: TrainConfig,
-    choice: _Choice,
     normalize: bool,
+    search: Optional[tuple[GridSpec, int]] = None,
     workers: int = 1,
     selection: Optional[str] = None,
     search_orthos: Sequence[Optional[float]] = (),
 ) -> EvalReport:
     """The report of config under selection, every fold of plan scored by
-    _outer_fold; workers > 1 runs the folds in parallel processes.
+    _outer_fold, which searches from config when search is given; workers
+    > 1 runs the folds in parallel processes.
 
     A fixed config (selection None) records no fold configs. search_orthos
     are the max ortho errors of a search made before the folds, which the
     report's max counts too.
     """
-    tasks = [(data, plan, fold, choice, normalize) for fold in range(plan.k)]
+    tasks = [(data, plan, fold, config, search, normalize) for fold in range(plan.k)]
     folds = _pmap(_outer_fold, tasks, workers)
     return EvalReport(
         config=config,
@@ -392,7 +390,7 @@ def run_cv(
     Each fold trains on the target-class samples of its training split and
     predicts every test sample, both classes included.
     """
-    return _outer_cv(data, _cv_plan(data, k, seed), config, config, normalize)
+    return _outer_cv(data, _cv_plan(data, k, seed), config, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +637,13 @@ def nested_cv(
         raise ConfigError(f"selection must be 'nested' or 'global', got {selection!r}")
     plan = _cv_plan(data, outer_k, seed)
     if selection == "nested":
-        return _outer_cv(
-            data, plan, base, (grid, base, inner_k), normalize, workers, selection
-        )
+        return _outer_cv(data, plan, base, normalize, (grid, inner_k), workers, selection)
     search = grid_search(
         data, grid, base, inner_k=inner_k, seed=seed, normalize=normalize, workers=workers,
     )
     return _outer_cv(
-        data, plan, search.best_config, search.best_config, normalize, workers,
-        selection, [c.max_ortho_error for c in search.cells],
+        data, plan, search.best_config, normalize, workers=workers, selection=selection,
+        search_orthos=[c.max_ortho_error for c in search.cells],
     )
 
 

@@ -35,9 +35,10 @@ class KernelParams:
 
     gamma weighs the Gaussian part against the sigmoid part (composite
     kind only); sigma is the Gaussian scale; kappa and theta are the
-    sigmoid slope and offset. kappa=None means "derive from the model",
-    conventionally 1/d with d the target subspace dimensionality; it must
-    be resolved to a number before kernel evaluation. kind="linear"
+    sigmoid slope and offset. kappa=None means "derive from the model"
+    (TrainConfig.resolved_kernel_params): 1/d for a subspace model, 1/D,
+    the fused feature dim, for a baseline; it must be resolved to a
+    number before kernel evaluation. kind="linear"
     ignores all scalars.
     """
 

@@ -8,9 +8,10 @@ description's center and radius (or weight and offset), the projections
 or a baseline's input_dims, and for a kernelized model each kernel's
 state and composed map (subspace.compose_kernel_maps). The model's kind,
 the kernel params, the description's box bound (C or nu) and whether the
-kernel is centered (baselines.centers_kernel) come from the config. A
-kernelized ocsvm's weight is folded into its 1 x N map, so its description
-stores the weight [1] (BaselineModel.scored_description).
+kernel is centered come from the config (TrainConfig.resolved_kernel_params
+and TrainConfig.centers_kernel). A kernelized ocsvm's weight is folded into
+its 1 x N map, so its description stores the weight [1]
+(BaselineModel.scored_description).
 
 Model files of every earlier format version still load: _upgrade takes a
 file one version at a time to the current layout, and only the current
@@ -36,7 +37,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .baselines import BaselineModel, _resolve_baseline_kernel, centers_kernel
+from .baselines import BaselineModel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset, frozen_array
 from .errors import ConfigError, PersistenceError, ToolkitError, typed
 from .evaluation import ConfusionMatrix, EvalReport
@@ -99,13 +100,6 @@ def config_from_dict(obj: dict[str, Any]) -> TrainConfig:
     return TrainConfig(**{**_fields_of(TrainConfig, obj), "kernel_params": kp})
 
 
-def _kernel_params(config: TrainConfig, train_data: FeatureMatrix) -> KernelParams:
-    """The params a model of config evaluates its kernel on train_data with."""
-    if config.model_kind == "subspace":
-        return config.resolved_kernel_params()
-    return _resolve_baseline_kernel(config, train_data.dim)
-
-
 def _kernel_maps_to_dict(
     kernel_maps: Optional[list[KernelMap]],
 ) -> Optional[list[dict[str, Any]]]:
@@ -144,7 +138,7 @@ def _kernel_maps_from_dict(
         return None
     if len(entries) != count:
         raise ValueError(f"{len(entries)} kernel_maps entries for {count} {what}")
-    centered = centers_kernel(config.model_kind)
+    centered = config.centers_kernel
     maps = []
     for v, entry in enumerate(entries):
         if not centered and "row_means" in entry:
@@ -156,7 +150,7 @@ def _kernel_maps_from_dict(
         state = KernelState(
             row_means=_decode_array(entry["row_means"]) if centered else None,
             train_data=train_data,
-            params=_kernel_params(config, train_data),
+            params=config.resolved_kernel_params(train_data.dim),
         )
         km = KernelMap(state, _decode_array(entry["map"]))
         want = (dim, train_data.n_samples)
@@ -365,7 +359,9 @@ def _v4_to_v5(obj: dict[str, Any]) -> dict[str, Any]:
     if entries is not None:
         for v, e in enumerate(entries):
             params = KernelParams(**_fields_of(KernelParams, e["params"]))
-            derived = _kernel_params(config, FeatureMatrix(_decode_array(e["train_data"])))
+            derived = config.resolved_kernel_params(
+                FeatureMatrix(_decode_array(e["train_data"])).dim
+            )
             if params != derived:
                 raise PersistenceError(
                     f"kernel_maps[{v}].params {asdict(params)} disagree with the "

@@ -124,12 +124,25 @@ class TrainConfig:
         if not self.kkt_tol > 0.0:
             raise ConfigError(f"kkt_tol must be positive, got {self.kkt_tol}")
 
-    def resolved_kernel_params(self) -> KernelParams:
-        """Kernel params with the sigmoid slope defaulted to 1/d."""
+    def resolved_kernel_params(self, feature_dim: Optional[int] = None) -> KernelParams:
+        """The params the model evaluates its kernel with: the sigmoid slope
+        defaults to 1/d for a subspace model, and for an svdd or ocsvm
+        baseline, which has no projected dimensionality, to 1/feature_dim,
+        the dim of the fused features its kernel reads."""
+        if self.model_kind == "subspace":
+            feature_dim = self.d
+        elif feature_dim is None:
+            raise ConfigError(f"a {self.model_kind} model's kernel params need its feature dim")
         kp = self.kernel_params
-        if kp.kappa is None:
-            kp = replace(kp, kappa=1.0 / self.d)
-        return kp
+        return kp if kp.kappa is not None else replace(kp, kappa=1.0 / feature_dim)
+
+    @property
+    def centers_kernel(self) -> bool:
+        """Whether a kernelized model embeds through the centered kernel:
+        every kind but the ocsvm, whose hyperplane must separate the data
+        from the origin of the uncentered feature space. On centered points,
+        which sum to 0, its weight would be at rounding level."""
+        return self.model_kind != "ocsvm"
 
 
 _TRAIN_FIELD_TYPES = field_types(TrainConfig)

@@ -74,7 +74,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .datamodel import frozen_array
-from .errors import SolverError
+from .errors import DataError, SolverError
 
 ALPHA_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6
@@ -95,7 +95,7 @@ FACE_CONSISTENCY_TOL = 1e-10
 # has decision values that are rounding noise, which no allowance mends:
 # that is what an ocsvm on centered points gets, as they sum to 0 and the
 # uniform alphas then give w = 0. So a kernelized ocsvm embeds through the
-# uncentered kernel (baselines.centers_kernel).
+# uncentered kernel (TrainConfig.centers_kernel).
 BOUNDARY_RTOL = 1024 * np.finfo(np.float64).eps
 
 
@@ -445,6 +445,17 @@ def _freeze(desc) -> np.ndarray:
     return frozen_array(pts @ alphas)
 
 
+def _check_scale(scale: np.ndarray, y: np.ndarray) -> None:
+    """Check that scale, the per-column bound on the terms of a score of
+    the columns of y, is finite: then so is every term, whereas a column
+    whose squared norm overflows would get an infinite boundary allowance
+    and count as a target."""
+    if not np.all(np.isfinite(scale)):
+        raise DataError(
+            f"query scale is not finite (largest |value| {np.max(np.abs(y)):.3g})"
+        )
+
+
 def _query(desc, y: np.ndarray) -> np.ndarray:
     """y as a float d x M matrix, d the description's dimension."""
     y = np.asarray(y, dtype=np.float64)
@@ -547,12 +558,14 @@ def svdd_score(desc: DataDescription, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
     A column counts as on the sphere when its distance exceeds the radius
     by at most BOUNDARY_RTOL * (|y| + |center|)^2, a bound on the terms of
-    |y|^2 - 2 center'y + |center|^2.
+    |y|^2 - 2 center'y + |center|^2 (_check_scale).
     """
     y = _query(desc, y)
-    y_sq = np.sum(y * y, axis=0)
+    with np.errstate(over="ignore"):
+        y_sq = np.sum(y * y, axis=0)
+        scale = (np.sqrt(y_sq) + np.sqrt(desc.center_sq)) ** 2
+    _check_scale(scale, y)
     dist_sq = y_sq - 2.0 * (desc.center @ y) + desc.center_sq
-    scale = (np.sqrt(y_sq) + np.sqrt(desc.center_sq)) ** 2
     return dist_sq, (dist_sq <= desc.radius_sq + BOUNDARY_RTOL * scale).astype(np.int64)
 
 
@@ -621,9 +634,11 @@ def ocsvm_score(
 
     A column counts as on the hyperplane when its decision value is at
     least -BOUNDARY_RTOL * (|weight| |y| + |rho|), a bound on the terms of
-    weight'y - rho.
+    weight'y - rho (_check_scale).
     """
     y = _query(desc, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
+    _check_scale(scale, y)
     decision = desc.weight @ y - desc.rho
-    scale = np.sqrt(desc.weight @ desc.weight) * np.sqrt(np.sum(y * y, axis=0))
     return decision, (decision >= -BOUNDARY_RTOL * (scale + abs(desc.rho))).astype(np.int64)

@@ -16,9 +16,12 @@ from mssvdd import (
     TrainConfig,
     fit_baseline,
     fit_model,
+    load_model,
     npt_embed_test,
     npt_fit,
     predict_baseline,
+    predict_model,
+    save_model,
     svdd_solve,
     synth_multimodal,
 )
@@ -137,6 +140,25 @@ class TestOcsvmBaseline:
         assert outlier_rate < 0.3
 
 
+class TestBaselineKernelParams:
+    # Fused dims [3, 3]: an unset slope defaults to 1/6, not the 1/d of d = 2.
+    @pytest.mark.parametrize("kappa", [None, 0.25])
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_config_states_the_fitted_and_reloaded_kernel(self, tmp_path, kind, kappa):
+        data = synth_multimodal(30, 10, 2, [3, 3], 3.0, 1)
+        config = TrainConfig(
+            model_kind=kind, kernelized=True, kernel_params=KernelParams(kappa=kappa)
+        )
+        params = config.resolved_kernel_params(6)
+        assert params.kappa == (1.0 / 6 if kappa is None else kappa)
+        model = fit_baseline(data, config)
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        for m in (model, load_model(path)):
+            (km,) = m.kernel_maps
+            assert km.state.params == params
+
+
 class TestKernelizedOcsvm:
     NU = 0.1
 
@@ -204,3 +226,27 @@ def test_out_of_range_features_are_typed_errors(kind, scale, exponent):
         error, message = SolverError, f"Gram of the training columns {cause} (largest |point|"
     with pytest.raises(error, match=re.escape(message) + rf" [\d.]+e{re.escape(exponent)}\)"):
         fit_model(data, TrainConfig(model_kind=kind, d=2, kernelized=False))
+
+
+# Queries scaled by 1e200 or 1e155 overflow their squared norms, and with
+# them the scale that bounds every term of a score. Each is a typed error
+# naming the scale, with no numpy warning before it, rather than an
+# infinite boundary allowance that accepts every query as a target.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, exponent", [(1e200, "+200"), (1e155, "+155")])
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrainConfig(model_kind="svdd", c_penalty=0.1),
+        TrainConfig(model_kind="ocsvm", nu=0.1),
+        TrainConfig(d=2),
+    ],
+    ids=lambda c: c.model_kind,
+)
+def test_out_of_range_queries_are_typed_errors(config, scale, exponent):
+    data = synth_multimodal(30, 10, 2, [5, 4], 3.0, 1)
+    model = fit_model(data, config)
+    data = replace(data, modalities=[FeatureMatrix(scale * m.values) for m in data.modalities])
+    message = re.escape("query scale is not finite (largest |value|")
+    with pytest.raises(DataError, match=message + rf" [\d.]+e{re.escape(exponent)}\)"):
+        predict_model(model, data)

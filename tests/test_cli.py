@@ -549,3 +549,26 @@ class TestConfigSchema:
         assert _train_config({}) == TrainConfig()
         experiment = {"modality_csvs": ["m.csv"], "seed": 3, "normalize": True, "grid": {}}
         assert _train_config(experiment) == TrainConfig()
+
+
+class TestParser:
+    # Each command's required flags besides the shared ones.
+    REQUIRED = {
+        "train": ["--out", "m.json"],
+        "cv": ["--config", "c.json", "--out-prefix", "r"],
+        "gridsearch": ["--config", "c.json", "--out-prefix", "r"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_experiment_commands_parse_the_shared_flags_alike(self, command):
+        parser = cli.build_parser()
+        shared = [
+            "--data", "a.csv", "--data", "b.csv", "--labels", "y.csv", "--seed", "3",
+            "--normalize",
+        ]
+        args = parser.parse_args([command, *shared, *self.REQUIRED[command]])
+        assert (args.data, args.labels, args.seed, args.normalize) == (
+            ["a.csv", "b.csv"], "y.csv", 3, True
+        )
+        args = parser.parse_args([command, *self.REQUIRED[command]])
+        assert (args.data, args.labels, args.seed, args.normalize) == (None, None, None, False)

@@ -1,6 +1,7 @@
 """Every name a package module imports at top level is used or exported,
 every private name or UPPER_CASE constant a module defines at top level
-is read, and every public function or class is read or exported."""
+is read, every public function or class is read or exported, and no
+module imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,45 @@ def test_checker_finds_unread_private_names():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_names(sources) == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """"module: from origin import name" for each single-underscore name
+    that a module of sources (module name -> source) imports, anywhere in
+    its body, from the package: by a relative import or one from mssvdd.
+    Dunders such as __version__ are the package's public names."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            origin = "." * node.level + (node.module or "")
+            if node.level == 0 and origin.split(".")[0] != "mssvdd":
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    found.add(f"{module}: from {origin} import {name}")
+    return sorted(found)
+
+
+def test_checker_finds_private_cross_module_imports():
+    sources = {
+        "a": "__version__ = '1'\n_LIMIT = 3\ndef _helper():\n    return _LIMIT\n",
+        "b": (
+            "from os import _exit\n"
+            "from . import __version__, _private_module\n"
+            "from .a import _LIMIT as limit, __version__ as v\n"
+            "def f():\n    from mssvdd.a import _helper\n    return _helper, _exit\n"
+        ),
+    }
+    assert private_imports(sources) == [
+        "b: from . import _private_module",
+        "b: from .a import _LIMIT",
+        "b: from mssvdd.a import _helper",
+    ]
+
+
+def test_no_private_cross_module_imports():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == []

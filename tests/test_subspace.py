@@ -92,6 +92,25 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=rf"^{field} must"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("feature_dim", [None, 7])
+    def test_subspace_kernel_slope_defaults_to_one_over_d(self, feature_dim):
+        config = TrainConfig(d=4, kernelized=True)
+        assert config.resolved_kernel_params(feature_dim) == KernelParams(kappa=0.25)
+        stated = replace(config, kernel_params=KernelParams(kappa=2.0))
+        assert stated.resolved_kernel_params(feature_dim) == KernelParams(kappa=2.0)
+
+    @pytest.mark.parametrize("kappa", [None, 2.0])
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_baseline_kernel_params_need_the_feature_dim(self, kind, kappa):
+        config = TrainConfig(model_kind=kind, kernel_params=KernelParams(kappa=kappa))
+        with pytest.raises(ConfigError, match=f"^a {kind} model's kernel params need"):
+            config.resolved_kernel_params()
+        assert config.resolved_kernel_params(8).kappa == (0.125 if kappa is None else kappa)
+
+    @pytest.mark.parametrize("kind", ["subspace", "svdd", "ocsvm"])
+    def test_only_the_ocsvm_embeds_through_the_uncentered_kernel(self, kind):
+        assert TrainConfig(model_kind=kind).centers_kernel == (kind != "ocsvm")
+
 
 class TestPcaInit:
     def test_line_in_plane(self):
