@@ -9,7 +9,9 @@ the embedded points, solving on the Gram the embedding gives
 hyperplane separates the data from the origin of feature space (Schoelkopf
 et al., 2001), which centering would move into the data, so it embeds
 through the uncentered kernel; its weight w is folded into its kernel map,
-so it scores beta'k(x) - rho with the N-vector beta = U Lambda^-1/2 w.
+so it scores beta'k(x) - rho with the N-vector beta' = w' Lambda^-1/2 U'.
+Both maps come from the kernel's NptState (NptState.kernel_map), so this
+module reads no eigenpair.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset, frozen_array
 from .errors import ConfigError
-from .kernels import npt_embed_test, npt_fit
-from .subspace import KernelMap, PredictionResult, TrainConfig, compose_kernel_maps, model_input
+from .kernels import KernelMap, npt_embed_test, npt_fit
+from .subspace import PredictionResult, TrainConfig, model_input
 from .svdd import (
     DataDescription,
     HyperplaneDescription,
@@ -104,12 +106,9 @@ def fit_baseline(data: MultiModalDataset, config: TrainConfig) -> BaselineModel:
     # map is made.
     del gram
     kernel_maps = None
-    if state is not None and config.model_kind == "ocsvm":
-        beta = state.eigvecs @ (description.weight / np.sqrt(state.eigvals))
-        beta.setflags(write=False)
-        kernel_maps = [KernelMap(state.kernel, beta[None, :])]
-    elif state is not None:
-        kernel_maps = compose_kernel_maps(None, [state])
+    if state is not None:
+        rows = description.weight[None, :] if config.model_kind == "ocsvm" else None
+        kernel_maps = [state.kernel_map(rows)]
     return BaselineModel(
         description=description,
         config=config,

@@ -220,6 +220,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         + ["radius_sq"]
     )
     matrices = load_matrices(args.data)
+    if model.warning is not None:
+        print(f"warning: {model.warning}", file=sys.stderr)
     rows = []
     # Every file has the same row count, so zero here means all are empty.
     if matrices[0].shape[0] > 0:

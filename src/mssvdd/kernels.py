@@ -10,7 +10,9 @@ their kernelized counterparts. The embedding is of the centered kernel by
 default, or of the uncentered one for a method that needs the origin of
 feature space, such as the one-class hyperplane. A solver on the
 embedding can take its Gram from npt_fit, which makes it from the kernel
-in place by subtracting the dropped eigenpairs.
+in place by subtracting the dropped eigenpairs. A fitted model predicts
+through the KernelMap its NptState composes (NptState.kernel_map), so no
+other module of the package reads the eigenpairs.
 """
 
 from __future__ import annotations
@@ -208,12 +210,25 @@ class KernelState:
 
 
 @dataclass(frozen=True)
+class KernelMap:
+    """How a kernelized model maps test points: state centers their kernel
+    vectors against the training set, and the read-only map takes them to
+    the description's space. NptState.kernel_map composes it."""
+
+    state: KernelState
+    map: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "map", frozen_array(self.map))
+
+
+@dataclass(frozen=True)
 class NptState:
     """Fitted embedding state for one modality: its kernel state and the
     kept eigenpairs of the kernel, centered or not as the state says.
 
-    The embedded training data is derived from these on demand. The arrays
-    are read-only, so models may share a state.
+    The embedded training data and a model's kernel map are derived from
+    these on demand. The arrays are read-only, so models may share a state.
     """
 
     kernel: KernelState
@@ -235,6 +250,21 @@ class NptState:
         embedded = np.sqrt(self.eigvals)[:, None] * self.eigvecs.T
         embedded.setflags(write=False)
         return embedded
+
+    def kernel_map(self, rows: Optional[np.ndarray] = None) -> KernelMap:
+        """The map A = rows Lambda^-1/2 U', k x N for k x rank rows: a
+        projection Q, a hyperplane's weight w' (1 x rank), or None for the
+        embedding itself. A applied to the centered test kernel equals rows
+        applied to npt_embed_test of this state, up to rounding, with no
+        rank x M intermediate. Training and loading compose every map here,
+        so theirs agree bit for bit, and each shares this kernel state."""
+        inv_sqrt = 1.0 / np.sqrt(self.eigvals)
+        if rows is None:
+            a = inv_sqrt[:, None] * self.eigvecs.T
+        else:
+            a = (rows * inv_sqrt) @ self.eigvecs.T
+        a.setflags(write=False)
+        return KernelMap(self.kernel, a)
 
 
 def npt_fit(

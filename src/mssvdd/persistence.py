@@ -6,7 +6,7 @@ models predict identically to the originals. A model file states each
 fact once and stores only what prediction reads: the config, the
 description's center and radius (or weight and offset), the projections
 or a baseline's input_dims, and for a kernelized model each kernel's
-state and composed map (subspace.compose_kernel_maps). The model's kind,
+state and composed map (kernels.NptState.kernel_map). The model's kind,
 the kernel params, the description's box bound (C or nu) and whether the
 kernel is centered come from the config (TrainConfig.resolved_kernel_params
 and TrainConfig.centers_kernel). A kernelized ocsvm's weight is folded into
@@ -16,10 +16,11 @@ its 1 x N map, so its description stores the weight [1]
 Model files of every earlier format version still load: _upgrade takes a
 file one version at a time to the current layout, and only the current
 layout is read. The steps that need arrays compose the maps from stored
-eigenpairs with the function training uses, and take the description's
+eigenpairs with the method training uses, and take the description's
 center or weight from its stored alphas and training points, so an old
 file predicts bit for bit as it did when it was saved; a baseline file
-before format 7 may load with None for dims it did not state (_v6_to_v7).
+before format 7 may load with None for dims it did not state, and then
+with a warning that says so (_v6_to_v7).
 The one exception is a kernelized ocsvm file before format 6: it was fit
 on the centered kernel, where its labels are rounding noise, so it is
 rejected with a request to re-fit. Unknown format versions are rejected.
@@ -41,14 +42,8 @@ from .baselines import BaselineModel
 from .datamodel import FeatureMatrix, FoldPlan, MultiModalDataset, frozen_array
 from .errors import ConfigError, PersistenceError, ToolkitError, typed
 from .evaluation import ConfusionMatrix, EvalReport
-from .kernels import KernelParams, KernelState, NptState
-from .subspace import (
-    KernelMap,
-    ProjectionMatrix,
-    SubspaceModel,
-    TrainConfig,
-    compose_kernel_maps,
-)
+from .kernels import KernelMap, KernelParams, KernelState, NptState
+from .subspace import ProjectionMatrix, SubspaceModel, TrainConfig
 from .svdd import DataDescription, HyperplaneDescription
 
 MODEL_FORMAT_VERSION = 7
@@ -281,7 +276,7 @@ def _composed(
 ) -> list[dict[str, Any]]:
     """Format 4 kernel-map entries from eigenpair entries, one per
     projection (projections None: one for a baseline), each map composed
-    by compose_kernel_maps as training composes it."""
+    by NptState.kernel_map as training composes it."""
     states = [
         NptState(
             kernel=KernelState(
@@ -298,14 +293,15 @@ def _composed(
         raise ValueError(
             f"{len(states)} npt_states entries for {len(projections)} projections"
         )
+    rows = [None] * len(states) if projections is None else [p.q for p in projections]
     return [
         {
             "row_means": e["row_means"],
             "train_data": e["train_data"],
             "params": e["params"],
-            "map": _encode_array(km.map),
+            "map": _encode_array(s.kernel_map(q).map),
         }
-        for e, km in zip(entries, compose_kernel_maps(projections, states))
+        for e, s, q in zip(entries, states, rows)
     ]
 
 
@@ -395,13 +391,21 @@ def _v5_to_v6(obj: dict[str, Any]) -> dict[str, Any]:
     return obj
 
 
+# The warning of a baseline whose file before format 7 did not state its dims.
+_UNKNOWN_DIMS = (
+    "the file does not state the model's modality dims, so predict checks only "
+    "the modality count; re-fit the model to record them"
+)
+
+
 def _v6_to_v7(obj: dict[str, Any]) -> dict[str, Any]:
     """Version 7 drops the kind tags, each of which must agree with the
     config's model_kind: model_class, a baseline's baseline_kind and the
     description's kind. A baseline's input_dims replace its n_modalities:
     its scaler's dims when it has one entry per modality, else [W] for one
     modality of fused width W (its kernel's training data's, or its linear
-    description's), else None for each, as the file does not say how W splits."""
+    description's), else None for each, as the file does not say how W
+    splits; the model's warning then says so (_UNKNOWN_DIMS)."""
     kind = config_from_dict(obj["config"]).model_kind
     tags = [("model_class", obj["model_class"], "subspace" if kind == "subspace" else "baseline")]
     if kind != "subspace":
@@ -425,6 +429,8 @@ def _v6_to_v7(obj: dict[str, Any]) -> dict[str, Any]:
         dims = [len(_decode_array(fused))]
     else:
         dims = [None] * n
+        stated = typed("warning", obj["warning"], (str, type(None)), PersistenceError)
+        obj = {**obj, "warning": _UNKNOWN_DIMS if stated is None else f"{stated}; {_UNKNOWN_DIMS}"}
     return {**_without(obj, "baseline_kind", "n_modalities"), "input_dims": dims}
 
 

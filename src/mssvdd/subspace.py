@@ -19,7 +19,7 @@ import numpy as np
 
 from .datamodel import FeatureMatrix, MultiModalDataset, apply_scaler, frozen_array
 from .errors import ConfigError, DataError, SolverError, coerce_fields, field_types
-from .kernels import KernelParams, KernelState, NptState, npt_embed_test, npt_fit
+from .kernels import KernelMap, KernelParams, NptState, npt_embed_test, npt_fit
 from .svdd import (
     DEFAULT_KKT_TOL,
     DataDescription,
@@ -148,27 +148,14 @@ class TrainConfig:
 _TRAIN_FIELD_TYPES = field_types(TrainConfig)
 
 
-@dataclass(frozen=True)
-class KernelMap:
-    """How a kernelized model maps test points: state centers their kernel
-    vectors against the training set, and the read-only map takes them to
-    the description's space: A_v = Q_v Lambda_v^-1/2 U_v' (d x N) per
-    modality of a subspace model, Lambda^-1/2 U' (rank x N) for a baseline."""
-
-    state: KernelState
-    map: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "map", frozen_array(self.map))
-
-
 @dataclass
 class SubspaceModel:
     """Trained subspace one-class model.
 
-    A kernelized model holds one KernelMap per modality, composed once from
-    the projection and the kernel's eigenpairs (compose_kernel_maps). The
-    projections are kept for inspection.
+    A kernelized model holds one KernelMap per modality, A_v = Q_v
+    Lambda_v^-1/2 U_v' (d x N), composed once from the projection by the
+    kernel's NptState (NptState.kernel_map). The projections are kept for
+    inspection.
 
     ortho_errors records the largest row-orthonormality deviation observed
     after each update cycle.
@@ -613,35 +600,10 @@ def train(
         config=config,
         ortho_errors=ortho_errors,
         warning=warning,
-        kernel_maps=compose_kernel_maps(projections, embedding.npt_states),
+        kernel_maps=None if embedding.npt_states is None else [
+            npt.kernel_map(p.q) for npt, p in zip(embedding.npt_states, projections)
+        ],
     )
-
-
-def compose_kernel_maps(
-    projections: Optional[Sequence[ProjectionMatrix]],
-    npt_states: Optional[Sequence[NptState]],
-) -> Optional[list[KernelMap]]:
-    """A model's kernel maps for its projections (None for a baseline) and
-    the fitted kernel states (None for a linear model).
-
-    A_v = (Q_v Lambda_v^-1/2) U_v' applied to the centered test kernel
-    equals Q_v applied to the test embedding, npt_embed_test of the
-    NptState, up to rounding, without the rank x M intermediate; a
-    baseline's Lambda^-1/2 U' gives the embedding itself. Training and the
-    loading of files that store eigenpairs compose through this one
-    function, so their maps agree bit for bit. Every map holds its
-    NptState's kernel state, so the models composed from one NptState
-    share it.
-    """
-    if npt_states is None:
-        return None
-    maps = []
-    for s, p in zip(npt_states, projections or [None] * len(npt_states)):
-        inv_sqrt = 1.0 / np.sqrt(s.eigvals)
-        a = inv_sqrt[:, None] * s.eigvecs.T if p is None else (p.q * inv_sqrt) @ s.eigvecs.T
-        a.setflags(write=False)
-        maps.append(KernelMap(s.kernel, a))
-    return maps
 
 
 def fuse_labels(per_modality: np.ndarray, decision_strategy: str) -> np.ndarray:

@@ -20,6 +20,7 @@ from mssvdd import (
 )
 from mssvdd import cli
 from mssvdd.cli import _MODEL_KEYS, _train_config, main
+import old_models
 from test_persistence import CONFIG_EDITS, RETAGGINGS, write_edited_config, write_retagged
 
 
@@ -257,6 +258,29 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err == "error: model reads modalities of dims [3, 4], data has dims [4, 3]\n"
         assert not out.exists()
+
+    # A legacy two-modality baseline loads with unknown dims and a warning
+    # saying so; a model with no warning prints nothing on stderr.
+    @pytest.mark.parametrize("version, name, warned", [
+        (4, "ocsvm", True), (6, "svdd", True), (6, "kernelized-ocsvm", False),
+    ])
+    def test_predict_prints_model_warning(self, tmp_path, capsys, version, name, warned):
+        model_path = old_models.model_path(version, name)
+        rng = np.random.default_rng(0)
+        csvs = []
+        for v in range(2):
+            csv = tmp_path / f"m{v}.csv"
+            np.savetxt(csv, rng.standard_normal((5, 3)), delimiter=",")
+            csvs += ["--data", str(csv)]
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", model_path] + csvs + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        if warned:
+            assert err == f"warning: {load_model(model_path).warning}\n"
+            assert "checks only the modality count" in err
+        else:
+            assert err == ""
+        assert len(out.read_text().splitlines()) == 6
 
     @pytest.mark.parametrize("case", sorted(CONFIG_EDITS))
     def test_predict_rejects_edited_config(self, tmp_path, capsys, case):

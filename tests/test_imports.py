@@ -1,7 +1,8 @@
 """Every name a package module imports at top level is used or exported,
 every private name or UPPER_CASE constant a module defines at top level
-is read, every public function or class is read or exported, and no
-module imports another's private name."""
+is read, every public function or class is read or exported, no
+module imports another's private name, and no module but kernels reads
+an eigenpair."""
 
 import ast
 from pathlib import Path
@@ -148,3 +149,37 @@ def test_checker_finds_private_cross_module_imports():
 def test_no_private_cross_module_imports():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert private_imports(sources) == []
+
+
+def eigenpair_readers(sources: dict[str, str]) -> list[str]:
+    """"module: .attr" for each read of an eigvecs or eigvals attribute by a
+    module of sources (module name -> source) other than kernels, which
+    alone turns eigenpairs into maps (NptState.kernel_map). A keyword
+    argument to NptState(...) is no attribute read."""
+    found = set()
+    for module, source in sources.items():
+        if module == "kernels":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigvecs", "eigvals"):
+                found.add(f"{module}: .{node.attr}")
+    return sorted(found)
+
+
+def test_checker_finds_eigenpair_readers():
+    sources = {
+        "kernels": "def f(s):\n    return s.eigvecs @ s.eigvals\n",
+        "a": (
+            "from .kernels import NptState\n"
+            "def g(e, k):\n"
+            "    return NptState(kernel=k, eigvecs=e['eigvecs'], eigvals=e['eigvals'])\n"
+        ),
+        "b": "def h(s):\n    return s.eigvecs.T\n",
+        "c": "def i(s):\n    return 1.0 / s.eigvals\n",
+    }
+    assert eigenpair_readers(sources) == ["b: .eigvecs", "c: .eigvals"]
+
+
+def test_only_kernels_reads_eigenpairs():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert eigenpair_readers(sources) == []

@@ -439,3 +439,26 @@ class TestNptEmbedTest:
         state = npt_fit(f, KernelParams(kind="gaussian", sigma=1.0, kappa=1.0))
         with pytest.raises(KernelError, match="mismatch"):
             npt_embed_test(state, np.zeros((4, 2)), state.kernel.params)
+
+
+class TestKernelMap:
+    # rows of the map: None (the embedding itself), a d x rank projection
+    # Q, and a 1 x rank hyperplane weight w'.
+    @pytest.mark.parametrize("rows", [None, "projection", "weight"])
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_map_applies_rows_to_the_test_embedding(self, rows, centered):
+        rng = np.random.default_rng(14)
+        f = _random_features(rng, 4, 12)
+        params = KernelParams(kind="composite", gamma=0.5, sigma=1.5, kappa=0.25)
+        state = npt_fit(f, params, centered=centered)
+        rank = state.embedded.shape[0]
+        r = {None: None, "projection": rng.standard_normal((2, rank)),
+             "weight": rng.standard_normal((1, rank))}[rows]
+        km = state.kernel_map(r)
+        x = rng.standard_normal((4, 7))
+        embedded = npt_embed_test(state, x)
+        want = embedded if r is None else r @ embedded
+        np.testing.assert_allclose(km.map @ npt_embed_test(km.state, x), want, rtol=0, atol=1e-12)
+        assert km.map.shape == (rank if r is None else r.shape[0], f.n_samples)
+        assert not km.map.flags.writeable
+        assert km.state is state.kernel

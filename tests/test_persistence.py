@@ -356,7 +356,7 @@ class TestModelRoundTrip:
 
     # A baseline file before format 7 gets its dims from its scaler, from
     # its fused width when it has one modality, and else None for each,
-    # which the gate does not check.
+    # which the gate does not check and the model's warning states.
     @pytest.mark.parametrize("version, name, n_modalities, dims", [
         (4, "svdd", 2, (None, None)),
         (6, "ocsvm", 2, (None, None)),
@@ -372,6 +372,7 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(obj))
         model = load_model(path)
         assert model.input_dims == dims
+        assert (model.warning is None) == (None not in dims)
         assert model_to_dict(model)["input_dims"] == list(dims)
         probe = old_models.probe()
         if n_modalities == 1:
@@ -380,6 +381,28 @@ class TestModelRoundTrip:
             _predictions_equal(predict_model(model, fused), predict_model(load_model(fixture), probe))
         else:
             _matches_parent(model, fixture)
+
+    # Such a null dim is stated in the model's warning, after any warning
+    # the file has, and a re-saved file keeps it.
+    @pytest.mark.parametrize("version, name", [
+        (4, "ocsvm"), (4, "svdd"), (6, "ocsvm"), (6, "svdd"),
+    ])
+    @pytest.mark.parametrize("stated", [None, "stopped early: no step"])
+    def test_unknown_dims_warned(self, tmp_path, version, name, stated):
+        obj = json.loads(Path(old_models.model_path(version, name)).read_text())
+        obj["warning"] = stated
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj))
+        model = load_model(path)
+        assert model.input_dims == (None, None)
+        prefix = "" if stated is None else f"{stated}; "
+        assert model.warning == prefix + (
+            "the file does not state the model's modality dims, so predict checks "
+            "only the modality count; re-fit the model to record them"
+        )
+        save_model(model, tmp_path / "again.json")
+        back = load_model(tmp_path / "again.json")
+        assert (back.input_dims, back.warning) == (model.input_dims, model.warning)
 
     @pytest.mark.parametrize("case", sorted(RETAGGINGS))
     def test_retagged_kind_rejected(self, tmp_path, case):
