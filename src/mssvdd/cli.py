@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -26,8 +26,9 @@ from .datamodel import (
     save_fold_plan,
     synth_multimodal,
 )
-from .errors import ConfigError, DataError, ToolkitError, typed
+from .errors import ConfigError, DataError, ToolkitError, coerce_fields, field_types, typed
 from .evaluation import (
+    SELECTIONS,
     GridSpec,
     default_grid,
     fit_model,
@@ -66,14 +67,6 @@ _MODEL_KEYS = {
     )},
 }
 
-# Experiment keys and their JSON types; TrainConfig types the model keys.
-_EXPERIMENT_KEYS = {
-    "modality_csvs": list, "label_csv": str, "target_label": int, "normalize": bool,
-    "outer_folds": int, "inner_folds": int, "seed": int, "selection": str, "grid": dict,
-}
-
-_CONFIG_KEYS = _MODEL_KEYS.keys() | _EXPERIMENT_KEYS.keys()
-
 # Grid config key -> GridSpec axis.
 _GRID_KEYS = {
     **{key: f"{key}_grid" for key in ("sigma", "eta", "beta", "c", "d")},
@@ -81,6 +74,50 @@ _GRID_KEYS = {
         "update_strategies", "regularizers", "decision_strategies"
     )},
 }
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The experiment keys and their defaults; building one checks every key, grid values too."""
+
+    modality_csvs: list = field(default_factory=list)
+    label_csv: Optional[str] = None
+    target_label: int = 1
+    normalize: bool = False
+    outer_folds: int = 5
+    inner_folds: int = 10
+    seed: int = 0
+    selection: str = "nested"
+    grid: Optional[dict] = None
+
+    def __post_init__(self):
+        coerce_fields(self, _EXPERIMENT_TYPES, ConfigError)
+        for csv_path in self.modality_csvs:
+            typed("modality_csvs entry", csv_path, (str,), ConfigError)
+        if not self.modality_csvs:
+            raise ConfigError("config needs modality_csvs (or --data flags)")
+        if self.target_label not in (0, 1):
+            raise ConfigError(f"target_label must be 0 or 1, got {self.target_label}")
+        for name in ("outer_folds", "inner_folds"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
+        if self.selection not in SELECTIONS:
+            raise ConfigError(f"selection must be 'nested' or 'global', got {self.selection!r}")
+        grid = self.grid or {}
+        unknown = set(grid) - _GRID_KEYS.keys()
+        if unknown:
+            raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+        for key, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"grid {key} must be a non-empty list, got {values!r}")
+        GridSpec(**self.grid_axes())
+
+    def grid_axes(self) -> dict[str, list]:
+        """The GridSpec axes the grid sets, by field name."""
+        return {_GRID_KEYS[key]: values for key, values in (self.grid or {}).items()}
+
+
+_EXPERIMENT_TYPES = field_types(ExperimentConfig)
 
 
 def _workers() -> int:
@@ -104,20 +141,9 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - _MODEL_KEYS.keys() - _EXPERIMENT_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _EXPERIMENT_KEYS.keys() & cfg.keys():
-        typed(key, cfg[key], (_EXPERIMENT_KEYS[key],), ConfigError)
-    for csv_path in cfg.get("modality_csvs", []):
-        typed("modality_csvs entry", csv_path, (str,), ConfigError)
-    grid = cfg.get("grid", {})
-    unknown = set(grid) - _GRID_KEYS.keys()
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    for key, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid {key} must be a non-empty list, got {values!r}")
     return cfg
 
 
@@ -130,22 +156,24 @@ def _train_config(cfg: dict[str, Any]) -> TrainConfig:
     return TrainConfig(**top, kernel_params=KernelParams(**kernel))
 
 
-def _grid_spec(cfg: dict[str, Any], data: MultiModalDataset, base: TrainConfig) -> GridSpec:
-    defaults = default_grid(data.n_modalities, base.kernelized)
-    return replace(
-        defaults, **{_GRID_KEYS[key]: v for key, v in cfg.get("grid", {}).items()}
-    )
-
-
-def _announce_search(cells: int, fits: int) -> None:
-    """Say on stderr how large a search is before it starts: a config
-    without a grid searches the default one, up to 1,209,600 cells."""
+def _search(
+    exp: ExperimentConfig, data: MultiModalDataset, base: TrainConfig, outer_k: int = 0
+) -> tuple[GridSpec, int]:
+    """The grid exp searches and the worker count, once stderr has its cells and fits.
+    Nested selection searches and fits a winner in each of outer_k folds; global (and
+    a grid search alone, outer_k 0) searches once and fits a winner per outer fold."""
+    grid = replace(default_grid(data.n_modalities, base.kernelized), **exp.grid_axes())
+    workers = _workers()
+    cells, distinct = grid_size(grid, base)
+    once = distinct * exp.inner_folds
+    fits = outer_k * (once + 1) if outer_k and exp.selection == "nested" else once + outer_k
     print(f"grid search: {cells:,} cells, {fits:,} fits", file=sys.stderr)
+    return grid, workers
 
 
-def _experiment(args: argparse.Namespace) -> tuple[dict[str, Any], MultiModalDataset, TrainConfig]:
-    """The config file's keys with the shared flags applied, the dataset
-    they name and the model config they give."""
+def _experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, MultiModalDataset, TrainConfig]:
+    """The experiment config of the config file's keys with the shared
+    flags applied, the dataset it names and the model config they give."""
     cfg = _load_config_file(args.config)
     if args.data:
         cfg["modality_csvs"] = list(args.data)
@@ -155,18 +183,13 @@ def _experiment(args: argparse.Namespace) -> tuple[dict[str, Any], MultiModalDat
         cfg["seed"] = args.seed
     if args.normalize:
         cfg["normalize"] = True
-    paths = cfg.get("modality_csvs")
-    if not paths:
-        raise ConfigError("config needs modality_csvs (or --data flags)")
-    data = load_dataset(paths, cfg.get("label_csv"))
-    target = cfg.get("target_label", 1)
-    if target not in (0, 1):
-        raise ConfigError(f"target_label must be 0 or 1, got {target}")
-    if target == 0 and data.labels is not None:
+    exp = ExperimentConfig(**{key: cfg[key] for key in cfg.keys() - _MODEL_KEYS.keys()})
+    data = load_dataset(exp.modality_csvs, exp.label_csv)
+    if exp.target_label == 0 and data.labels is not None:
         data = MultiModalDataset(
             data.modalities, 1 - data.labels, data.sample_ids
         )
-    return cfg, data, _train_config(cfg)
+    return exp, data, _train_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +197,10 @@ def _experiment(args: argparse.Namespace) -> tuple[dict[str, Any], MultiModalDat
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
+    try:
+        dims = [int(x) for x in args.dims.split(",")]
+    except ValueError:
+        raise ConfigError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     data = synth_multimodal(
         n_target=args.n_target,
         n_outlier=args.n_outlier,
@@ -194,10 +220,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg, data, config = _experiment(args)
-    model = fit_model(data, config, normalize=cfg.get("normalize", False))
+    exp, data, config = _experiment(args)
+    model = fit_model(data, config, normalize=exp.normalize)
     provenance = {
-        "seed": cfg.get("seed", 0),
+        "seed": exp.seed,
         "dataset_digest": dataset_digest(data),
     }
     save_model(model, args.out, provenance)
@@ -246,36 +272,24 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    cfg, data, base = _experiment(args)
-    seed = cfg.get("seed", 0)
-    outer_k = cfg.get("outer_folds", 5)
-    normalize = cfg.get("normalize", False)
-    if "grid" in cfg:
-        grid = _grid_spec(cfg, data, base)
-        inner_k = cfg.get("inner_folds", 10)
-        selection = args.selection or cfg.get("selection", "nested")
-        workers = _workers()
-        cells, distinct = grid_size(grid, base)
-        # Nested selection searches in every outer fold and fits each
-        # winner; global selection searches once and cross-validates its winner.
-        if selection == "nested":
-            fits = outer_k * (distinct * inner_k + 1)
-        else:
-            fits = distinct * inner_k + outer_k
-        _announce_search(cells, fits)
+    exp, data, base = _experiment(args)
+    if args.selection:
+        exp = replace(exp, selection=args.selection)
+    if exp.grid is not None:
+        grid, workers = _search(exp, data, base, exp.outer_folds)
         report = nested_cv(
             data,
             grid,
             base,
-            outer_k=outer_k,
-            inner_k=inner_k,
-            seed=seed,
-            normalize=normalize,
-            selection=selection,
+            outer_k=exp.outer_folds,
+            inner_k=exp.inner_folds,
+            seed=exp.seed,
+            normalize=exp.normalize,
+            selection=exp.selection,
             workers=workers,
         )
     else:
-        report = run_cv(data, base, k=outer_k, seed=seed, normalize=normalize)
+        report = run_cv(data, base, k=exp.outer_folds, seed=exp.seed, normalize=exp.normalize)
     prefix = args.out_prefix
     save_report(report, f"{prefix}.json")
     Path(f"{prefix}.csv").write_text(report_to_csv(report))
@@ -287,19 +301,15 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_gridsearch(args: argparse.Namespace) -> int:
-    cfg, data, base = _experiment(args)
-    grid = _grid_spec(cfg, data, base)
-    inner_k = cfg.get("inner_folds", 10)
-    workers = _workers()
-    cells, distinct = grid_size(grid, base)
-    _announce_search(cells, distinct * inner_k)
+    exp, data, base = _experiment(args)
+    grid, workers = _search(exp, data, base)
     result = grid_search(
         data,
         grid,
         base,
-        inner_k=inner_k,
-        seed=cfg.get("seed", 0),
-        normalize=cfg.get("normalize", False),
+        inner_k=exp.inner_folds,
+        seed=exp.seed,
+        normalize=exp.normalize,
         workers=workers,
     )
     prefix = args.out_prefix
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stratified cross-validation (nested when a grid is given)",
     )
     p.add_argument("--config", required=True)
-    p.add_argument("--selection", choices=["nested", "global"])
+    p.add_argument("--selection", choices=SELECTIONS)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=_cmd_cv)
 

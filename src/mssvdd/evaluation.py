@@ -61,6 +61,8 @@ DEFAULT_BETA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4)
 DEFAULT_C_GRID = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 DEFAULT_D_GRID = (1, 2, 3, 4, 5)
 
+SELECTIONS = ("nested", "global")  # nested_cv's: search in each outer fold, or once
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -633,7 +635,7 @@ def nested_cv(
     split; selection="global" selects once on the whole dataset and then
     cross-validates the winning configuration.
     """
-    if selection not in ("nested", "global"):
+    if selection not in SELECTIONS:
         raise ConfigError(f"selection must be 'nested' or 'global', got {selection!r}")
     plan = _cv_plan(data, outer_k, seed)
     if selection == "nested":

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,8 +20,8 @@ from mssvdd import (
     svdd_solve,
     synth_multimodal,
 )
-from mssvdd import cli
-from mssvdd.cli import _MODEL_KEYS, _train_config, main
+from mssvdd import cli, evaluation
+from mssvdd.cli import _MODEL_KEYS, ExperimentConfig, _train_config, main
 import old_models
 from test_persistence import CONFIG_EDITS, RETAGGINGS, write_edited_config, write_retagged
 
@@ -91,6 +93,15 @@ class TestSynth:
         paths_a, _ = _synth_files(tmp_path, "d", seed=1)
         paths_b, _ = _synth_files(tmp_path, "e", seed=2)
         assert _read(paths_a[0]) != _read(paths_b[0])
+
+    @pytest.mark.parametrize("dims", ["4,x", "4.5", "", "4,,4"])
+    def test_malformed_dims_exits_nonzero(self, tmp_path, capsys, dims):
+        argv = ["synth", "--out-dir", str(tmp_path / "out"), "--n-target", "5",
+                "--n-outlier", "5", "--dims", dims]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --dims must be comma-separated integers, got {dims!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainPredict:
@@ -423,6 +434,40 @@ class TestGridsearchAndReport:
         assert out == "".join(f"{prefix}{s}\n" for s in suffixes)
 
     @pytest.mark.parametrize(
+        "command, selection, fits",
+        [("gridsearch", None, 16 * 3), ("cv", "nested", 147), ("cv", "global", 51)],
+    )
+    def test_announced_fits_are_made(
+        self, tmp_path, capsys, monkeypatch, command, selection, fits
+    ):
+        # 32 cells, 16 distinct fits: w0 ignores beta. Nested selection
+        # makes 3 * (16 * 3 + 1) fits, global 16 * 3 + 3.
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(1)
+            return fit_model(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_model", spy)
+        monkeypatch.delenv("MSSVDD_WORKERS", raising=False)
+        paths, labels = _synth_files(tmp_path, n=30)
+        grid = {
+            "d": [1, 2], "c": [0.3, 0.5], "eta": [0.01, 0.02], "beta": [0.0, 0.1],
+            "update_strategies": ["SD-", "SD+"], "regularizers": ["w0"],
+            "decision_strategies": ["ds1"],
+        }
+        extra = {} if selection is None else {"selection": selection}
+        cfg = _write_config(
+            tmp_path, paths, labels, max_iter=2, outer_folds=3, inner_folds=3,
+            grid=grid, **extra,
+        )
+        capsys.readouterr()
+        argv = [command, "--config", cfg, "--out-prefix", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == f"grid search: 32 cells, {fits} fits\n"
+        assert len(made) == fits
+
+    @pytest.mark.parametrize(
         "command, config, line",
         [
             ("gridsearch", {}, "201,600 cells, 440,000 fits"),
@@ -538,16 +583,20 @@ MALFORMED_CONFIGS = [
     {"grid": {"d": 3}},
     {"grid": {"d": []}},
     {"grid": {"gamma": [0.5]}},
+    {"grid": {"d": [2.5]}},
+    {"grid": {"c": ["x"]}},
+    {"selection": "bogus"},
+    {"inner_folds": 0},
+    {"outer_folds": 1},
+    {"target_label": 2},
+    {"grid": {}, "inner_folds": 0},
 ]
-# Grid values are typed when a grid is built, which train never does.
-MALFORMED_GRID_VALUES = [{"grid": {"d": [2.5]}}, {"grid": {"c": ["x"]}}]
 
 
 class TestConfigSchema:
     @pytest.mark.parametrize(
         "command, extra",
-        [(c, e) for e in MALFORMED_CONFIGS for c in ("train", "cv")]
-        + [("cv", e) for e in MALFORMED_GRID_VALUES],
+        [(c, e) for e in MALFORMED_CONFIGS for c in ("train", "cv")],
         ids=json.dumps,
     )
     def test_malformed_config_exits_nonzero(self, tmp_path, capsys, command, extra):
@@ -596,3 +645,26 @@ class TestParser:
         )
         args = parser.parse_args([command, *self.REQUIRED[command]])
         assert (args.data, args.labels, args.seed, args.normalize) == (None, None, None, False)
+
+
+class TestReadme:
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_example_config_states_every_key(self):
+        block = re.search(r"### Experiment config.*?```json\n(.*?)```", self.README, re.S)
+        example = json.loads(block.group(1))
+        experiment = {f.name for f in fields(ExperimentConfig)}
+        assert example.keys() == _MODEL_KEYS.keys() | experiment
+        # The example is a valid config.
+        ExperimentConfig(**{key: example[key] for key in experiment})
+        _train_config(example)
+
+    def test_cli_examples_parse(self):
+        block = re.search(r"## CLI\n\n```bash\n(.*?)```", self.README, re.S)
+        lines = block.group(1).replace("\\\n", " ").splitlines()
+        assert len(lines) == 6
+        parser = cli.build_parser()
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "mssvdd"
+            assert parser.parse_args(argv[1:]).command == argv[1]
